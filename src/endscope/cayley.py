@@ -10,14 +10,13 @@ approximated by "touches the outer sphere", guarded by a stability window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atoms import EndCount
 from .coxeter import (
+    DEFAULT_ORBIT_BUDGET,
     CoxeterSystem,
     has_integral_representation,
-    identity_matrix,
-    mat_mul,
     tits_generator_matrices,
     tits_normal_form,
 )
@@ -109,11 +108,13 @@ class CoxeterOracle(GroupOracle):
 
     Uses the integer Tits reflection representation when all labels lie in
     {2, 3, inf}; otherwise falls back to canonical-word keys via the braid
-    normal form (adequate for small groups).
+    normal form (adequate for small groups), whose braid-orbit search may
+    visit at most `budget` words.
     """
 
-    def __init__(self, sys: CoxeterSystem):
+    def __init__(self, sys: CoxeterSystem, budget=DEFAULT_ORBIT_BUDGET):
         self.sys = sys
+        self.budget = budget
         self.name = "coxeter"
         self.generators = tuple(str(v) for v in sys.generators)
         self._by_name = {str(v): v for v in sys.generators}
@@ -150,7 +151,7 @@ class CoxeterOracle(GroupOracle):
                         else:
                             out[base + c] = key[base + c] + u_ri * row[c]
             return tuple(out)
-        return tits_normal_form(key + (self._by_name[gen],), self.sys)
+        return tits_normal_form(key + (self._by_name[gen],), self.sys, self.budget)
 
 
 class RaagOracle(GroupOracle):
@@ -491,9 +492,10 @@ def sample_geodesic_segments(ball: BallGraph, k: int):
 
 # --- Oracle spec strings (used by the CLI) ---------------------------------------
 
-def oracle_from_spec(spec: str) -> GroupOracle:
+def oracle_from_spec(spec: str, budget=DEFAULT_ORBIT_BUDGET) -> GroupOracle:
     """Build a named oracle: z:<n>, free:<n>, zmod:<n>, i2:<m>,
-    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs)."""
+    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs).
+    `budget` bounds the braid-orbit search of Coxeter word oracles."""
     head, _, rest = spec.partition(":")
     if head == "z":
         return ZnOracle(int(rest))
@@ -504,9 +506,11 @@ def oracle_from_spec(spec: str) -> GroupOracle:
     if head == "i2":
         m = int(rest)
         diagram = LabeledGraph.build(("s", "t"), [("s", "t", m)])
-        return CoxeterOracle(CoxeterSystem(diagram))
+        return CoxeterOracle(CoxeterSystem(diagram), budget)
     if head == "freeprod":
-        return compose_oracles("free_product", [oracle_from_spec(p) for p in rest.split("x")])
+        parts = [oracle_from_spec(p, budget) for p in rest.split("x")]
+        return compose_oracles("free_product", parts)
     if head == "prod":
-        return compose_oracles("direct_product", [oracle_from_spec(p) for p in rest.split("x")])
+        parts = [oracle_from_spec(p, budget) for p in rest.split("x")]
+        return compose_oracles("direct_product", parts)
     raise ValueError(f"unknown oracle spec {spec!r}")

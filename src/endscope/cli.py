@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 
-from . import coxeter as coxeter_mod
 from .atoms import atom_from_name
 from .cayley import build_ball, estimate_ends, oracle_from_spec
+from .coxeter import DEFAULT_ORBIT_BUDGET, CoxeterSystem, coxeter_ends
 from .errors import (
     ContradictionError,
     DiagramTooLargeError,
@@ -25,8 +25,8 @@ from .errors import (
 from .inference import certificate_as_dict, explain, infer
 from .model import Artin, Coxeter, GraphProduct, parse_document
 from .report import (
+    SCHEMA_VERSION,
     analysis_report,
-    artin_section,
     coxeter_section,
     graph_product_section,
     input_digest,
@@ -79,10 +79,11 @@ def cmd_coxeter(args):
     text = _read(args.file)
     registry = parse_document(text)
     expr = _find_group(registry, args.group, Coxeter)
+    ends = coxeter_ends(CoxeterSystem(expr.diagram))
     _emit({
-        "schemaVersion": 1,
+        "schemaVersion": SCHEMA_VERSION,
         "inputDigest": input_digest(text),
-        "sections": [coxeter_section(args.group, expr)],
+        "sections": [coxeter_section(args.group, expr, ends)],
         "warnings": [],
     })
     return EXIT_OK
@@ -102,7 +103,7 @@ def cmd_graph_product(args):
             "detail": "vertex profiles leave the criterion undecided",
         })
     _emit({
-        "schemaVersion": 1,
+        "schemaVersion": SCHEMA_VERSION,
         "inputDigest": input_digest(text),
         "sections": [section],
         "warnings": warnings,
@@ -111,7 +112,7 @@ def cmd_graph_product(args):
 
 
 def cmd_cayley(args):
-    oracle = oracle_from_spec(args.oracle)
+    oracle = oracle_from_spec(args.oracle, args.budget)
     ball = build_ball(oracle, args.radius, element_cap=args.element_cap)
     sections = [{
         "type": "ball",
@@ -135,7 +136,7 @@ def cmd_cayley(args):
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(render_dot(ball))
     _emit({
-        "schemaVersion": 1,
+        "schemaVersion": SCHEMA_VERSION,
         "inputDigest": input_digest(args.oracle),
         "sections": sections,
         "warnings": warnings,
@@ -155,7 +156,7 @@ def cmd_tower(args):
         window = n
     lim1 = lim1_report(verdict)
     _emit({
-        "schemaVersion": 1,
+        "schemaVersion": SCHEMA_VERSION,
         "inputDigest": input_digest(text),
         "sections": [{
             "type": "tower",
@@ -243,10 +244,8 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.set_defaults(func=cmd_dot)
 
-    parser.add_argument("--budget", type=int, default=None,
-                        help="braid-orbit state budget override")
-    parser.add_argument("--tietze-budget", type=int, default=None,
-                        help="Tietze simplification step budget override")
+    parser.add_argument("--budget", type=int, default=DEFAULT_ORBIT_BUDGET,
+                        help="braid-orbit state budget of the Coxeter word oracle")
     return parser
 
 
@@ -256,16 +255,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    if args.budget is not None:
-        coxeter_mod.DEFAULT_ORBIT_BUDGET = args.budget
-    if args.tietze_budget is not None:
-        from . import graph_products
-        graph_products.TIETZE_BUDGET = args.tietze_budget
     try:
         return args.func(args)
     except ContradictionError as exc:
         _emit({
-            "schemaVersion": 1,
+            "schemaVersion": SCHEMA_VERSION,
             "contradiction": {
                 "group": exc.group,
                 "atom": exc.atom.value,

@@ -393,15 +393,3 @@ def tits_generator_matrices(sys: CoxeterSystem):
                 rows.append(tuple(row))
         mats.append(tuple(rows))
     return tuple(mats)
-
-
-def mat_mul(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

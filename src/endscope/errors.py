@@ -53,10 +53,6 @@ class OrbitBudgetExceededError(EndscopeError):
         self.budget = budget
 
 
-class OracleBudgetExceededError(EndscopeError):
-    pass
-
-
 class MemoryCapExceededError(EndscopeError):
     def __init__(self, cap):
         super().__init__(f"ball construction exceeded element cap {cap}")

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atoms import ENDS_ATOMS, EndCount, PropertyAtom
-from .coxeter import CoxeterSystem, artin_one_ended, coxeter_ends, is_finite_type
-from .errors import (
-    ContradictionError,
-    DisconnectedGraphError,
-    FactNotDerivedError,
-    UnknownProfileError,
-)
+from .atoms import ENDS_ATOMS, PropertyAtom
+from .coxeter import CoxeterSystem, artin_one_ended, coxeter_ends
+from .errors import ContradictionError, FactNotDerivedError
 from .graph_products import (
     GraphProductSpec,
     VertexProfile,
@@ -67,11 +62,41 @@ class Certificate:
         return self.rule is None
 
 
+class Decisions:
+    """Decider results for one inference run, each computed once per input:
+    per Coxeter or Artin group, and per graph product and vertex-profile
+    tuple."""
+
+    def __init__(self):
+        self._results = {}
+
+    def _once(self, key, decider, arg):
+        if key not in self._results:
+            self._results[key] = decider(arg)
+        return self._results[key]
+
+    def coxeter_ends(self, group, expr):
+        return self._once(("coxeter", group), coxeter_ends, CoxeterSystem(expr.diagram))
+
+    def artin_ends(self, group, expr):
+        return self._once(("artin", group), artin_one_ended, expr.diagram)
+
+    def graph_product_ends(self, group, spec):
+        key = ("gp_ends", group, tuple(spec.profiles.values()))
+        return self._once(key, graph_product_ends, spec)
+
+    def graph_product_semistable(self, group, spec):
+        key = ("gp_semistable", group, tuple(spec.profiles.values()))
+        return self._once(key, graph_product_semistable, spec)
+
+
 class FactSet:
-    """Derived facts keyed by (group, atom, polarity), each with a certificate."""
+    """Derived facts keyed by (group, atom, polarity), each with a certificate,
+    and the decider results the derivation used."""
 
     def __init__(self):
         self._certs = {}
+        self.decided = Decisions()
 
     def get(self, group, atom, holds=True):
         return self._certs.get((group, atom, holds))
@@ -111,14 +136,37 @@ class FactSet:
         return iter(self._certs)
 
 
+G = "group"  # clause role: the group a rule fires on
+
+
+@dataclass(frozen=True)
+class Clause:
+    """One way a rule fires.  On a group built by `ctor` (any group when None)
+    whose `guard` flag is set, once every premise (role, atom, holds) is
+    derived, each conclusion (atom, holds) follows for the group in role
+    `target`.  A role is G, an expression field such as "a", "base" or
+    "kernel", or an index into a product's factors.  The premise certificates
+    become the conclusion's children, in premise order."""
+
+    ctor: object
+    premises: tuple
+    conclusions: tuple
+    guard: str | None = None
+    target: object = G
+    note: str | None = None
+
+
 @dataclass(frozen=True)
 class Rule:
+    """A theorem with its citation tag and quote, stated as clauses; the
+    decider bridges instead have a Python body
+    (rule, registry, facts, group, expr) -> certificates."""
+
     name: str
     tag: str
     quote: str
-    premises: tuple
-    conclusions: tuple
-    fire: object = field(compare=False)  # (registry, facts, name, expr) -> certs
+    clauses: tuple = ()
+    body: object = field(default=None, compare=False)
 
     def conclude(self, group, atom, holds, children, note=None):
         return Certificate(
@@ -127,46 +175,39 @@ class Rule:
             provenance=note, children=tuple(children),
         )
 
-
-def _gather(facts, group, wanted):
-    """Certificates for all (atom, holds) pairs, or None if any is missing."""
-    out = []
-    for atom, holds in wanted:
-        c = facts.get(group, atom, holds)
-        if c is None:
-            return None
-        out.append(c)
-    return out
+    def fire(self, registry, facts, gname, expr):
+        if self.body is not None:
+            return self.body(self, registry, facts, gname, expr)
+        return _fire_clauses(self, facts, gname, expr)
 
 
-def _any_of(facts, group, options):
-    for atom, holds in options:
-        c = facts.get(group, atom, holds)
-        if c is not None:
-            return c
-    return None
+def _member(gname, expr, role):
+    """Name of the group playing `role` in the expression of `gname`."""
+    if role == G:
+        return gname
+    if isinstance(role, int):
+        return expr.factors[role]
+    return getattr(expr, role)
 
 
-def _prop_rule(name, tag, quote, premises, conclusions):
-    """Rule whose premises and conclusions all live on the target group."""
-    rule_box = []
-
-    def fire(registry, facts, gname, expr):
-        children = _gather(facts, gname, premises)
-        if children is None:
-            return
-        rule = rule_box[0]
-        for atom, holds in conclusions:
-            yield rule.conclude(gname, atom, holds, children)
-
-    rule = Rule(
-        name, tag, quote,
-        tuple(f"{'' if h else 'not '}{a.value}" for a, h in premises),
-        tuple(f"{'' if h else 'not '}{a.value}" for a, h in conclusions),
-        fire,
-    )
-    rule_box.append(rule)
-    return rule
+def _fire_clauses(rule, facts, gname, expr):
+    # A generator: each clause reads the facts only after the caller has
+    # added the conclusions of the clauses before it.
+    for clause in rule.clauses:
+        if clause.ctor is not None and not isinstance(expr, clause.ctor):
+            continue
+        if clause.guard is not None and not getattr(expr, clause.guard):
+            continue
+        children = []
+        for role, atom, holds in clause.premises:
+            cert = facts.get(_member(gname, expr, role), atom, holds)
+            if cert is None:
+                break
+            children.append(cert)
+        else:
+            target = _member(gname, expr, clause.target)
+            for atom, holds in clause.conclusions:
+                yield rule.conclude(target, atom, holds, children, clause.note)
 
 
 # --- Quotes (verbatim from the sources the rules encode) ---------------------
@@ -430,583 +471,205 @@ def structural_facts(registry: GroupRegistry):
 
 # --- Rule table -----------------------------------------------------------------
 
-def _ends_cert(facts, group):
-    for atom in ENDS_GROUP:
-        c = facts.get(group, atom, True)
-        if c is not None:
-            return atom, c
-    return None, None
+def _on(role, *atoms, holds=True):
+    """Premises: each atom holds (or, with holds=False, fails) in `role`."""
+    return tuple((role, atom, holds) for atom in atoms)
 
 
-def builtin_rules():
-    rules = []
+def _then(*atoms, holds=True):
+    """Conclusions: each atom holds (or fails) for the clause's target."""
+    return tuple((atom, holds) for atom in atoms)
 
-    # Propositional rules on the target group.
-    rules.append(_prop_rule(
-        "R-1REL", "OneR", _Q["OneR"],
-        [(A.ONE_RELATOR, True)], [(A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-HYP", "WHss", _Q["WHss"],
-        [(A.WORD_HYPERBOLIC, True)], [(A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-METANIL", "metanil", _Q["metanil"],
-        [(A.VIRTUALLY_METANILPOTENT, True), (A.FP, True)],
-        [(A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-NOF2", "NOF2", _Q["NOF2"],
-        [(A.FP, True), (A.NO_F2_SUBGROUP, True), (A.HAS_ZXZ_QUOTIENT, True)],
-        [(A.ENDS_ONE, True), (A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-RELHYP", "HMSSMain", _Q["HMSSMain"],
-        [(A.FP, True), (A.REL_HYP_WITH_SEMISTABLE_PERIPHERALS, True)],
-        [(A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-SC2SS", "SCtoSS", _Q["SCtoSS"],
-        [(A.SC_INF, True)], [(A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-GM2", "GM2", _Q["GM2"],
-        [(A.SEMISTABLE, True), (A.FP, True)],
-        [(A.H1_EPS_SEMISTABLE, True), (A.H2_FREE_ABELIAN, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-GM2-SC", "GM2", _Q["GM2sc"],
-        [(A.SC_INF, True), (A.FP, True)], [(A.H2_TRIVIAL, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-BOWDITCH", "stablepro", _Q["stablepro"],
-        [(A.PRO_GROUP_STABLE, True), (A.FP, True)], [(A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-SCFREE", "free", _Q["free"],
-        [(A.FG, True), (A.NO_F2_SUBGROUP, True)],
-        [(A.ENDS_INFINITE, False)],
-    ))
-    rules.append(_prop_rule(
-        "R-SOLV", "free", _Q["free"],
-        [(A.SOLVABLE, True)], [(A.NO_F2_SUBGROUP, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-SUBNORM", "L", _Q["L"],
-        [(A.FG, True), (A.SUBNORMAL_CHAIN_WITNESS, True)],
-        [(A.ENDS_ONE, True), (A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-SUBCOMM", "MainA", _Q["MainA"],
-        [(A.FG, True), (A.SUBCOMMENSURATED_CHAIN_WITNESS, True)],
-        [(A.ENDS_ONE, True), (A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-AHNN-ATOM", "MM", _Q["MM"],
-        [(A.ASCENDING_HNN_OF_INF_FP_BASE, True)],
-        [(A.ENDS_ONE, True), (A.SEMISTABLE, True)],
-    ))
-    rules.append(_prop_rule(
-        "R-AHNN-ATOM-SC", "MM", _Q["MM"],
-        [(A.ASCENDING_HNN_OF_INF_FP_BASE, True),
-         (A.ASCENDING_HNN_BASE_ONE_ENDED, True)],
-        [(A.SC_INF, True)],
-    ))
 
-    # Bookkeeping rules with citations to the end-count trichotomy.
-    def fire_ends_excl(registry, facts, gname, expr):
-        atom, cert = _ends_cert(facts, gname)
-        if cert is None:
-            return
-        rule = _BY_NAME["R-ENDS-EXCL"]
-        for other in ENDS_GROUP:
-            if other is not atom:
-                yield rule.conclude(gname, other, False, [cert])
+def _one_clause(premises, conclusions):
+    """The one clause of a rule whose atoms all live on the target group."""
+    return (Clause(None, _on(G, *premises), conclusions),)
 
-    rules.append(Rule(
-        "R-ENDS-EXCL", "E3inf", _Q["E3inf"],
-        ("ends_k",), ("not ends_j for j != k",), fire_ends_excl,
-    ))
 
-    def fire_finiteness(registry, facts, gname, expr):
-        rule = _BY_NAME["R-FIN"]
-        c = facts.get(gname, A.FINITE, True)
-        if c is not None:
-            yield rule.conclude(gname, A.ENDS_ZERO, True, [c])
-            yield rule.conclude(gname, A.INFINITE, False, [c])
-        c = facts.get(gname, A.ENDS_ZERO, True)
-        if c is not None:
-            yield rule.conclude(gname, A.FINITE, True, [c])
-        c = facts.get(gname, A.INFINITE, True)
-        if c is not None:
-            yield rule.conclude(gname, A.FINITE, False, [c])
-            yield rule.conclude(gname, A.ENDS_ZERO, False, [c])
-        for atom in (A.ENDS_ONE, A.ENDS_TWO, A.ENDS_INFINITE):
-            c = facts.get(gname, atom, True)
-            if c is not None:
-                yield rule.conclude(gname, A.INFINITE, True, [c])
-
-    rules.append(Rule(
-        "R-FIN", "E3inf", _Q["E3inf"],
-        ("finite or an end count",), ("finiteness / ends_zero consistency",),
-        fire_finiteness,
-    ))
-
-    # Structure-driven rules.
-    def fire_stallings(registry, facts, gname, expr):
-        if not (isinstance(expr, Amalgam) and expr.edge_finite):
-            return
-        rule = _BY_NAME["R-STALLINGS"]
-        note = "constructor: non-trivial amalgam with finite edge group"
-        yield rule.conclude(gname, A.ENDS_ZERO, False, [], note)
-        yield rule.conclude(gname, A.ENDS_ONE, False, [], note)
-
-    rules.append(Rule(
-        "R-STALLINGS", "Stall", _Q["Stall"],
-        ("amalgam over a finite edge group",), ("more than one end",),
-        fire_stallings,
-    ))
-
-    def fire_fi_amalg(registry, facts, gname, expr):
-        if not (isinstance(expr, Amalgam) and expr.c_index_finite_in_both):
-            return
-        children = []
-        for part in (expr.a, expr.b):
-            got = _gather(facts, part, [(A.FG, True)])
-            if got is None:
-                return
-            children += got
-        rule = _BY_NAME["R-FI-AMALG"]
-        note = "constructor: edge group of finite index in both factors"
-        yield rule.conclude(gname, A.ENDS_ONE, True, children, note)
-        yield rule.conclude(gname, A.SEMISTABLE, True, children, note)
-
-    rules.append(Rule(
-        "R-FI-AMALG", "FIss", _Q["FIss"],
-        ("factors finitely generated", "edge group of finite index in both"),
-        ("ends_one", "semistable"), fire_fi_amalg,
-    ))
-
-    def fire_combe(registry, facts, gname, expr):
-        if not isinstance(expr, Amalgam):
-            return
-        children = []
-        for part in (expr.a, expr.b):
-            fg = facts.get(part, A.FG, True)
-            low = _any_of(facts, part, [(A.ENDS_ONE, True), (A.ENDS_TWO, True)])
-            if fg is None or low is None:
-                return
-            children += [fg, low]
-        edge = _gather(facts, expr.c, [(A.INFINITE, True), (A.FG, True)])
-        if edge is None:
-            return
-        children += edge
-        rule = _BY_NAME["R-COMBE"]
-        yield rule.conclude(gname, A.ENDS_ZERO, False, children)
-        yield rule.conclude(gname, A.ENDS_INFINITE, False, children)
-
-    rules.append(Rule(
-        "R-COMBE", "combE", _Q["combE"],
-        ("factors finitely generated and 1 or 2-ended",
-         "edge group infinite"),
-        ("not ends_zero", "not ends_infinite"), fire_combe,
-    ))
-
-    def fire_gog_ss(registry, facts, gname, expr):
-        if not isinstance(expr, Amalgam):
-            return
-        children = []
-        for part in (expr.a, expr.b):
-            got = _gather(facts, part, [(A.FP, True), (A.SEMISTABLE, True)])
-            if got is None:
-                return
-            children += got
-        edge = facts.get(expr.c, A.FG, True)
-        if edge is None:
-            return
-        children.append(edge)
-        rule = _BY_NAME["R-GOG-SS"]
-        yield rule.conclude(gname, A.SEMISTABLE, True, children)
-
-    rules.append(Rule(
-        "R-GOG-SS", "MTComb", _Q["MTComb"],
-        ("vertex groups finitely presented and semistable",
-         "edge group finitely generated"),
-        ("semistable",), fire_gog_ss,
-    ))
-
-    def fire_gog_fin(registry, facts, gname, expr):
-        if not (isinstance(expr, Amalgam) and expr.edge_finite):
-            return
-        rule = _BY_NAME["R-GOG-FIN"]
-        fp = [facts.get(p, A.FP, True) for p in (expr.a, expr.b)]
-        if None in fp:
-            return
-        pos = [facts.get(p, A.SEMISTABLE, True) for p in (expr.a, expr.b)]
-        if None not in pos:
-            yield rule.conclude(gname, A.SEMISTABLE, True, fp + pos)
-        for part in (expr.a, expr.b):
-            neg = facts.get(part, A.SEMISTABLE, False)
-            if neg is not None:
-                yield rule.conclude(gname, A.SEMISTABLE, False, fp + [neg])
-
-    rules.append(Rule(
-        "R-GOG-FIN", "Fsplit", _Q["Fsplit"],
-        ("finite edge group", "vertex groups finitely presented"),
-        ("semistable iff both vertex groups semistable",), fire_gog_fin,
-    ))
-
-    def fire_gog_dec(registry, facts, gname, expr):
-        if not (isinstance(expr, Amalgam) and expr.reduced):
-            return
-        edge = _gather(facts, expr.c, [(A.INFINITE, True), (A.FG, True)])
-        if edge is None:
-            return
-        children = list(edge)
-        for part in (expr.a, expr.b):
-            got = _gather(
-                facts, part,
-                [(A.FP, True), (A.ENDS_ONE, True), (A.SEMISTABLE, True)],
-            )
-            if got is None:
-                return
-            children += got
-        rule = _BY_NAME["R-GOG-DEC"]
-        note = "constructor: reduced graph of groups"
-        yield rule.conclude(gname, A.ENDS_ONE, True, children, note)
-        yield rule.conclude(gname, A.SEMISTABLE, True, children, note)
-
-    rules.append(Rule(
-        "R-GOG-DEC", "SSDecomp", _Q["SSDecomp"],
-        ("reduced", "edge group infinite and finitely generated",
-         "vertex groups finitely presented, 1-ended, semistable"),
-        ("ends_one", "semistable"), fire_gog_dec,
-    ))
-
-    def fire_jacki(registry, facts, gname, expr):
-        if not isinstance(expr, Amalgam):
-            return
-        children = []
-        for part in (expr.a, expr.b):
-            got = _gather(facts, part, [(A.FP, True), (A.ENDS_ONE, True)])
-            if got is None:
-                return
-            children += got
-        edge = _gather(facts, expr.c, [(A.FG, True), (A.ENDS_INFINITE, True)])
-        if edge is None:
-            return
-        children += edge
-        rule = _BY_NAME["R-JACKI"]
-        yield rule.conclude(gname, A.ENDS_ONE, True, children)
-
-    rules.append(Rule(
-        "R-JACKI", "JackI", _Q["JackI"],
-        ("factors finitely presented, 1-ended", "edge group multi-ended"),
-        ("ends_one",), fire_jacki,
-    ))
-
-    def fire_jackii(registry, facts, gname, expr):
-        if not isinstance(expr, HNN):
-            return
-        base = _gather(facts, expr.base, [(A.FP, True), (A.ENDS_ONE, True)])
-        assoc = _gather(facts, expr.assoc, [(A.FG, True), (A.ENDS_INFINITE, True)])
-        if base is None or assoc is None:
-            return
-        rule = _BY_NAME["R-JACKII"]
-        yield rule.conclude(gname, A.ENDS_ONE, True, base + assoc)
-
-    rules.append(Rule(
-        "R-JACKII", "JackII", _Q["JackII"],
-        ("base finitely presented, 1-ended", "associated subgroup multi-ended"),
-        ("ends_one",), fire_jackii,
-    ))
-
-    def fire_jhom(registry, facts, gname, expr):
-        rule = _BY_NAME["R-JHOM"]
-        if isinstance(expr, Amalgam):
-            children = []
-            for part in (expr.a, expr.b):
-                got = _gather(facts, part, [(A.FP, True), (A.ENDS_ONE, True)])
-                if got is None:
-                    return
-                children += got
-            edge = _gather(facts, expr.c, [(A.FG, True), (A.ENDS_INFINITE, True)])
-            if edge is None:
-                return
-            yield rule.conclude(gname, A.H2_NONTRIVIAL, True, children + edge)
-        elif isinstance(expr, HNN):
-            base = _gather(facts, expr.base, [(A.FP, True), (A.ENDS_ONE, True)])
-            assoc = _gather(
-                facts, expr.assoc, [(A.FG, True), (A.ENDS_INFINITE, True)]
-            )
-            if base is None or assoc is None:
-                return
-            yield rule.conclude(gname, A.H2_NONTRIVIAL, True, base + assoc)
-
-    rules.append(Rule(
-        "R-JHOM", "JHom", _Q["JHom"],
-        ("vertex groups finitely presented, 1-ended",
-         "edge group multi-ended"),
-        ("h2_nontrivial",), fire_jhom,
-    ))
-
-    def fire_jackii_sc(registry, facts, gname, expr):
-        rule = _BY_NAME["R-JACKIIi"]
-        if isinstance(expr, Amalgam):
-            # Theorem 2 (amalgam form) shares the conclusion
-            children = []
-            for part in (expr.a, expr.b):
-                got = _gather(
-                    facts, part,
-                    [(A.FP, True), (A.ENDS_ONE, True), (A.SC_INF, True)],
-                )
-                if got is None:
-                    return
-                children += got
-            edge = _gather(facts, expr.c, [(A.FG, True), (A.ENDS_ONE, True)])
-            if edge is None:
-                return
-            yield rule.conclude(gname, A.SC_INF, True, children + edge)
-        elif isinstance(expr, HNN):
-            base = _gather(
-                facts, expr.base,
-                [(A.FP, True), (A.ENDS_ONE, True), (A.SC_INF, True)],
-            )
-            assoc = _gather(facts, expr.assoc, [(A.FG, True), (A.ENDS_ONE, True)])
-            if base is None or assoc is None:
-                return
-            yield rule.conclude(gname, A.ENDS_ONE, True, base + assoc)
-            yield rule.conclude(gname, A.SC_INF, True, base + assoc)
-
-    rules.append(Rule(
-        "R-JACKIIi", "JackIIi", _Q["JackIIi"],
-        ("base finitely presented, 1-ended, simply connected at infinity",
-         "associated/edge subgroup finitely generated and 1-ended"),
-        ("sc_inf",), fire_jackii_sc,
-    ))
-
-    def fire_h2red(registry, facts, gname, expr):
-        if not (isinstance(expr, Amalgam) and expr.edge_finite):
-            return
-        rule = _BY_NAME["R-H2RED"]
-        for atom in (A.H2_TRIVIAL, A.H2_FREE_ABELIAN):
-            certs = [facts.get(p, atom, True) for p in (expr.a, expr.b)]
-            if None not in certs:
-                yield rule.conclude(gname, atom, True, certs)
-
-    rules.append(Rule(
-        "R-H2RED", "Reduction", _Q["Reduction"],
-        ("finite edge group", "H2 class of both vertex groups"),
-        ("matching H2 class",), fire_h2red,
-    ))
-
-    def fire_ahnn(registry, facts, gname, expr):
-        if not (isinstance(expr, HNN) and expr.ascending):
-            return
-        base = _gather(facts, expr.base, [(A.INFINITE, True), (A.FP, True)])
-        if base is None:
-            return
-        rule = _BY_NAME["R-AHNN"]
-        note = "constructor: ascending HNN extension"
-        yield rule.conclude(gname, A.ENDS_ONE, True, base, note)
-        yield rule.conclude(gname, A.SEMISTABLE, True, base, note)
-        one = facts.get(expr.base, A.ENDS_ONE, True)
-        if one is not None:
-            yield rule.conclude(gname, A.SC_INF, True, base + [one], note)
-
-    rules.append(Rule(
-        "R-AHNN", "MM", _Q["MM"],
-        ("ascending HNN extension of an infinite finitely presented base",),
-        ("ends_one", "semistable", "sc_inf when the base is 1-ended"),
-        fire_ahnn,
-    ))
-
-    def fire_hnn_fi(registry, facts, gname, expr):
-        if not (isinstance(expr, HNN) and expr.finite_index_image):
-            return
-        base = _gather(facts, expr.base, [(A.INFINITE, True), (A.FG, True)])
-        if base is None:
-            return
-        rule = _BY_NAME["R-HNN-FI"]
-        note = "constructor: associated subgroup of finite index in the base"
-        yield rule.conclude(gname, A.ENDS_ONE, True, base, note)
-
-    rules.append(Rule(
-        "R-HNN-FI", "MMFIE", _Q["MMFIE"],
-        ("HNN extension with finite-index associated subgroup",
-         "base infinite and finitely generated"),
-        ("ends_one",), fire_hnn_fi,
-    ))
-
-    def fire_m1(registry, facts, gname, expr):
-        if not isinstance(expr, Extension):
-            return
-        kernel = _gather(facts, expr.kernel, [(A.INFINITE, True), (A.FG, True)])
-        quot = facts.get(expr.quotient, A.INFINITE, True)
-        whole = facts.get(gname, A.FP, True)
-        if kernel is None or quot is None or whole is None:
-            return
-        rule = _BY_NAME["R-M1"]
-        note = "infinite quotient gives the kernel infinite index"
-        yield rule.conclude(gname, A.SEMISTABLE, True, kernel + [quot, whole], note)
-
-    rules.append(Rule(
-        "R-M1", "M1", _Q["M1"],
-        ("kernel infinite and finitely generated",
-         "quotient infinite", "whole group finitely presented"),
-        ("semistable",), fire_m1,
-    ))
-
-    def fire_jackson(registry, facts, gname, expr):
-        if not isinstance(expr, Extension):
-            return
-        kernel = _gather(facts, expr.kernel, [(A.INFINITE, True), (A.FP, True)])
-        quot = facts.get(expr.quotient, A.INFINITE, True)
-        whole = facts.get(gname, A.FP, True)
-        if kernel is None or quot is None or whole is None:
-            return
-        one = _any_of(facts, expr.kernel, [(A.ENDS_ONE, True)]) or facts.get(
-            expr.quotient, A.ENDS_ONE, True
-        )
-        if one is None:
-            return
-        rule = _BY_NAME["R-JACKSON"]
-        yield rule.conclude(gname, A.SC_INF, True, kernel + [quot, whole, one])
-
-    rules.append(Rule(
-        "R-JACKSON", "J", _Q["J"],
-        ("kernel infinite and finitely presented", "quotient infinite",
-         "whole group finitely presented", "kernel or quotient 1-ended"),
-        ("sc_inf",), fire_jackson,
-    ))
-
-    def fire_comm(registry, facts, gname, expr):
-        if not (isinstance(expr, CommensuratedPair) and expr.infinite_index):
-            return
-        target = expr.ambient
-        whole = facts.get(target, A.FG, True)
-        sub = _gather(facts, expr.subgroup, [(A.INFINITE, True), (A.FG, True)])
-        if whole is None or sub is None:
-            return
-        rule = _BY_NAME["R-COMM"]
-        note = "constructor: commensurated subgroup of infinite index"
-        yield rule.conclude(target, A.ENDS_ONE, True, [whole] + sub, note)
-        yield rule.conclude(target, A.SEMISTABLE, True, [whole] + sub, note)
-
-    rules.append(Rule(
-        "R-COMM", "MainCM", _Q["MainCM"],
-        ("ambient group finitely generated",
-         "commensurated subgroup infinite, finitely generated, infinite index"),
-        ("ends_one", "semistable"), fire_comm,
-    ))
-
-    def fire_scprod(registry, facts, gname, expr):
-        if not (isinstance(expr, DirectProduct) and len(expr.factors) == 2):
-            return
-        whole = _gather(
-            facts, gname, [(A.FG, True), (A.RECURSIVELY_PRESENTED, True)]
-        )
-        if whole is None:
-            return
-        a, b = expr.factors
-        rule = _BY_NAME["R-SCPROD"]
-        for first, second in ((a, b), (b, a)):
-            got = _gather(
-                facts, first,
-                [(A.FG, True), (A.INFINITE, True), (A.ENDS_ONE, True)],
-            )
-            other = _gather(facts, second, [(A.FG, True), (A.INFINITE, True)])
-            if got is not None and other is not None:
-                yield rule.conclude(gname, A.SC_INF, True, whole + got + other)
-                return
-
-    rules.append(Rule(
-        "R-SCPROD", "sc", _Q["sc"],
-        ("recursively presented product of two infinite finitely generated"
-         " groups, one 1-ended",),
-        ("sc_inf",), fire_scprod,
-    ))
-
-    # Bridges to the structural deciders.
-    def fire_coxe(registry, facts, gname, expr):
-        if not isinstance(expr, Coxeter) or not expr.diagram.vertices:
-            return
-        report = coxeter_ends(CoxeterSystem(expr.diagram))
-        rule = _BY_NAME["R-COXE"]
+def _coxeter_ends_bridge(rule, registry, facts, gname, expr):
+    if isinstance(expr, Coxeter) and expr.diagram.vertices:
+        report = facts.decided.coxeter_ends(gname, expr)
         note = f"decider witness: {report.witness}"
         yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [], note)
 
-    rules.append(Rule(
-        "R-COXE", "CoxE", _Q["CoxE"] + " / " + _Q["Cox2E"],
-        ("Coxeter presentation diagram",), ("ends per the diagram criteria",),
-        fire_coxe,
-    ))
 
-    def fire_artine(registry, facts, gname, expr):
-        if not isinstance(expr, Artin) or not expr.diagram.vertices:
-            return
-        report = artin_one_ended(expr.diagram)
-        rule = _BY_NAME["R-ARTINE"]
+def _artin_ends_bridge(rule, registry, facts, gname, expr):
+    if isinstance(expr, Artin) and expr.diagram.vertices:
+        report = facts.decided.artin_ends(gname, expr)
         if report.ends is not None:
             yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [])
 
-    rules.append(Rule(
-        "R-ARTINE", "ArtinE", _Q["ArtinE"],
-        ("Artin presentation diagram",), ("ends for connected/degenerate diagrams",),
-        fire_artine,
-    ))
 
-    def fire_acss(registry, facts, gname, expr):
-        if not isinstance(expr, (Coxeter, Artin)):
-            return
-        rule = _BY_NAME["R-ACSS"]
-        yield rule.conclude(gname, A.SEMISTABLE, True, [])
-
-    rules.append(Rule(
-        "R-ACSS", "ACSS", _Q["ACSS"],
-        ("Coxeter or Artin presentation",), ("semistable",), fire_acss,
-    ))
-
-    def fire_gp(registry, facts, gname, expr):
-        if not isinstance(expr, GraphProduct) or not expr.graph.vertices:
-            return
-        rule = _BY_NAME["R-GP"]
-        profiles = {}
-        children = []
-        complete = True
-        for vertex, ref in expr.vertex_groups:
-            prof, used = _vertex_profile(registry, facts, ref)
-            profiles[vertex] = prof
-            children += used
-            if prof.finite is None or prof.ends is None:
-                complete = False
-        spec = GraphProductSpec(expr.graph, profiles)
-        if complete:
-            report = graph_product_ends(spec)
-            note = f"decider witness: {report.witness}"
-            yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, children, note)
-        try:
-            ss = graph_product_semistable(spec)
-        except (DisconnectedGraphError, UnknownProfileError):
-            return
-        if ss.verdict == "semistable":
-            yield rule.conclude(gname, A.SEMISTABLE, True, children)
-        elif ss.verdict == "not_semistable":
-            note = f"decider witness: {ss.witness}"
-            yield rule.conclude(gname, A.SEMISTABLE, False, children, note)
-
-    rules.append(Rule(
-        "R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"],
-        ("graph product with profiled vertex groups",),
-        ("ends and semistability per the graph criteria",), fire_gp,
-    ))
-
-    global _BY_NAME
-    _BY_NAME = {r.name: r for r in rules}
-    return tuple(rules)
+def _graph_product_bridge(rule, registry, facts, gname, expr):
+    if not isinstance(expr, GraphProduct) or not expr.graph.vertices:
+        return
+    spec, children, complete = graph_product_spec(registry, facts, expr)
+    if complete:
+        report = facts.decided.graph_product_ends(gname, spec)
+        note = f"decider witness: {report.witness}"
+        yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, children, note)
+    if not expr.graph.is_connected():
+        return
+    ss = facts.decided.graph_product_semistable(gname, spec)
+    if ss.verdict == "semistable":
+        yield rule.conclude(gname, A.SEMISTABLE, True, children)
+    elif ss.verdict == "not_semistable":
+        note = f"decider witness: {ss.witness}"
+        yield rule.conclude(gname, A.SEMISTABLE, False, children, note)
 
 
-_BY_NAME: dict = {}
+_RULES = (
+    Rule("R-1REL", "OneR", _Q["OneR"], _one_clause([A.ONE_RELATOR], _then(A.SEMISTABLE))),
+    Rule("R-HYP", "WHss", _Q["WHss"], _one_clause([A.WORD_HYPERBOLIC], _then(A.SEMISTABLE))),
+    Rule("R-METANIL", "metanil", _Q["metanil"], _one_clause(
+        [A.VIRTUALLY_METANILPOTENT, A.FP], _then(A.SEMISTABLE))),
+    Rule("R-NOF2", "NOF2", _Q["NOF2"], _one_clause(
+        [A.FP, A.NO_F2_SUBGROUP, A.HAS_ZXZ_QUOTIENT], _then(A.ENDS_ONE, A.SEMISTABLE))),
+    Rule("R-RELHYP", "HMSSMain", _Q["HMSSMain"], _one_clause(
+        [A.FP, A.REL_HYP_WITH_SEMISTABLE_PERIPHERALS], _then(A.SEMISTABLE))),
+    Rule("R-SC2SS", "SCtoSS", _Q["SCtoSS"], _one_clause([A.SC_INF], _then(A.SEMISTABLE))),
+    Rule("R-GM2", "GM2", _Q["GM2"], _one_clause(
+        [A.SEMISTABLE, A.FP], _then(A.H1_EPS_SEMISTABLE, A.H2_FREE_ABELIAN))),
+    Rule("R-GM2-SC", "GM2", _Q["GM2sc"], _one_clause([A.SC_INF, A.FP], _then(A.H2_TRIVIAL))),
+    Rule("R-BOWDITCH", "stablepro", _Q["stablepro"], _one_clause(
+        [A.PRO_GROUP_STABLE, A.FP], _then(A.SEMISTABLE))),
+    Rule("R-SCFREE", "free", _Q["free"], _one_clause(
+        [A.FG, A.NO_F2_SUBGROUP], _then(A.ENDS_INFINITE, holds=False))),
+    Rule("R-SOLV", "free", _Q["free"], _one_clause([A.SOLVABLE], _then(A.NO_F2_SUBGROUP))),
+    Rule("R-SUBNORM", "L", _Q["L"], _one_clause(
+        [A.FG, A.SUBNORMAL_CHAIN_WITNESS], _then(A.ENDS_ONE, A.SEMISTABLE))),
+    Rule("R-SUBCOMM", "MainA", _Q["MainA"], _one_clause(
+        [A.FG, A.SUBCOMMENSURATED_CHAIN_WITNESS], _then(A.ENDS_ONE, A.SEMISTABLE))),
+    Rule("R-AHNN-ATOM", "MM", _Q["MM"], _one_clause(
+        [A.ASCENDING_HNN_OF_INF_FP_BASE], _then(A.ENDS_ONE, A.SEMISTABLE))),
+    Rule("R-AHNN-ATOM-SC", "MM", _Q["MM"], _one_clause(
+        [A.ASCENDING_HNN_OF_INF_FP_BASE, A.ASCENDING_HNN_BASE_ONE_ENDED], _then(A.SC_INF))),
+    # Bookkeeping with citations to the end-count trichotomy.
+    Rule("R-ENDS-EXCL", "E3inf", _Q["E3inf"], tuple(
+        Clause(None, _on(G, atom), _then(*(e for e in ENDS_GROUP if e is not atom), holds=False))
+        for atom in ENDS_GROUP
+    )),
+    Rule("R-FIN", "E3inf", _Q["E3inf"], (
+        Clause(None, _on(G, A.FINITE), ((A.ENDS_ZERO, True), (A.INFINITE, False))),
+        Clause(None, _on(G, A.ENDS_ZERO), _then(A.FINITE)),
+        Clause(None, _on(G, A.INFINITE), _then(A.FINITE, A.ENDS_ZERO, holds=False)),
+    ) + tuple(
+        Clause(None, _on(G, atom), _then(A.INFINITE)) for atom in ENDS_GROUP[1:]
+    )),
+    # Structure-driven rules.
+    Rule("R-STALLINGS", "Stall", _Q["Stall"], (
+        Clause(Amalgam, (), _then(A.ENDS_ZERO, A.ENDS_ONE, holds=False), "edge_finite",
+               note="constructor: non-trivial amalgam with finite edge group"),
+    )),
+    Rule("R-FI-AMALG", "FIss", _Q["FIss"], (
+        Clause(Amalgam, _on("a", A.FG) + _on("b", A.FG), _then(A.ENDS_ONE, A.SEMISTABLE),
+               "c_index_finite_in_both",
+               note="constructor: edge group of finite index in both factors"),
+    )),
+    Rule("R-COMBE", "combE", _Q["combE"], tuple(
+        Clause(Amalgam, _on("a", A.FG, low_a) + _on("b", A.FG, low_b) + _on("c", A.INFINITE, A.FG),
+               _then(A.ENDS_ZERO, A.ENDS_INFINITE, holds=False))
+        for low_a in (A.ENDS_ONE, A.ENDS_TWO) for low_b in (A.ENDS_ONE, A.ENDS_TWO)
+    )),
+    Rule("R-GOG-SS", "MTComb", _Q["MTComb"], (
+        Clause(Amalgam, _on("a", A.FP, A.SEMISTABLE) + _on("b", A.FP, A.SEMISTABLE)
+               + _on("c", A.FG), _then(A.SEMISTABLE)),
+    )),
+    Rule("R-GOG-FIN", "Fsplit", _Q["Fsplit"], (
+        Clause(Amalgam, _on("a", A.FP) + _on("b", A.FP) + _on("a", A.SEMISTABLE)
+               + _on("b", A.SEMISTABLE), _then(A.SEMISTABLE), "edge_finite"),
+    ) + tuple(
+        Clause(Amalgam, _on("a", A.FP) + _on("b", A.FP) + _on(part, A.SEMISTABLE, holds=False),
+               _then(A.SEMISTABLE, holds=False), "edge_finite")
+        for part in ("a", "b")
+    )),
+    Rule("R-GOG-DEC", "SSDecomp", _Q["SSDecomp"], (
+        Clause(Amalgam, _on("c", A.INFINITE, A.FG) + _on("a", A.FP, A.ENDS_ONE, A.SEMISTABLE)
+               + _on("b", A.FP, A.ENDS_ONE, A.SEMISTABLE), _then(A.ENDS_ONE, A.SEMISTABLE),
+               "reduced", note="constructor: reduced graph of groups"),
+    )),
+    Rule("R-JACKI", "JackI", _Q["JackI"], (
+        Clause(Amalgam, _on("a", A.FP, A.ENDS_ONE) + _on("b", A.FP, A.ENDS_ONE)
+               + _on("c", A.FG, A.ENDS_INFINITE), _then(A.ENDS_ONE)),
+    )),
+    Rule("R-JACKII", "JackII", _Q["JackII"], (
+        Clause(HNN, _on("base", A.FP, A.ENDS_ONE) + _on("assoc", A.FG, A.ENDS_INFINITE),
+               _then(A.ENDS_ONE)),
+    )),
+    Rule("R-JHOM", "JHom", _Q["JHom"], (
+        Clause(Amalgam, _on("a", A.FP, A.ENDS_ONE) + _on("b", A.FP, A.ENDS_ONE)
+               + _on("c", A.FG, A.ENDS_INFINITE), _then(A.H2_NONTRIVIAL)),
+        Clause(HNN, _on("base", A.FP, A.ENDS_ONE) + _on("assoc", A.FG, A.ENDS_INFINITE),
+               _then(A.H2_NONTRIVIAL)),
+    )),
+    Rule("R-JACKIi", "JackIi", _Q["JackIi"], (
+        Clause(Amalgam, _on("a", A.FP, A.ENDS_ONE, A.SC_INF) + _on("b", A.FP, A.ENDS_ONE, A.SC_INF)
+               + _on("c", A.FG, A.ENDS_ONE), _then(A.SC_INF)),
+    )),
+    Rule("R-JACKIIi", "JackIIi", _Q["JackIIi"], (
+        Clause(HNN, _on("base", A.FP, A.ENDS_ONE, A.SC_INF) + _on("assoc", A.FG, A.ENDS_ONE),
+               _then(A.ENDS_ONE, A.SC_INF)),
+    )),
+    Rule("R-H2RED", "Reduction", _Q["Reduction"], tuple(
+        Clause(Amalgam, _on("a", atom) + _on("b", atom), _then(atom), "edge_finite")
+        for atom in (A.H2_TRIVIAL, A.H2_FREE_ABELIAN)
+    )),
+    Rule("R-AHNN", "MM", _Q["MM"], (
+        Clause(HNN, _on("base", A.INFINITE, A.FP), _then(A.ENDS_ONE, A.SEMISTABLE),
+               "ascending", note="constructor: ascending HNN extension"),
+        Clause(HNN, _on("base", A.INFINITE, A.FP, A.ENDS_ONE), _then(A.SC_INF),
+               "ascending", note="constructor: ascending HNN extension"),
+    )),
+    Rule("R-HNN-FI", "MMFIE", _Q["MMFIE"], (
+        Clause(HNN, _on("base", A.INFINITE, A.FG), _then(A.ENDS_ONE), "finite_index_image",
+               note="constructor: associated subgroup of finite index in the base"),
+    )),
+    Rule("R-M1", "M1", _Q["M1"], (
+        Clause(Extension, _on("kernel", A.INFINITE, A.FG) + _on("quotient", A.INFINITE)
+               + _on(G, A.FP), _then(A.SEMISTABLE),
+               note="infinite quotient gives the kernel infinite index"),
+    )),
+    Rule("R-JACKSON", "J", _Q["J"], tuple(
+        Clause(Extension, _on("kernel", A.INFINITE, A.FP) + _on("quotient", A.INFINITE)
+               + _on(G, A.FP) + _on(one_ended, A.ENDS_ONE), _then(A.SC_INF))
+        for one_ended in ("kernel", "quotient")
+    )),
+    Rule("R-COMM", "MainCM", _Q["MainCM"], (
+        Clause(CommensuratedPair, _on("ambient", A.FG) + _on("subgroup", A.INFINITE, A.FG),
+               _then(A.ENDS_ONE, A.SEMISTABLE), "infinite_index", target="ambient",
+               note="constructor: commensurated subgroup of infinite index"),
+    )),
+    Rule("R-SCPROD", "sc", _Q["sc"], tuple(
+        Clause(DirectProduct, _on(G, A.FG, A.RECURSIVELY_PRESENTED)
+               + _on(first, A.FG, A.INFINITE, A.ENDS_ONE) + _on(1 - first, A.FG, A.INFINITE),
+               _then(A.SC_INF), "binary")
+        for first in (0, 1)
+    )),
+    # Bridges to the structural deciders.
+    Rule("R-COXE", "CoxE", _Q["CoxE"] + " / " + _Q["Cox2E"], body=_coxeter_ends_bridge),
+    Rule("R-ARTINE", "ArtinE", _Q["ArtinE"], body=_artin_ends_bridge),
+    Rule("R-ACSS", "ACSS", _Q["ACSS"], (Clause((Coxeter, Artin), (), _then(A.SEMISTABLE)),)),
+    Rule("R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"], body=_graph_product_bridge),
+)
+
+
+def builtin_rules():
+    """The rule table, in firing order."""
+    return _RULES
+
+
+def graph_product_spec(registry, facts, expr):
+    """The decider input for a graph product from derived facts: the spec,
+    the certificates its vertex profiles rest on, and whether every profile
+    states finiteness and an end count."""
+    profiles = {}
+    children = []
+    for vertex, ref in expr.vertex_groups:
+        prof, used = _vertex_profile(registry, facts, ref)
+        profiles[vertex] = prof
+        children += used
+    complete = all(p.finite is not None and p.ends is not None for p in profiles.values())
+    return GraphProductSpec(expr.graph, profiles), children, complete
 
 
 def _vertex_profile(registry, facts, ref):
@@ -1050,8 +713,8 @@ def _vertex_profile(registry, facts, ref):
 
 def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
     """Least fixpoint of the rule table over asserted, database and structural
-    facts.  Raises ContradictionError when both polarities of a fact appear."""
-    rules = builtin_rules()
+    facts.  Raises ContradictionError when both polarities of a fact appear.
+    The decider results the rules used are kept in the result's `decided`."""
     facts = FactSet()
     for cert in structural_facts(registry):
         facts.add(cert)
@@ -1078,8 +741,8 @@ def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
     while changed:
         changed = False
         for gname, expr in registry.groups.items():
-            for rule in rules:
-                for cert in rule.fire(registry, facts, gname, expr) or ():
+            for rule in _RULES:
+                for cert in rule.fire(registry, facts, gname, expr):
                     if facts.add(cert):
                         changed = True
     return facts

@@ -111,6 +111,11 @@ class Extension:
 class DirectProduct:
     factors: tuple
 
+    @property
+    def binary(self):
+        """Two factors, the form the product theorems are stated for."""
+        return len(self.factors) == 2
+
 
 @dataclass(frozen=True)
 class CommensuratedPair:

@@ -11,10 +11,9 @@ import hashlib
 
 from .atoms import EndCount, PropertyAtom
 from .cayley import BallGraph
-from .coxeter import CoxeterSystem, artin_one_ended, coxeter_ends, is_finite_type
-from .graph_products import graph_product_ends, graph_product_semistable
+from .coxeter import CoxeterSystem, is_finite_type
 from .graphs import LabeledGraph
-from .inference import certificate_as_dict, infer, _vertex_profile
+from .inference import certificate_as_dict, graph_product_spec, infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
 
 SCHEMA_VERSION = 1
@@ -38,10 +37,9 @@ def jsonable(value):
     return value
 
 
-def coxeter_section(name, expr):
-    sys = CoxeterSystem(expr.diagram)
-    ft = is_finite_type(sys)
-    report = coxeter_ends(sys)
+def coxeter_section(name, expr, report):
+    """Finite type of a Coxeter group and its end count `report`."""
+    ft = is_finite_type(CoxeterSystem(expr.diagram))
     return jsonable({
         "type": "coxeter",
         "group": name,
@@ -56,8 +54,7 @@ def coxeter_section(name, expr):
     })
 
 
-def artin_section(name, expr):
-    report = artin_one_ended(expr.diagram)
+def artin_section(name, report):
     return jsonable({
         "type": "artin",
         "group": name,
@@ -67,26 +64,19 @@ def artin_section(name, expr):
 
 
 def graph_product_section(name, expr, registry, facts):
-    from .graph_products import GraphProductSpec
-
-    profiles = {}
-    complete = True
-    for vertex, ref in expr.vertex_groups:
-        prof, _ = _vertex_profile(registry, facts, ref)
-        profiles[vertex] = prof
-        if prof.finite is None or prof.ends is None:
-            complete = False
-    spec = GraphProductSpec(expr.graph, profiles)
+    """Ends and semistability of a graph product, from the decider results
+    that inference recorded in `facts`."""
+    spec, _, complete = graph_product_spec(registry, facts, expr)
     section = {"type": "graph_product", "group": name}
     if complete:
-        ends = graph_product_ends(spec)
+        ends = facts.decided.graph_product_ends(name, spec)
         section["ends"] = ends.ends
         section["ends_witness"] = ends.witness
     else:
         section["ends"] = None
         section["ends_witness"] = {"kind": "incomplete_vertex_profiles"}
     if expr.graph.is_connected():
-        ss = graph_product_semistable(spec)
+        ss = facts.decided.graph_product_semistable(name, spec)
         section["semistability"] = ss.verdict
         section["semistability_witness"] = ss.witness
     else:
@@ -124,9 +114,9 @@ def analysis_report(registry: GroupRegistry, text: str):
     warnings = []
     for name, expr in registry.groups.items():
         if isinstance(expr, Coxeter) and expr.diagram.vertices:
-            sections.append(coxeter_section(name, expr))
+            sections.append(coxeter_section(name, expr, facts.decided.coxeter_ends(name, expr)))
         elif isinstance(expr, Artin) and expr.diagram.vertices:
-            sections.append(artin_section(name, expr))
+            sections.append(artin_section(name, facts.decided.artin_ends(name, expr)))
         elif isinstance(expr, GraphProduct) and expr.graph.vertices:
             section = graph_product_section(name, expr, registry, facts)
             sections.append(section)

@@ -1,13 +1,27 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
+from endscope import coxeter, graph_products
 from endscope.cli import run
+from endscope.inference import infer
+from endscope.model import parse_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# SHA-256 of `endscope analyze` stdout, recorded before the rule table became
+# data; a change to any certificate, section or key order shows up here.
+PINNED_REPORTS = {
+    "contradiction.ggt": "2d7a7ab8e70f83482d62e57eebde6c7486651d4719f40a04e4075fd9d8773fed",
+    "coxeter_suite.ggt": "946524562799396f611f7e4c0550a74ca5ac060641fdf971687bd7b9b9db865e",
+    "graph_products.ggt": "c657a7496c8a364d503a7b0f1c1e6ac4e81fff12693b7a8c414671ad4bd78c29",
+    "inference.ggt": "d4d3bcb108cc0009f3de0969aa146329a165f662de800aa066176d81c00e97f2",
+}
 
 
 def run_capture(capsys, argv):
@@ -161,3 +175,58 @@ def test_dot_subcommand_needs_a_diagram(capsys):
         capsys, ["dot", str(FIXTURES / "inference.ggt"), "--group", "X"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_REPORTS))
+def test_analyze_report_matches_pinned_digest(capsys, fixture):
+    run(["analyze", str(FIXTURES / fixture)])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[fixture]
+
+
+def test_budget_flag_is_honoured_and_not_sticky(capsys):
+    argv = ["cayley", "--oracle", "i2:5", "--radius", "6"]
+    code, _, err = run_capture(capsys, ["--budget", "1"] + argv)
+    assert code == 4
+    assert "budget of 1 states" in err
+    code, _, _ = run_capture(capsys, argv)
+    assert code == 0
+
+
+def count_calls(monkeypatch, fn):
+    """Record each call of `fn`, patched in every endscope module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "endscope" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_analyze_runs_the_coxeter_decider_once_per_group(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, coxeter.coxeter_ends)
+    code, out, _ = run_capture(capsys, ["analyze", str(FIXTURES / "coxeter_suite.ggt")])
+    assert code == 0
+    assert len(calls) == 7
+    assert sum(s["type"] == "coxeter" for s in json.loads(out)["sections"]) == 7
+
+
+def test_graph_product_sections_reuse_the_inference_decisions(monkeypatch, capsys):
+    path = FIXTURES / "graph_products.ggt"
+    ends = count_calls(monkeypatch, graph_products.graph_product_ends)
+    semi = count_calls(monkeypatch, graph_products.graph_product_semistable)
+    infer(parse_document(path.read_text(encoding="utf-8")))
+    in_inference = (len(ends), len(semi))
+    for args in (ends, semi):  # one call per distinct vertex-profile tuple
+        keys = [(a[0].graph.vertices, tuple(a[0].profiles.values())) for a in args]
+        assert len(set(keys)) == len(keys)
+    for argv in (["analyze", str(path)], ["graph-product", str(path), "--group", "Hex"]):
+        ends.clear()
+        semi.clear()
+        code, _, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert (len(ends), len(semi)) == in_inference, argv

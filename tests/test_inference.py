@@ -153,3 +153,30 @@ def test_explain_underived_fact_is_an_error():
     facts = infer(parse_document(THOMPSON_DOC))
     with pytest.raises(FactNotDerivedError):
         explain(facts, "F", A.WORD_HYPERBOLIC)
+
+
+def test_only_the_decider_bridges_have_python_bodies():
+    rules = builtin_rules()
+    assert len(rules) == 39
+    coded = [r.name for r in rules if r.body is not None]
+    assert coded == ["R-COXE", "R-ARTINE", "R-GP"]
+    for rule in rules:
+        assert bool(rule.clauses) != (rule.body is not None), rule.name
+
+
+def test_amalgam_sc_inf_cites_the_amalgam_theorem():
+    facts = infer(parse_document(
+        "group S = known(SLn_Z_1_over_p)\n"
+        "group T = known(SLn_Z_1_over_p)\n"
+        "group E = free_abelian(2)\n"
+        "group G = amalgam(S, T, E)\n"
+    ))
+    cert = facts.get("G", A.SC_INF)
+    assert cert is not None and cert.rule == "R-JACKIi"
+    assert cert.tag == "JackIi"
+    assert cert.quote.startswith("Suppose $G=G_1\\ast_HG_2$")
+    assert [(c.group, c.atom) for c in cert.children] == [
+        ("S", A.FP), ("S", A.ENDS_ONE), ("S", A.SC_INF),
+        ("T", A.FP), ("T", A.ENDS_ONE), ("T", A.SC_INF),
+        ("E", A.FG), ("E", A.ENDS_ONE),
+    ]
