@@ -10,6 +10,7 @@ approximated by "touches the outer sphere", guarded by a stability window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .atoms import EndCount
@@ -17,7 +18,7 @@ from .coxeter import (
     DEFAULT_ORBIT_BUDGET,
     CoxeterSystem,
     has_integral_representation,
-    tits_generator_matrices,
+    tits_dual_action,
     tits_normal_form,
 )
 from .errors import MemoryCapExceededError, WindowTooSmallError
@@ -29,9 +30,11 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 class GroupOracle:
     """Behavioral interface: identity, ordered generators, exact multiply.
 
-    normalize must be constant on equal group elements and multiply must be a
-    congruence with respect to it.  Generator lists are inverse-closed so the
-    Cayley graph can be explored undirected.
+    multiply(key, i) multiplies by generator i, an index into `generators`,
+    whose names serve only as edge labels.  normalize must be constant on
+    equal group elements and multiply must be a congruence with respect to
+    it.  Generator lists are inverse-closed so the Cayley graph can be
+    explored undirected.
     """
 
     name = "oracle"
@@ -42,6 +45,7 @@ class GroupOracle:
         raise NotImplementedError
 
     def normalize(self, word):
+        """Key of a word of generator indices."""
         key = self.identity
         for gen in word:
             key = self.multiply(key, gen)
@@ -52,37 +56,33 @@ class ZnOracle(GroupOracle):
     """Free abelian group of rank n with the standard generators."""
 
     def __init__(self, n):
+        if n < 0:
+            raise ValueError("rank must be >= 0")
         self.n = n
         self.name = f"z:{n}"
         self.identity = (0,) * n
-        gens = []
-        for i in range(n):
-            gens.append(f"x{i}+")
-            gens.append(f"x{i}-")
-        self.generators = tuple(gens)
+        self._steps = tuple((i, d) for i in range(n) for d in (1, -1))
+        self.generators = tuple(f"x{i}{sign}" for i in range(n) for sign in "+-")
 
     def multiply(self, key, gen):
-        i = int(gen[1:-1])
-        delta = 1 if gen.endswith("+") else -1
-        return key[:i] + (key[i] + delta,) + key[i + 1:]
+        i, d = self._steps[gen]
+        return key[:i] + (key[i] + d,) + key[i + 1:]
 
 
 class FreeOracle(GroupOracle):
     """Free group of rank n; keys are freely reduced words over +-(i+1)."""
 
     def __init__(self, n):
+        if n < 0:
+            raise ValueError("rank must be >= 0")
         self.n = n
         self.name = f"free:{n}"
         self.identity = ()
-        gens = []
-        for i in range(n):
-            gens.append(f"g{i}+")
-            gens.append(f"g{i}-")
-        self.generators = tuple(gens)
+        self._letters = tuple(d * (i + 1) for i in range(n) for d in (1, -1))
+        self.generators = tuple(f"g{i}{sign}" for i in range(n) for sign in "+-")
 
     def multiply(self, key, gen):
-        i = int(gen[1:-1])
-        letter = (i + 1) if gen.endswith("+") else -(i + 1)
+        letter = self._letters[gen]
         if key and key[-1] == -letter:
             return key[:-1]
         return key + (letter,)
@@ -100,16 +100,19 @@ class CyclicOracle(GroupOracle):
         self.generators = ("t",) if n <= 2 else ("t", "T")
 
     def multiply(self, key, gen):
-        return (key + (1 if gen == "t" else -1)) % self.n
+        return (key + (1 if gen == 0 else -1)) % self.n
 
 
 class CoxeterOracle(GroupOracle):
     """Coxeter group oracle; generators are the diagram vertices.
 
-    Uses the integer Tits reflection representation when all labels lie in
-    {2, 3, inf}; otherwise falls back to canonical-word keys via the braid
-    normal form (adequate for small groups), whose braid-orbit search may
-    visit at most `budget` words.
+    When all labels lie in {2, 3, inf} an element w is keyed by w(rho) in the
+    dual coordinates of the Tits cone (see tits_dual_action), and generators
+    act on the left; the left and right Cayley graphs are isomorphic through
+    w -> w^-1, which breadth-first search from the identity respects.
+    Otherwise keys are canonical words from the braid normal form (adequate
+    for small groups), whose braid-orbit search may visit at most `budget`
+    words.
     """
 
     def __init__(self, sys: CoxeterSystem, budget=DEFAULT_ORBIT_BUDGET):
@@ -117,154 +120,57 @@ class CoxeterOracle(GroupOracle):
         self.budget = budget
         self.name = "coxeter"
         self.generators = tuple(str(v) for v in sys.generators)
-        self._by_name = {str(v): v for v in sys.generators}
         if has_integral_representation(sys):
-            n = len(sys.generators)
-            self._n = n
-            mats = tits_generator_matrices(sys)
-            # store only the non-identity row of each reflection matrix
-            self._rows = {
-                str(v): (i, m[i]) for i, (v, m) in enumerate(zip(sys.generators, mats))
-            }
-            self.identity = tuple(
-                1 if r == c else 0 for r in range(n) for c in range(n)
-            )
-            self._mode = "matrix"
+            self._action = tits_dual_action(sys)
+            self.identity = (1,) * len(sys.generators)
         else:
-            self._rows = None
+            self._action = None
             self.identity = ()
-            self._mode = "word"
 
     def multiply(self, key, gen):
-        if self._mode == "matrix":
-            # right-multiply the flat n x n matrix by the reflection matrix,
-            # which is the identity outside row i; O(n^2)
-            i, row = self._rows[gen]
-            n = self._n
-            out = list(key)
-            for base in range(0, n * n, n):
-                u_ri = key[base + i]
-                if u_ri:
-                    for c in range(n):
-                        if c == i:
-                            out[base + i] = -u_ri
-                        else:
-                            out[base + c] = key[base + c] + u_ri * row[c]
-            return tuple(out)
-        return tits_normal_form(key + (self._by_name[gen],), self.sys, self.budget)
-
-
-class RaagOracle(GroupOracle):
-    """Graph product of cyclic groups (Z for order 0, Z_q for order q >= 2).
-
-    Elements are reduced traces in heap normal form: letters (vertex, exp),
-    canonically linearized by always emitting the least available letter.
-    """
-
-    def __init__(self, graph: LabeledGraph, orders=None):
-        self.graph = graph
-        self.orders = {v: (orders or {}).get(v, 0) for v in graph.vertices}
-        self.name = "raag"
-        self.identity = ()
-        self._index = {v: i for i, v in enumerate(graph.vertices)}
-        self._adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
-        gens = []
-        for v in graph.vertices:
-            if self.orders[v] == 2:
-                gens.append(f"{v}")
-            else:
-                gens.append(f"{v}+")
-                gens.append(f"{v}-")
-        self.generators = tuple(gens)
-
-    def _gen_letter(self, gen):
-        if gen.endswith("+"):
-            return gen[:-1], 1
-        if gen.endswith("-"):
-            return gen[:-1], -1
-        return gen, 1
-
-    def _norm_exp(self, v, e):
-        q = self.orders[v]
-        if q:
-            e %= q
-        return e
-
-    def _commutes(self, u, v):
-        return u != v and v in self._adj[u]
-
-    def multiply(self, key, gen):
-        v, e = self._gen_letter(gen)
-        letters = list(key)
-        # rightmost letter of vertex v visible past commuting letters only
-        target = None
-        for p in range(len(letters) - 1, -1, -1):
-            pv = letters[p][0]
-            if pv == v:
-                target = p
-                break
-            if not self._commutes(pv, v):
-                break
-        if target is not None:
-            merged = self._norm_exp(v, letters[target][1] + e)
-            if merged == 0:
-                del letters[target]
-            else:
-                letters[target] = (v, merged)
-        else:
-            e = self._norm_exp(v, e)
-            if e != 0:
-                letters.append((v, e))
-        return self._canonical(letters)
-
-    def _canonical(self, letters):
-        remaining = list(letters)
-        out = []
-        while remaining:
-            best = None
-            for i, (v, e) in enumerate(remaining):
-                if all(self._commutes(remaining[j][0], v) for j in range(i)):
-                    cand = (self._index[v], e, i)
-                    if best is None or cand[:2] < best[:2]:
-                        best = cand
-            i = best[2]
-            out.append(remaining.pop(i))
+        if self._action is None:
+            return tits_normal_form(key + (self.sys.generators[gen],), self.sys, self.budget)
+        f = key[gen]
+        out = list(key)
+        out[gen] = -f
+        for j, c in self._action[gen]:
+            out[j] += c * f
         return tuple(out)
 
 
-class DirectProductOracle(GroupOracle):
+class _ProductOracle(GroupOracle):
+    """Generators of all parts, labeled "<part>.<name>"; generator k is
+    generator _local[k][1] of part _local[k][0]."""
+
     def __init__(self, parts):
         self.parts = tuple(parts)
+        self._local = tuple(
+            (i, j) for i, p in enumerate(self.parts) for j in range(len(p.generators))
+        )
+        self.generators = tuple(f"{i}.{self.parts[i].generators[j]}" for i, j in self._local)
+
+
+class DirectProductOracle(_ProductOracle):
+    def __init__(self, parts):
+        super().__init__(parts)
         self.name = "direct_product"
         self.identity = tuple(p.identity for p in self.parts)
-        gens = []
-        for i, p in enumerate(self.parts):
-            for g in p.generators:
-                gens.append(f"{i}.{g}")
-        self.generators = tuple(gens)
 
     def multiply(self, key, gen):
-        i, g = gen.split(".", 1)
-        i = int(i)
+        i, g = self._local[gen]
         return key[:i] + (self.parts[i].multiply(key[i], g),) + key[i + 1:]
 
 
-class FreeProductOracle(GroupOracle):
+class FreeProductOracle(_ProductOracle):
     """Free product with alternating-syllable normal form."""
 
     def __init__(self, parts):
-        self.parts = tuple(parts)
+        super().__init__(parts)
         self.name = "free_product"
         self.identity = ()
-        gens = []
-        for i, p in enumerate(self.parts):
-            for g in p.generators:
-                gens.append(f"{i}.{g}")
-        self.generators = tuple(gens)
 
     def multiply(self, key, gen):
-        i, g = gen.split(".", 1)
-        i = int(i)
+        i, g = self._local[gen]
         part = self.parts[i]
         if key and key[-1][0] == i:
             merged = part.multiply(key[-1][1], g)
@@ -291,33 +197,36 @@ def compose_oracles(kind, parts):
 
 @dataclass
 class BallGraph:
+    """A Cayley ball indexed by integer ids: an element's id is its position
+    in BFS order, so ids are sorted by distance.  Adjacency is in CSR form:
+    the edges of id u are target[row[u]:row[u + 1]], labeled by generator
+    indices in `label`."""
+
     radius: int
-    order: list  # element keys in BFS insertion order
-    distance: dict  # key -> distance from identity
-    adjacency: dict  # key -> list of (neighbor key, generator name)
-    parent: dict  # key -> (parent key, generator name); identity absent
+    order: list  # element keys; the key of id u is order[u]
+    distance: list  # id -> distance from the identity
+    parent: list  # id -> (parent id, generator index); None for the identity
+    row: list  # id -> offset of its first edge; row[len(order)] == len(target)
+    target: list  # edge -> neighbor id
+    label: list  # edge -> generator index
+    layer: list  # d -> first id at distance d, for d in 0..radius + 1
     exhausted: bool  # whole group fits inside the ball
     generator_names: tuple
 
-    def index(self):
-        return {k: i for i, k in enumerate(self.order)}
-
     def sphere(self, d):
-        return [k for k in self.order if self.distance[k] == d]
+        """Ids at distance d, a contiguous range."""
+        return range(self.layer[d], self.layer[d + 1])
 
     def serialize(self):
-        idx = self.index()
+        names = self.generator_names
+        source = [u for u in range(len(self.order)) for _ in range(self.row[u], self.row[u + 1])]
         edges = sorted(
-            {
-                (min(idx[u], idx[v]), max(idx[u], idx[v]), g)
-                for u, nbrs in self.adjacency.items()
-                for v, g in nbrs
-            }
+            {(min(u, v), max(u, v), names[g]) for u, v, g in zip(source, self.target, self.label)}
         )
         return {
             "radius": self.radius,
             "exhausted": self.exhausted,
-            "elements": [{"id": i, "distance": self.distance[k]} for i, k in enumerate(self.order)],
+            "elements": [{"id": i, "distance": d} for i, d in enumerate(self.distance)],
             "edges": [{"u": u, "v": v, "gen": g} for u, v, g in edges],
         }
 
@@ -331,40 +240,47 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    identity = oracle.identity
-    distance = {identity: 0}
-    order = [identity]
-    adjacency = {identity: []}
-    parent = {}
+    multiply = oracle.multiply
+    gens = range(len(oracle.generators))
+    order = [oracle.identity]
+    ids = {oracle.identity: 0}  # key -> id, needed only while building
+    distance = [0]
+    parent = [None]
+    row, target, label = [0], [], []
     escaped = False
-    pos = 0
-    while pos < len(order):
-        u = order[pos]
-        pos += 1
+    u = 0
+    while u < len(order):
+        key = order[u]
         du = distance[u]
-        for g in oracle.generators:
-            v = oracle.multiply(u, g)
-            if v == u:
+        for g in gens:
+            w = multiply(key, g)
+            if w == key:
                 continue
-            if v in distance:
-                adjacency[u].append((v, g))
-                continue
-            if du < radius:
+            v = ids.get(w)
+            if v is None:
+                if du == radius:
+                    escaped = True
+                    continue
                 if len(order) >= element_cap:
                     raise MemoryCapExceededError(element_cap)
-                distance[v] = du + 1
-                order.append(v)
-                adjacency[v] = []
-                parent[v] = (u, g)
-                adjacency[u].append((v, g))
-            else:
-                escaped = True
+                v = len(order)
+                ids[w] = v
+                order.append(w)
+                distance.append(du + 1)
+                parent.append((u, g))
+            target.append(v)
+            label.append(g)
+        row.append(len(target))
+        u += 1
     return BallGraph(
         radius=radius,
         order=order,
         distance=distance,
-        adjacency=adjacency,
         parent=parent,
+        row=row,
+        target=target,
+        label=label,
+        layer=[bisect_left(distance, d) for d in range(radius + 2)],
         exhausted=not escaped,
         generator_names=tuple(oracle.generators),
     )
@@ -388,33 +304,42 @@ class EndEstimate:
         }
 
 
-def _outer_components(ball: BallGraph, r):
-    """Count of components of the induced subgraph on distances in [r, R]
-    (the ball minus the open ball of radius r) containing a distance-R
-    element."""
-    keep = {k for k, d in ball.distance.items() if d >= r}
-    seen = set()
-    count = 0
-    idx = ball.index()
-    for k in ball.order:
-        if k not in keep or k in seen:
-            continue
-        comp = [k]
-        seen.add(k)
-        stack = [k]
-        touches = ball.distance[k] == ball.radius
-        while stack:
-            u = stack.pop()
-            for v, _ in ball.adjacency[u]:
-                if v in keep and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-                    if ball.distance[v] == ball.radius:
-                        touches = True
-        if touches:
-            count += 1
-    return count
+def _peel(ball: BallGraph, r_min):
+    """Reverse union-find that adds the layers from the outer sphere down to
+    distance r_min.
+
+    Returns (counts, find): counts[r] for r in [r_min, R] is the number of
+    components of the subgraph induced on distances [r, R] (the ball minus
+    the open ball of radius r) that contain a distance-R element, and find
+    maps an id at distance >= r_min to its component's root.  A root is the
+    largest id of its component, so a component meets the outer sphere iff
+    its root does.
+    """
+    row, target, layer = ball.row, ball.target, ball.layer
+    outer = layer[ball.radius]
+    root = list(range(len(ball.order)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    count = len(ball.order) - outer
+    counts = [0] * (ball.radius + 1)
+    for d in range(ball.radius, r_min - 1, -1):
+        lo = layer[d]
+        for u in range(lo, layer[d + 1]):
+            for v in target[row[u]:row[u + 1]]:
+                if v >= lo:
+                    a, b = find(u), find(v)
+                    if a != b:
+                        if a < b:
+                            a, b = b, a
+                        root[b] = a
+                        if b >= outer:
+                            count -= 1
+        counts[d] = count
+    return counts, find
 
 
 def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
@@ -432,12 +357,12 @@ def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
     if ball.exhausted:
         counts = [(r, 0) for r in range(r_min, r_max + 1)]
         return EndEstimate(tuple(counts), "stabilized", EndCount.ZERO, ball.radius)
-    counts = [(r, _outer_components(ball, r)) for r in range(r_min, r_max + 1)]
+    by_radius, _ = _peel(ball, r_min)
+    counts = [(r, by_radius[r]) for r in range(r_min, r_max + 1)]
     values = [c for _, c in counts]
     window = math.ceil(len(values) / 2)
     tail = values[-window:]
-    spheres = [len(ball.sphere(d)) for d in range(ball.radius + 1)]
-    closing = spheres[ball.radius] < spheres[ball.radius - 1]
+    closing = len(ball.sphere(ball.radius)) < len(ball.sphere(ball.radius - 1))
     if closing:
         # Shrinking outer spheres on an unexhausted ball: the group may be
         # finite with the ball about to close, so the outer-touching proxy
@@ -453,39 +378,24 @@ def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
 
 def sample_geodesic_segments(ball: BallGraph, k: int):
     """Up to k geodesic words from the identity to the outer sphere, at most
-    one per outer-touching component (deepest element, earliest in BFS order)."""
-    if not ball.order:
-        return []
-    radius = ball.radius
-    idx = ball.index()
-    keep = {key for key, d in ball.distance.items() if d > 0}
-    seen = set()
+    one per outer-touching component of the ball minus the identity (its
+    earliest outer element), components taken in BFS order of their first
+    element."""
+    _, find = _peel(ball, 1)
+    reps = {}
+    for u in ball.sphere(ball.radius):
+        reps.setdefault(find(u), u)
     words = []
-    for start in ball.order:
+    for u in range(ball.layer[1], len(ball.order)):
         if len(words) >= k:
             break
-        if start not in keep or start in seen:
+        rep = reps.pop(find(u), None)
+        if rep is None:
             continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, _ in ball.adjacency[u]:
-                if v in keep and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        deep = [u for u in comp if ball.distance[u] == radius]
-        if not deep:
-            continue
-        rep = min(deep, key=idx.__getitem__)
         word = []
-        cur = rep
-        while cur in ball.parent:
-            p, g = ball.parent[cur]
-            word.append(g)
-            cur = p
+        while rep:
+            rep, g = ball.parent[rep]
+            word.append(ball.generator_names[g])
         words.append(tuple(reversed(word)))
     return words
 

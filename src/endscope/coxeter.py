@@ -372,24 +372,19 @@ def _two_cos(m):
     raise ValueError(f"label {m} has no integral 2cos(pi/m)")
 
 
-def tits_generator_matrices(sys: CoxeterSystem):
-    """Integer matrices of the Tits representation, one per generator.
+def tits_dual_action(sys: CoxeterSystem):
+    """Left action of the generators on dual coordinates of the Tits cone.
 
-    Only valid when has_integral_representation(sys).  The representation is
-    faithful, so matrix equality decides the word problem exactly.
+    Only valid when has_integral_representation(sys).  Entry i lists the
+    pairs (j, c) with j != i and c = 2cos(pi/m_ij) nonzero; s_i negates
+    coordinate i and adds c times the old coordinate i to each such j.  The
+    orbit map w -> w(rho) with rho = (1, ..., 1), an interior point of the
+    fundamental chamber, is injective because W acts simply transitively on
+    the chambers of the Tits cone (Bjorner & Brenti, GTM 231, ch. 4), so
+    w(rho) decides the word problem exactly.
     """
     gens = sys.generators
-    n = len(gens)
-    mats = []
-    for i, s in enumerate(gens):
-        rows = []
-        for k in range(n):
-            if k != i:
-                rows.append(tuple(1 if j == k else 0 for j in range(n)))
-            else:
-                row = []
-                for j, t in enumerate(gens):
-                    row.append(-1 if j == i else _two_cos(sys.m(s, t)))
-                rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return tuple(mats)
+    return tuple(
+        tuple((j, c) for j, t in enumerate(gens) if t != s and (c := _two_cos(sys.m(s, t))))
+        for s in gens
+    )

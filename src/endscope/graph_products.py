@@ -9,6 +9,7 @@ vertex group has a complete link with finite vertex groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -236,7 +237,7 @@ def raag_simply_connected_at_infinity(
 
 
 def _smith_diagonal(matrix):
-    """Nonzero elementary divisors of an integer matrix (Smith normal form)."""
+    """Nonzero invariant factors of an integer matrix (Smith normal form)."""
     m = [list(row) for row in matrix]
     if not m or not m[0]:
         return []
@@ -276,6 +277,11 @@ def _smith_diagonal(matrix):
             continue
         divisors.append(abs(pivot))
         top += 1
+    # Z/a + Z/b = Z/gcd + Z/lcm; afterwards each divisor divides the next
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = math.gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return divisors
 
 

@@ -101,6 +101,7 @@ def distinct_small_diagrams():
 def test_criterion_2_exact_vs_empirical_agreement():
     start = time.monotonic()
     disagreements = []
+    matrix = {"agree": 0, "inconclusive": 0, "disagree": 0}
     count = 0
     for (n, _), (nv, edges) in distinct_small_diagrams():
         count += 1
@@ -108,15 +109,24 @@ def test_criterion_2_exact_vs_empirical_agreement():
         exact = coxeter_ends(sys_).ends
         ball = build_ball(CoxeterOracle(sys_), 10)
         estimate = estimate_ends(ball, 2, 8)
-        if estimate.verdict == "stabilized" and estimate.ends != exact:
+        if estimate.verdict == "inconclusive":
+            outcome = "inconclusive"
+        elif estimate.verdict == "stabilized" and estimate.ends != exact:
+            outcome = "disagree"
             disagreements.append((edges, exact, estimate.ends))
-        if estimate.verdict == "growing_to_infinity" and exact != EndCount.INFINITE:
+        elif estimate.verdict == "growing_to_infinity" and exact != EndCount.INFINITE:
+            outcome = "disagree"
             disagreements.append((edges, exact, "growing"))
+        else:
+            outcome = "agree"
+        matrix[outcome] += 1
     elapsed = time.monotonic() - start
     assert count == 80
     assert not disagreements, disagreements
     assert elapsed < 300, f"sweep took {elapsed:.0f}s"
-    passed(2, f"{count} diagrams, 0 disagreements, {elapsed:.1f}s")
+    agreement = "/".join(str(v) for v in matrix.values())
+    passed(2, f"{count} diagrams, agree/inconclusive/disagree {agreement},"
+              f" 0 disagreements, {elapsed:.1f}s")
 
 
 def test_criterion_3_graph_product_suite():
@@ -239,10 +249,9 @@ def test_criterion_8_cayley_invariant_suite():
              "freeprod:zmod:2xzmod:2", "freeprod:zmod:2xzmod:2xzmod:2"]
     for spec in specs:
         ball = build_ball(oracle_from_spec(spec), 7)
-        dists = [ball.distance[k] for k in ball.order]
-        assert dists == sorted(dists), spec
-        for u, nbrs in ball.adjacency.items():
-            for v, _ in nbrs:
+        assert ball.distance == sorted(ball.distance), spec
+        for u in range(len(ball.order)):
+            for v in ball.target[ball.row[u]:ball.row[u + 1]]:
                 assert abs(ball.distance[u] - ball.distance[v]) <= 1, spec
         estimate = estimate_ends(ball, 1, 5)
         counts = [c for _, c in estimate.per_radius]

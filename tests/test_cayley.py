@@ -1,5 +1,6 @@
 """Cayley ball explorer: oracles, balls, end estimation."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,16 +17,55 @@ from endscope.cayley import (
 from endscope.coxeter import CoxeterSystem
 from endscope.errors import MemoryCapExceededError, WindowTooSmallError
 from endscope.graphs import LabeledGraph
+from endscope.report import render_dot
+from test_acceptance import distinct_small_diagrams
+
+# SHA-256 over render_dot of the radius-6 balls of the 80 acceptance-sweep
+# diagrams, in sweep order, recorded before balls were indexed by integer ids.
+SWEEP_DOT_DIGEST = "2da824c2a312ce0b82d9a4f6fc03da0492f0d08259341060a5fe711016d41ae0"
 
 
 def coxeter_oracle(verts, edges=()):
     return CoxeterOracle(CoxeterSystem(LabeledGraph.build(verts, edges)))
 
 
+def ball_rows(ball):
+    """Neighbor ids of each id."""
+    return [ball.target[ball.row[u]:ball.row[u + 1]] for u in range(len(ball.order))]
+
+
+def reference_per_radius(ball, r_min, r_max):
+    """Brute-force outer counts: for each r, a fresh search for the components
+    of the subgraph induced on distances in [r, R] that contain a distance-R
+    element.  An exhausted ball counts 0 everywhere."""
+    rows = ball_rows(ball)
+    counts = []
+    for r in range(r_min, r_max + 1):
+        keep = {u for u, d in enumerate(ball.distance) if d >= r}
+        seen = set()
+        count = 0
+        for start in sorted(keep):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack = [start]
+            touches = False
+            while stack:
+                u = stack.pop()
+                touches = touches or ball.distance[u] == ball.radius
+                for v in rows[u]:
+                    if v in keep and v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            count += touches
+        counts.append((r, 0 if ball.exhausted else count))
+    return tuple(counts)
+
+
 def test_z_ball():
     ball = build_ball(oracle_from_spec("z:1"), 3)
     assert len(ball.order) == 7
-    assert sorted(ball.distance.values()) == [0, 1, 1, 2, 2, 3, 3]
+    assert sorted(ball.distance) == [0, 1, 1, 2, 2, 3, 3]
     assert not ball.exhausted
 
 
@@ -57,18 +97,34 @@ def test_ball_distance_invariants():
     specs = ["z:1", "z:2", "free:2", "i2:4", "freeprod:zmod:2xzmod:2"]
     for spec in specs:
         ball = build_ball(oracle_from_spec(spec), 5)
-        assert ball.distance[ball.order[0]] == 0
+        assert ball.distance[0] == 0
         # BFS order is monotone in distance
-        dists = [ball.distance[k] for k in ball.order]
-        assert dists == sorted(dists)
+        assert ball.distance == sorted(ball.distance)
         # adjacent elements differ in distance by at most 1
-        for u, nbrs in ball.adjacency.items():
-            for v, _ in nbrs:
+        for u, nbrs in enumerate(ball_rows(ball)):
+            for v in nbrs:
                 assert abs(ball.distance[u] - ball.distance[v]) <= 1
         # every non-identity element has a parent one step closer
-        for k in ball.order[1:]:
-            p, _ = ball.parent[k]
-            assert ball.distance[p] == ball.distance[k] - 1
+        for u in range(1, len(ball.order)):
+            p, _ = ball.parent[u]
+            assert ball.distance[p] == ball.distance[u] - 1
+        # the estimate agrees with the per-radius reference search
+        est = estimate_ends(ball, 0, 3)
+        assert est.per_radius == reference_per_radius(ball, 0, 3), spec
+
+
+def test_estimate_matches_reference_on_the_sweep_diagrams():
+    for _, (n, edges) in distinct_small_diagrams():
+        ball = build_ball(CoxeterOracle(CoxeterSystem(LabeledGraph.build(range(n), edges))), 6)
+        assert estimate_ends(ball, 0, 4).per_radius == reference_per_radius(ball, 0, 4), edges
+
+
+def test_sweep_ball_dot_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for _, (n, edges) in distinct_small_diagrams():
+        ball = build_ball(CoxeterOracle(CoxeterSystem(LabeledGraph.build(range(n), edges))), 6)
+        digest.update(render_dot(ball).encode("utf-8"))
+    assert digest.hexdigest() == SWEEP_DOT_DIGEST
 
 
 def test_ball_serialization_deterministic():
@@ -154,7 +210,7 @@ def test_oracle_congruence_on_random_words():
         ),
     ]
     for oracle in oracles:
-        gens = oracle.generators
+        gens = range(len(oracle.generators))
         for _ in range(200):
             u = [rng.choice(gens) for _ in range(rng.randint(0, 6))]
             v = [rng.choice(gens) for _ in range(rng.randint(0, 6))]
@@ -175,7 +231,9 @@ def test_sample_geodesic_segments():
     assert len(segs) == 3
     assert all(len(w) == 4 for w in segs)
     # a geodesic word must land on the outer sphere
+    oracle = oracle_from_spec("free:2")
     for w in segs:
-        assert f2.distance[f2.order[0]] == 0
+        key = oracle.normalize(oracle.generators.index(g) for g in w)
+        assert f2.distance[f2.order.index(key)] == 4
     finite = build_ball(coxeter_oracle("st", [("s", "t", 3)]), 10)
     assert sample_geodesic_segments(finite, 4) == []

@@ -23,6 +23,16 @@ PINNED_REPORTS = {
     "inference.ggt": "d4d3bcb108cc0009f3de0969aa146329a165f662de800aa066176d81c00e97f2",
 }
 
+# SHA-256 of `endscope cayley --window 2 R-2 --dot FILE` stdout followed by
+# the DOT file, recorded before balls were indexed by integer ids.
+PINNED_BALLS = {
+    ("i2:3", 8): "af324eaad88700e2f892309684c6ed202db67885c7e373a74cd922ce565ad1b3",
+    ("z:3", 8): "d84a46311d4b1587fa4c5ef18a0d864a8f6c326af5b59ad1fb2d8d9a3f874047",
+    ("free:2", 6): "9537d95afb2a1d26c776fd2f53ccfb42c7a1af2519c0aaa1c0ff6f7c371b791b",
+    ("prod:free:2xzmod:2", 5): "8af5f2c82fcaf5ab4a83de7095edf79215b232b19f8e32ee8a98697c0a51dc48",
+    ("freeprod:i2:4xzmod:2", 8): "7a1d521f8cc9b500b23111f1b42e9cda3b2065ded05867b95817810fc66906d8",
+}
+
 
 def run_capture(capsys, argv):
     code = run(argv)
@@ -82,6 +92,26 @@ def test_budget_exhaustion_exits_4(capsys):
         ["cayley", "--oracle", "free:2", "--radius", "8", "--element-cap", "10"],
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("spec", ["z:-2", "free:-1"])
+def test_negative_rank_is_input_error(capsys, spec):
+    code, _, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "3"])
+    assert code == 2
+    assert "rank must be >= 0" in err
+
+
+@pytest.mark.parametrize("spec,radius", sorted(PINNED_BALLS))
+def test_cayley_ball_matches_pinned_digest(tmp_path, capsys, spec, radius):
+    dot_path = tmp_path / "ball.dot"
+    code, out, _ = run_capture(
+        capsys,
+        ["cayley", "--oracle", spec, "--radius", str(radius),
+         "--window", "2", str(radius - 2), "--dot", str(dot_path)],
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8") + dot_path.read_bytes()).hexdigest()
+    assert digest == PINNED_BALLS[(spec, radius)]
 
 
 def test_coxeter_subcommand(capsys):

@@ -11,6 +11,7 @@ from endscope.graph_products import (
     VertexProfile,
     graph_product_ends,
     graph_product_semistable,
+    _smith_diagonal,
     raag_simply_connected_at_infinity,
 )
 from endscope.graphs import LabeledGraph, SimplicialComplex2
@@ -192,3 +193,11 @@ def test_scinf_octahedron_boundary_yes():
     L = SimplicialComplex2.build(verts, edges, tris)
     report = raag_simply_connected_at_infinity(L)
     assert report.verdict == "yes"
+
+
+def test_smith_diagonal_gives_invariant_factors():
+    # each divisor divides the next, so Z/2 + Z/3 reads as Z/6
+    assert _smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert _smith_diagonal([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [2, 12]
+    assert _smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
+    assert _smith_diagonal([[0, 0], [0, 0]]) == []
