@@ -217,19 +217,6 @@ class BallGraph:
         """Ids at distance d, a contiguous range."""
         return range(self.layer[d], self.layer[d + 1])
 
-    def serialize(self):
-        names = self.generator_names
-        source = [u for u in range(len(self.order)) for _ in range(self.row[u], self.row[u + 1])]
-        edges = sorted(
-            {(min(u, v), max(u, v), names[g]) for u, v, g in zip(source, self.target, self.label)}
-        )
-        return {
-            "radius": self.radius,
-            "exhausted": self.exhausted,
-            "elements": [{"id": i, "distance": d} for i, d in enumerate(self.distance)],
-            "edges": [{"u": u, "v": v, "gen": g} for u, v, g in edges],
-        }
-
 
 def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP) -> BallGraph:
     """Breadth-first closure of the generator action, truncated at `radius`.

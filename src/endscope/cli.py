@@ -16,7 +16,6 @@ from .cayley import build_ball, estimate_ends, oracle_from_spec
 from .coxeter import DEFAULT_ORBIT_BUDGET, CoxeterSystem, coxeter_ends
 from .errors import (
     ContradictionError,
-    DiagramTooLargeError,
     EndscopeError,
     MemoryCapExceededError,
     OrbitBudgetExceededError,
@@ -40,7 +39,7 @@ EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
 EXIT_BUDGET = 4
 
-_BUDGET_ERRORS = (OrbitBudgetExceededError, MemoryCapExceededError, DiagramTooLargeError)
+_BUDGET_ERRORS = (OrbitBudgetExceededError, MemoryCapExceededError)
 
 
 def _emit(payload):

@@ -36,13 +36,6 @@ class UnknownVertexError(EndscopeError):
         self.vertex = vertex
 
 
-class DiagramTooLargeError(EndscopeError):
-    def __init__(self, size, cap):
-        super().__init__(f"diagram has {size} vertices; separator search capped at {cap}")
-        self.size = size
-        self.cap = cap
-
-
 class EmptyDiagramError(EndscopeError):
     pass
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .atoms import EndCount
 from .errors import (
@@ -23,7 +22,9 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     SimplicialComplex2,
+    enumerate_clique_separators,
     induced_subgraph,
+    is_clique,
     is_flag,
     link_and_star,
 )
@@ -60,28 +61,18 @@ def _all_finite(spec, vs):
     return all(spec.profile(v).finite for v in vs)
 
 
-def _is_complete(graph, vs):
-    return all(graph.has_edge(u, v) for u, v in combinations(vs, 2))
-
-
 def _finite_clique_separator(spec: GraphProductSpec):
     """A vertex set K inducing a complete subgraph with all-finite vertex
     groups whose removal disconnects the graph (the visual splitting of OV)."""
     graph = spec.graph
-    verts = graph.vertices
-    for size in range(len(verts)):
-        for combo in combinations(verts, size):
-            if not _is_complete(graph, combo):
-                continue
-            if not _all_finite(spec, combo):
-                continue
-            rest = induced_subgraph(graph, [v for v in verts if v not in combo])
-            comps = rest.components()
-            if len(comps) >= 2:
-                gamma1 = tuple(combo) + comps[0]
-                gamma2 = tuple(combo) + tuple(x for c in comps[1:] for x in c)
-                return {"separator": tuple(combo), "gamma1": gamma1, "gamma2": gamma2}
-    return None
+    separators = enumerate_clique_separators(graph, lambda vs: _all_finite(spec, vs))
+    if not separators:
+        return None
+    sep = separators[0]
+    comps = induced_subgraph(graph, [v for v in graph.vertices if v not in sep]).components()
+    gamma1 = sep + comps[0]
+    gamma2 = sep + tuple(x for c in comps[1:] for x in c)
+    return {"separator": sep, "gamma1": gamma1, "gamma2": gamma2}
 
 
 def _dominating_vertices(graph: LabeledGraph):
@@ -129,7 +120,7 @@ def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
     gamma1 = _dominating_vertices(graph)
     gamma2 = tuple(v for v in verts if v not in gamma1)
     if (
-        _is_complete(graph, gamma1)
+        is_clique(graph, gamma1)
         and _all_finite(spec, gamma1)
         and len(gamma2) == 2
         and not graph.has_edge(*gamma2)
@@ -178,7 +169,7 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
         p = spec.profile(v)
         link, _ = link_and_star(graph, v)
         fin = [spec.profile(u).finite for u in link.vertices]
-        if not _is_complete(graph, link.vertices) or any(f is False for f in fin):
+        if not is_clique(graph, link.vertices) or any(f is False for f in fin):
             continue
         link_known_finite = all(f is True for f in fin)
         if p.semistable is False:

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import (
-    DiagramTooLargeError,
-    InvalidEdgeLabelError,
-    UnknownVertexError,
-)
-
-SEPARATOR_VERTEX_CAP = 24
+from .errors import InvalidEdgeLabelError, UnknownVertexError
 
 
 def _edge_key(u, v):
@@ -144,35 +138,66 @@ def link_and_star(g: LabeledGraph, v):
     return link, star
 
 
-def _is_clique(g: LabeledGraph, vs) -> bool:
+def is_clique(g: LabeledGraph, vs) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
 def enumerate_clique_separators(g: LabeledGraph, admissible=None):
-    """All vertex sets K that induce a complete subgraph, pass `admissible`,
-    and whose removal leaves a disconnected graph.
+    """The clique minimal separators of g that pass `admissible`, at most |V|:
+    vertex sets K that induce a complete subgraph and leave at least two
+    components of g - K adjacent to every vertex of K.
 
-    The empty set qualifies exactly when g itself is disconnected.  Output is
-    sorted by size, then lexicographically in vertex order.  Exponential in
-    |V|; inputs are capped at SEPARATOR_VERTEX_CAP vertices.
+    One MCS-M+ pass (Berry, Pogorelcnik & Simonet 2010) builds a minimal
+    triangulation H of g.  A pick whose weight is at most the previous pick's
+    is a generator x, and its neighbors in H picked before it, madj(x), form
+    a minimal separator of H; those that are cliques of g are the clique
+    minimal separators of g (Tarjan 1985).  The empty set qualifies exactly
+    when g is disconnected.  Every clique separator contains a clique minimal
+    separator, so under a subset-closed `admissible` the first result is the
+    first admissible clique separator of all.  Sorted by size, then
+    lexicographically in vertex order.  O(n(n + m)).
     """
-    n = len(g.vertices)
-    if n > SEPARATOR_VERTEX_CAP:
-        raise DiagramTooLargeError(n, SEPARATOR_VERTEX_CAP)
-    if admissible is None:
-        admissible = lambda vs: True
-    order = {v: i for i, v in enumerate(g.vertices)}
+    verts = g.vertices
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    madj = [[] for _ in range(n)]  # earlier picks adjacent in H; weight = len
+    alive = [True] * n  # not yet picked
+    generated = set()
+    previous = -1
+    for _ in range(n):
+        x = max((y for y in range(n) if alive[y]), key=lambda y: len(madj[y]))
+        alive[x] = False
+        weight = len(madj[x])
+        if weight <= previous:
+            generated.add(tuple(sorted(madj[x])))
+        previous = weight
+        # z joins x in H when an x..z path through unpicked vertices has all
+        # inner weights below z's; bucket b holds paths of largest inner weight b - 1
+        fresh = alive[:]
+        buckets = [[x]] + [[] for _ in range(n)]
+        raised = []
+        for b, bucket in enumerate(buckets):
+            while bucket:
+                for z in adj[bucket.pop()]:
+                    if fresh[z]:
+                        fresh[z] = False
+                        wz = len(madj[z])
+                        if wz >= b:
+                            raised.append(z)
+                            buckets[wz + 1].append(z)
+                        else:
+                            bucket.append(z)
+        for y in raised:
+            madj[y].append(x)
     out = []
-    for size in range(n):
-        for combo in combinations(g.vertices, size):
-            if not _is_clique(g, combo):
-                continue
-            rest = induced_subgraph(g, [v for v in g.vertices if v not in combo])
-            if len(rest.components()) < 2:
-                continue
-            if not admissible(frozenset(combo)):
-                continue
-            out.append(tuple(sorted(combo, key=order.__getitem__)))
+    for sep in sorted(generated, key=lambda s: (len(s), s)):
+        vs = tuple(verts[i] for i in sep)
+        if is_clique(g, vs) and (admissible is None or admissible(frozenset(vs))):
+            out.append(vs)
     return out
 
 
@@ -212,6 +237,6 @@ def is_flag(L: SimplicialComplex2) -> bool:
     """True iff every 3-clique of the 1-skeleton spans a triangle of L."""
     g = L.one_skeleton()
     for trio in combinations(g.vertices, 3):
-        if _is_clique(g, trio) and frozenset(trio) not in L.triangles:
+        if is_clique(g, trio) and frozenset(trio) not in L.triangles:
             return False
     return True

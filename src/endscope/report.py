@@ -148,12 +148,17 @@ def render_dot(graph) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(graph, BallGraph):
-        data = graph.serialize()
+        names, row, target, label = graph.generator_names, graph.row, graph.target, graph.label
         lines = ["graph ball {"]
-        for el in data["elements"]:
-            lines.append(f'  n{el["id"]} [label="d={el["distance"]}"];')
-        for e in data["edges"]:
-            lines.append(f'  n{e["u"]} -- n{e["v"]} [label="{e["gen"]}"];')
+        lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(graph.distance)]
+        # each edge {u, v} once per label, under its smaller end, sorted by (v, label)
+        higher = [set() for _ in graph.distance]
+        for u in range(len(higher)):
+            for e in range(row[u], row[u + 1]):
+                v = target[e]
+                higher[min(u, v)].add((max(u, v), names[label[e]]))
+        for u, ends in enumerate(higher):
+            lines += [f'  n{u} -- n{v} [label="{name}"];' for v, name in sorted(ends)]
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot render {type(graph).__name__} as DOT")

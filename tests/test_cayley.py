@@ -128,8 +128,8 @@ def test_sweep_ball_dot_matches_pinned_digest():
 
 
 def test_ball_serialization_deterministic():
-    a = build_ball(oracle_from_spec("free:2"), 4).serialize()
-    b = build_ball(oracle_from_spec("free:2"), 4).serialize()
+    a = render_dot(build_ball(oracle_from_spec("free:2"), 4))
+    b = render_dot(build_ball(oracle_from_spec("free:2"), 4))
     assert a == b
 
 

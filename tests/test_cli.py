@@ -126,6 +126,17 @@ def test_coxeter_subcommand(capsys):
     assert section["ends"] == "0"
 
 
+def test_coxeter_subcommand_has_no_vertex_cap(tmp_path, capsys):
+    # 26 pairwise unrelated generators: a free product of 26 copies of Z/2
+    doc = tmp_path / "wide.ggt"
+    doc.write_text("group W = coxeter { verts " + " ".join(f"v{i}" for i in range(26)) + " ; }\n")
+    code, out, _ = run_capture(capsys, ["coxeter", str(doc), "--group", "W"])
+    assert code == 0
+    section = json.loads(out)["sections"][0]
+    assert section["ends"] == "inf"
+    assert section["witness"] == {"kind": "separator", "separator": []}
+
+
 def test_graph_product_subcommand(capsys):
     code, out, _ = run_capture(
         capsys,

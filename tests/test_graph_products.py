@@ -75,6 +75,15 @@ def test_finite_clique_separator_gives_infinitely_many_ends():
     assert report.witness["kind"] != "no_visual_splitting"
 
 
+def test_complete_graph_of_infinite_groups_has_no_vertex_cap():
+    # K_30 has no separator at all; a subset scan would visit 2^30 cliques
+    verts = [f"v{i}" for i in range(30)]
+    g = LabeledGraph.build(verts, [(u, v, 2) for i, u in enumerate(verts) for v in verts[i + 1:]])
+    report = graph_product_ends(GraphProductSpec(g, {v: TWO_ENDED for v in verts}))
+    assert report.ends == EndCount.ONE
+    assert report.witness == {"kind": "no_visual_splitting"}
+
+
 def test_square_of_two_ended_groups_is_one_ended():
     spec = cycle({"a": TWO_ENDED, "b": TWO_ENDED, "c": TWO_ENDED, "d": TWO_ENDED})
     assert graph_product_ends(spec).ends == EndCount.ONE

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endscope.errors import (
-    DiagramTooLargeError,
-    InvalidEdgeLabelError,
-    UnknownVertexError,
-)
+from endscope.errors import InvalidEdgeLabelError, UnknownVertexError
 from endscope.graphs import (
     LabeledGraph,
     SimplicialComplex2,
@@ -116,11 +112,56 @@ def brute_force_clique_separators(g):
     return out
 
 
+def full_components(g, sep):
+    """Components of g - sep adjacent to every vertex of sep."""
+    rest = induced_subgraph(g, [v for v in g.vertices if v not in sep])
+    return [c for c in rest.components() if all(any(g.has_edge(s, x) for x in c) for s in sep)]
+
+
+def brute_force_clique_minimal_separators(g):
+    return [sep for sep in brute_force_clique_separators(g) if len(full_components(g, sep)) >= 2]
+
+
+def all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield LabeledGraph.build(
+            range(n), [(u, v, 2) for k, (u, v) in enumerate(pairs) if mask >> k & 1]
+        )
+
+
+def subset_closed_filter(rng, g):
+    """Admits the sets that avoid some random vertices and vertex pairs."""
+    banned = [frozenset(s) for k in (1, 2) for s in itertools.combinations(g.vertices, k)
+              if rng.random() < 0.25]
+    return lambda vs: not any(b <= vs for b in banned)
+
+
 def test_clique_separators_match_brute_force():
-    rng = random.Random(3)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(2, 7), p=rng.uniform(0.2, 0.8))
-        assert enumerate_clique_separators(g) == brute_force_clique_separators(g)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    assert len(graphs) == 1099
+    for g in graphs:
+        assert enumerate_clique_separators(g) == brute_force_clique_minimal_separators(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=6, max_value=8), st.floats(min_value=0.2, max_value=0.8),
+       st.randoms(use_true_random=False))
+def test_clique_separators_match_brute_force_on_larger_graphs(n, p, rng):
+    g = random_graph(rng, n, p)
+    assert enumerate_clique_separators(g) == brute_force_clique_minimal_separators(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.2, max_value=0.8),
+       st.randoms(use_true_random=False))
+def test_first_admissible_separator_is_the_smallest_of_all(n, p, rng):
+    # every clique separator contains a clique minimal separator, so for a
+    # subset-closed filter the first minimal one is the first of all
+    g = random_graph(rng, n, p)
+    admissible = subset_closed_filter(rng, g)
+    every = [sep for sep in brute_force_clique_separators(g) if admissible(frozenset(sep))]
+    assert enumerate_clique_separators(g, admissible)[:1] == every[:1]
 
 
 def test_clique_separators_empty_set_iff_disconnected():
@@ -131,12 +172,9 @@ def test_clique_separators_empty_set_iff_disconnected():
     assert () not in seps and ("b",) in seps
 
 
-def test_clique_separators_admissible_filter_and_cap():
+def test_clique_separators_admissible_filter():
     g = LabeledGraph.build("abc", [("a", "b", 2), ("b", "c", 2)])
     assert enumerate_clique_separators(g, admissible=lambda vs: False) == []
-    big = LabeledGraph.build(range(30))
-    with pytest.raises(DiagramTooLargeError):
-        enumerate_clique_separators(big)
 
 
 @settings(max_examples=60, deadline=None)
