@@ -12,7 +12,7 @@ import json
 import sys
 
 from .atoms import atom_from_name
-from .cayley import build_ball, estimate_ends, oracle_from_spec
+from .cayley import DEFAULT_ELEMENT_CAP, build_ball, estimate_ends, oracle_from_spec
 from .coxeter import DEFAULT_ORBIT_BUDGET, CoxeterSystem, coxeter_ends
 from .errors import (
     ContradictionError,
@@ -52,10 +52,6 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0)
-
-
-def _load_registry(path):
-    return parse_document(_read(path))
 
 
 def _find_group(registry, name, kind=None):
@@ -224,7 +220,7 @@ def build_parser():
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--window", type=int, nargs=2, metavar=("A", "B"))
     p.add_argument("--dot", help="write the ball as DOT to this path")
-    p.add_argument("--element-cap", type=int, default=2_000_000)
+    p.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
     p.set_defaults(func=cmd_cayley)
 
     p = sub.add_parser("tower", help="Mittag-Leffler verdict for an abelian tower")

@@ -224,27 +224,28 @@ def coxeter_ends(sys: CoxeterSystem) -> CoxeterEndsReport:
 
 def _match_two_ended(sys: CoxeterSystem):
     """Find Lambda0 with finite-type span whose complement is a non-adjacent
-    pair, each joined to all of Lambda0 by label-2 edges."""
+    pair, each joined to all of Lambda0 by label-2 edges.
+
+    Both vertices of such a pair have label-2 edges to all n - 2 others, so
+    two such pairs are disjoint and each one's Lambda0 holds the other, an
+    unrelated pair that rules out finite type: only a lone pair can match.
+    """
     diagram = sys.diagram
     verts = diagram.vertices
-    if len(verts) < 2:
+    twos = dict.fromkeys(verts, 0)
+    for (u, v), m in diagram.edges.items():
+        if m == 2:
+            twos[u] += 1
+            twos[v] += 1
+    joined = [v for v in verts if twos[v] == len(verts) - 2]
+    pairs = [(x, y) for i, x in enumerate(joined) for y in joined[i + 1:]
+             if not diagram.has_edge(x, y)]
+    if len(pairs) != 1:
         return None
-    order = {v: i for i, v in enumerate(verts)}
-    candidates = []
-    for i, x in enumerate(verts):
-        for y in verts[i + 1:]:
-            if diagram.has_edge(x, y):
-                continue
-            lambda0 = tuple(v for v in verts if v not in (x, y))
-            if not all(diagram.label(v, z) == 2 for v in (x, y) for z in lambda0):
-                continue
-            if not is_finite_type(CoxeterSystem(induced_subgraph(diagram, lambda0))).is_finite:
-                continue
-            candidates.append((lambda0, (x, y)))
-    if not candidates:
+    lambda0 = tuple(v for v in verts if v not in pairs[0])
+    if not is_finite_type(CoxeterSystem(induced_subgraph(diagram, lambda0))).is_finite:
         return None
-    candidates.sort(key=lambda c: (len(c[0]), [order[v] for v in c[0]]))
-    return candidates[0]
+    return lambda0, pairs[0]
 
 
 # --- Artin diagrams -----------------------------------------------------------

@@ -19,9 +19,13 @@ class DanglingReferenceError(EndscopeError):
 
 
 class InvalidEdgeLabelError(EndscopeError):
-    def __init__(self, label):
-        super().__init__(f"edge label must be an integer >= 2, got {label!r}")
-        self.label = label
+    """A malformed diagram or group description, named by the message: an
+    edge label below 2, a duplicate vertex or edge, a self-loop, a bad order
+    or rank."""
+
+    @classmethod
+    def for_label(cls, label):
+        return cls(f"edge label must be an integer >= 2, got {label!r}")
 
 
 class DuplicateNameError(EndscopeError):

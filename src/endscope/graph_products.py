@@ -28,6 +28,7 @@ from .graphs import (
     is_flag,
     link_and_star,
 )
+from .towers import hermite_normal_form
 
 
 @dataclass(frozen=True)
@@ -189,24 +190,19 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
 
 # --- RAAG simple connectivity at infinity -----------------------------------
 
-TIETZE_BUDGET = 10_000
-
-
 @dataclass(frozen=True)
 class SCInfReport:
     verdict: str  # "yes" | "no" | "unknown"
     reason: str
 
 
-def raag_simply_connected_at_infinity(
-    L: SimplicialComplex2, tietze_budget=TIETZE_BUDGET
-) -> SCInfReport:
+def raag_simply_connected_at_infinity(L: SimplicialComplex2) -> SCInfReport:
     """Simple connectivity at infinity of the right-angled Artin group on the
     flag complex L: yes iff L is simply connected and has no cut vertex.
 
-    Simple connectivity of L is verified by a bounded Tietze simplification of
-    the spanning-tree presentation of pi_1(L); the heuristic can answer yes or
-    unknown, never a false yes.
+    Both tests of pi_1(L) read one spanning-tree presentation: H1(L) is its
+    abelianization, and Tietze moves that eliminate every generator show it
+    is trivial.  The moves can answer yes or unknown, never a false yes.
     """
     if not is_flag(L):
         raise NotFlagError("complex is not flag")
@@ -219,55 +215,23 @@ def raag_simply_connected_at_infinity(
     cuts = skeleton.cut_vertices()
     if cuts:
         return SCInfReport("no", f"cut vertex {cuts[0]!r}")
-    h1_free, h1_torsion = integral_h1(L)
+    ngens, relators = _pi1_presentation(L, skeleton)
+    h1_free, h1_torsion = _abelianization(ngens, relators)
     if h1_free or h1_torsion:
         return SCInfReport("no", f"H1(L) nontrivial (free rank {h1_free}, torsion {h1_torsion})")
-    if _pi1_trivializes(L, tietze_budget):
+    if _tietze_trivializes(ngens, relators):
         return SCInfReport("yes", "no cut vertex and pi_1(L) trivializes")
-    return SCInfReport("unknown", "pi_1 presentation did not trivialize within budget")
+    return SCInfReport("unknown", "pi_1 presentation did not trivialize")
 
 
 def _smith_diagonal(matrix):
-    """Nonzero invariant factors of an integer matrix (Smith normal form)."""
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # find smallest nonzero entry in the submatrix
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = m[top][top]
-        dirty = False
-        for i in range(top + 1, rows):
-            q = m[i][top] // pivot
-            if q:
-                for j in range(top, cols):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            q = m[top][j] // pivot
-            if q:
-                for i in range(top, rows):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        divisors.append(abs(pivot))
-        top += 1
+    """Nonzero invariant factors of an integer matrix (Smith normal form):
+    Hermite normal forms, the columns of one pass read as the rows of the
+    next, until every column has a single nonzero entry."""
+    cols = hermite_normal_form(matrix)
+    while any(sum(1 for x in c if x) > 1 for c in cols):
+        cols = hermite_normal_form(cols)
+    divisors = [next(x for x in c if x) for c in cols]
     # Z/a + Z/b = Z/gcd + Z/lcm; afterwards each divisor divides the next
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
@@ -276,124 +240,77 @@ def _smith_diagonal(matrix):
     return divisors
 
 
-def integral_h1(L: SimplicialComplex2):
-    """(free rank, torsion divisors) of H1(L; Z) via boundary matrices."""
-    verts = list(L.vertices)
-    vidx = {v: i for i, v in enumerate(verts)}
-    edges = sorted(tuple(sorted(e, key=vidx.__getitem__)) for e in L.edges)
-    eidx = {e: i for i, e in enumerate(edges)}
-    tris = sorted(tuple(sorted(t, key=vidx.__getitem__)) for t in L.triangles)
-    # boundary_1: edges -> vertices
-    d1 = [[0] * len(edges) for _ in verts]
-    for j, (u, v) in enumerate(edges):
-        d1[vidx[u]][j] = -1
-        d1[vidx[v]][j] = 1
-    # boundary_2: triangles -> edges
-    d2 = [[0] * len(tris) for _ in edges]
-    for j, (a, b, c) in enumerate(tris):
-        d2[eidx[(a, b)]][j] = 1
-        d2[eidx[(b, c)]][j] = 1
-        d2[eidx[(a, c)]][j] = -1
-    rank_d1 = len(_smith_diagonal(d1))
-    d2_divisors = _smith_diagonal(d2)
-    rank_d2 = len(d2_divisors)
-    cycle_rank = len(edges) - rank_d1
-    free_rank = cycle_rank - rank_d2
-    torsion = [d for d in d2_divisors if d > 1]
-    return free_rank, torsion
+def _pi1_presentation(L: SimplicialComplex2, skeleton: LabeledGraph):
+    """(g, relators): pi_1 of the connected complex L on generators 1..g, the
+    edges off a breadth-first spanning tree (a negative letter reads its edge
+    against vertex order), and the freely reduced triangle words."""
+    vidx = {v: i for i, v in enumerate(L.vertices)}
 
+    def key(a, b):
+        return (a, b) if vidx[a] < vidx[b] else (b, a)
 
-def _pi1_trivializes(L: SimplicialComplex2, budget) -> bool:
-    """Bounded Tietze simplification of the spanning-tree presentation.
-
-    Generators: non-tree edges.  Relators: triangle boundaries with tree
-    edges erased.  Returns True only when every generator is eliminated.
-    """
-    verts = list(L.vertices)
-    vidx = {v: i for i, v in enumerate(verts)}
-    edges = sorted(tuple(sorted(e, key=vidx.__getitem__)) for e in L.edges)
-    # spanning tree by BFS from the first vertex
     tree = set()
-    seen = {verts[0]}
-    frontier = [verts[0]]
-    adj = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(adj[u], key=vidx.__getitem__):
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(tuple(sorted((u, w), key=vidx.__getitem__)))
-                    nxt.append(w)
-        frontier = nxt
-    gens = [e for e in edges if e not in tree]
-    gidx = {e: i + 1 for i, e in enumerate(gens)}  # 1-based, sign = orientation
+    queue = [L.vertices[0]]
+    seen = set(queue)
+    for u in queue:
+        for w in skeleton.neighbors(u):
+            if w not in seen:
+                seen.add(w)
+                tree.add(key(u, w))
+                queue.append(w)
+    gens = sorted({key(*e) for e in L.edges} - tree)
+    gidx = {e: i + 1 for i, e in enumerate(gens)}
 
-    def edge_letter(a, b):
-        e = tuple(sorted((a, b), key=vidx.__getitem__))
-        if e in tree:
-            return 0
-        return gidx[e] if (a, b) == e else -gidx[e]
+    def letter(a, b):
+        e = key(a, b)
+        return 0 if e in tree else gidx[e] if e == (a, b) else -gidx[e]
 
-    def freely_reduce(word):
-        out = []
-        for x in word:
-            if x == 0:
-                continue
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+    relators = {_freely_reduce((letter(a, b), letter(b, c), letter(c, a)))
+                for a, b, c in (sorted(t, key=vidx.__getitem__) for t in L.triangles)}
+    return len(gens), relators
 
-    relators = set()
-    for t in sorted(tuple(sorted(t, key=vidx.__getitem__)) for t in L.triangles):
-        a, b, c = t
-        word = freely_reduce((edge_letter(a, b), edge_letter(b, c), edge_letter(c, a)))
-        if word:
-            relators.add(word)
 
-    alive = set(gidx.values())
-    steps = 0
-    changed = True
-    while changed and steps < budget:
-        changed = False
-        # length-1 relators kill generators
-        for rel in sorted(relators, key=lambda r: (len(r), r)):
-            steps += 1
-            if len(rel) == 1:
-                g = abs(rel[0])
-                if g in alive:
-                    alive.discard(g)
-                relators = {
-                    freely_reduce(tuple(x for x in r if abs(x) != g)) for r in relators
-                }
-                relators.discard(())
-                changed = True
-                break
-            if len(rel) == 2 and abs(rel[0]) != abs(rel[1]):
-                # g = h^{+-1}: substitute g away
-                g, h = rel[0], rel[1]
-                target, repl = abs(g), (-h if g > 0 else h)
-                new = set()
-                for r in relators:
-                    word = []
-                    for x in r:
-                        if x == target:
-                            word.append(repl)
-                        elif x == -target:
-                            word.append(-repl)
-                        else:
-                            word.append(x)
-                    new.add(freely_reduce(tuple(word)))
-                new.discard(())
-                relators = new
-                alive.discard(target)
-                changed = True
-                break
-        if steps >= budget:
-            break
-    return not alive
+def _abelianization(ngens, relators):
+    """(free rank, torsion divisors) of the abelianized presentation, read off
+    the invariant factors of its relator x generator exponent-sum matrix."""
+    sums = []
+    for r in relators:
+        row = [0] * ngens
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        sums.append(row)
+    divisors = _smith_diagonal(sums)
+    return ngens - len(divisors), [d for d in divisors if d > 1]
+
+
+def _freely_reduce(word):
+    """Drop 0 letters and cancel adjacent inverse pairs."""
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        elif x:
+            out.append(x)
+    return tuple(out)
+
+
+def _tietze_trivializes(ngens, relators) -> bool:
+    """True when Tietze moves eliminate every generator.
+
+    The shortest relator (then the least word) that is one letter kills its
+    generator, or that is two distinct letters g h^{+-1} substitutes g away.
+    Each move removes one generator from every relator, so there are at most
+    `ngens` of them.
+    """
+    while True:
+        moves = [r for r in relators if len(r) == 1 or (len(r) == 2 and abs(r[0]) != abs(r[1]))]
+        if not moves:
+            return ngens == 0
+        rel = min(moves, key=lambda r: (len(r), r))
+        target = abs(rel[0])
+        repl = 0 if len(rel) == 1 else (-rel[1] if rel[0] > 0 else rel[1])
+        relators = {
+            _freely_reduce(tuple(repl if x == target else -repl if x == -target else x for x in r))
+            for r in relators
+        }
+        ngens -= 1

@@ -42,7 +42,7 @@ class LabeledGraph:
             if u not in seen or v not in seen:
                 raise UnknownVertexError(u if u not in seen else v)
             if not isinstance(m, int) or m < 2:
-                raise InvalidEdgeLabelError(m)
+                raise InvalidEdgeLabelError.for_label(m)
             key = _edge_key(u, v)
             if key in normalized:
                 raise InvalidEdgeLabelError(f"duplicate edge {key}")

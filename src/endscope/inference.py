@@ -122,13 +122,6 @@ class FactSet:
     def certificates(self):
         return list(self._certs.values())
 
-    def by_group(self, group):
-        return {
-            (atom, holds): c
-            for (g, atom, holds), c in self._certs.items()
-            if g == group
-        }
-
     def __len__(self):
         return len(self._certs)
 

@@ -181,18 +181,18 @@ class GroupRegistry:
         # reference graph must be acyclic
         state = {}  # 0 = visiting, 1 = done
 
-        def visit(n, trail):
+        def visit(n):
             if state.get(n) == 1:
                 return
             if state.get(n) == 0:
                 raise DanglingReferenceError(f"cycle through '{n}'")
             state[n] = 0
             for ref in expr_references(self.groups[n]):
-                visit(ref, trail + [n])
+                visit(ref)
             state[n] = 1
 
         for name in self.groups:
-            visit(name, [])
+            visit(name)
         return self
 
     def __eq__(self, other):
@@ -286,7 +286,7 @@ def _parse_diagram(tokens, labeled):
             else:
                 label = _parse_int(tokens, "edge label")
                 if label < 2:
-                    raise InvalidEdgeLabelError(label)
+                    raise InvalidEdgeLabelError.for_label(label)
             tokens.next(";")
             edges.append((u, v, label))
         else:

@@ -101,6 +101,23 @@ def test_negative_rank_is_input_error(capsys, spec):
     assert "rank must be >= 0" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("group F = finite(0)\n", "finite order must be >= 1, got 0"),
+    ("group F = free(-1)\n", "rank must be >= 0, got -1"),
+    ("group W = coxeter { verts a a ; }\n", "duplicate vertex 'a'"),
+    ("group W = coxeter { verts a b ; edge a a 3 ; }\n", "self-loop at 'a'"),
+    ("group W = coxeter { verts a b ; edge a b 1 ; }\n",
+     "edge label must be an integer >= 2, got 1"),
+])
+def test_malformed_description_names_its_fault(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ggt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_capture(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("spec,radius", sorted(PINNED_BALLS))
 def test_cayley_ball_matches_pinned_digest(tmp_path, capsys, spec, radius):
     dot_path = tmp_path / "ball.dot"

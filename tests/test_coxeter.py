@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from endscope.atoms import EndCount
 from endscope.coxeter import (
     CoxeterSystem,
+    _match_two_ended,
     artin_one_ended,
     coxeter_ends,
     enumerate_elements,
@@ -17,7 +19,7 @@ from endscope.coxeter import (
     tits_normal_form,
 )
 from endscope.errors import OrbitBudgetExceededError
-from endscope.graphs import LabeledGraph
+from endscope.graphs import LabeledGraph, induced_subgraph
 
 
 def system(verts, edges=()):
@@ -141,6 +143,63 @@ def test_two_ended_witness_reported():
     report = coxeter_ends(system("abc", [("a", "b", 2), ("b", "c", 2)]))
     assert report.ends == EndCount.TWO
     assert report.witness
+
+
+def reference_match_two_ended(sys_):
+    """The former scan: Lambda0 and the finite-type test for every
+    non-adjacent pair, then the least Lambda0 in vertex order."""
+    diagram = sys_.diagram
+    verts = diagram.vertices
+    if len(verts) < 2:
+        return None
+    order = {v: i for i, v in enumerate(verts)}
+    candidates = []
+    for i, x in enumerate(verts):
+        for y in verts[i + 1:]:
+            if diagram.has_edge(x, y):
+                continue
+            lambda0 = tuple(v for v in verts if v not in (x, y))
+            if not all(diagram.label(v, z) == 2 for v in (x, y) for z in lambda0):
+                continue
+            if not is_finite_type(CoxeterSystem(induced_subgraph(diagram, lambda0))).is_finite:
+                continue
+            candidates.append((lambda0, (x, y)))
+    if not candidates:
+        return None
+    candidates.sort(key=lambda c: (len(c[0]), [order[v] for v in c[0]]))
+    return candidates[0]
+
+
+def test_two_ended_match_agrees_with_reference_scan():
+    rng = random.Random(5)
+    planted = 0
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        labels = [(u, v, rng.choice((2, 2, 2, 3, 4, 5, None)))
+                  for u, v in itertools.combinations(range(n), 2)]
+        edges = [e for e in labels if e[2] is not None]
+        # plant up to two pairs, each unrelated inside and commuting with the rest
+        for _ in range(rng.choice((0, 1, 1, 2)) if n >= 2 else 0):
+            x, y = rng.sample(range(n), 2)
+            edges = [e for e in edges if x not in e[:2] and y not in e[:2]]
+            edges += [(p, z, 2) for p in (x, y) for z in range(n) if z not in (x, y)]
+        verts = list(range(n))
+        rng.shuffle(verts)
+        sys_ = CoxeterSystem(LabeledGraph.build(verts, edges))
+        expected = reference_match_two_ended(sys_)
+        planted += expected is not None
+        assert _match_two_ended(sys_) == expected, (verts, edges)
+    assert planted > 50
+
+
+def test_two_ended_match_on_a_600_vertex_edgeless_diagram_is_fast():
+    sys_ = CoxeterSystem(LabeledGraph.build(range(600)))
+    start = time.monotonic()
+    report = coxeter_ends(sys_)
+    elapsed = time.monotonic() - start
+    assert report.ends == EndCount.INFINITE
+    assert report.witness == {"kind": "separator", "separator": ()}
+    assert elapsed < 3.0
 
 
 def test_artin_one_ended():

@@ -1,6 +1,10 @@
 """Graph products: end counts, semistability, RAAG simple connectivity at
 infinity."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from endscope.atoms import EndCount
@@ -11,7 +15,10 @@ from endscope.graph_products import (
     VertexProfile,
     graph_product_ends,
     graph_product_semistable,
+    _abelianization,
+    _pi1_presentation,
     _smith_diagonal,
+    _tietze_trivializes,
     raag_simply_connected_at_infinity,
 )
 from endscope.graphs import LabeledGraph, SimplicialComplex2
@@ -210,3 +217,119 @@ def test_smith_diagonal_gives_invariant_factors():
     assert _smith_diagonal([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [2, 12]
     assert _smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
     assert _smith_diagonal([[0, 0], [0, 0]]) == []
+
+
+def test_tietze_moves_on_small_presentations():
+    # letters are generator numbers, negative for inverses
+    assert _tietze_trivializes(0, set())
+    assert _tietze_trivializes(2, {(1, -2), (1, -2, -2)})  # a = b, then b^-1
+    assert not _tietze_trivializes(1, set())  # Z
+    assert not _tietze_trivializes(1, {(1, 1)})  # Z/2: a square is not a move
+    # no relator of length 1 or 2 to start from
+    assert not _tietze_trivializes(2, {(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)})
+
+
+def determinantal_invariant_factors(matrix):
+    """d_k / d_(k-1), where d_k is the gcd of all k x k minors."""
+    def det(m):
+        if not m:
+            return 1
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    factors, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = math.gcd(d, det([[matrix[r][c] for c in cs] for r in rs]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    rng = random.Random(41)
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        bound = rng.choice((1, 2, 6, 30))
+        matrix = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                  for _ in range(rows)]
+        assert _smith_diagonal(matrix) == determinantal_invariant_factors(matrix), matrix
+
+
+def boundary_matrix_h1(L):
+    """(free rank, torsion divisors) of H1(L; Z) from the boundary matrices
+    of the edges and triangles; the former integral_h1."""
+    verts = list(L.vertices)
+    vidx = {v: i for i, v in enumerate(verts)}
+    edges = sorted(tuple(sorted(e, key=vidx.__getitem__)) for e in L.edges)
+    eidx = {e: i for i, e in enumerate(edges)}
+    tris = sorted(tuple(sorted(t, key=vidx.__getitem__)) for t in L.triangles)
+    d1 = [[0] * len(edges) for _ in verts]
+    for j, (u, v) in enumerate(edges):
+        d1[vidx[u]][j] = -1
+        d1[vidx[v]][j] = 1
+    d2 = [[0] * len(tris) for _ in edges]
+    for j, (a, b, c) in enumerate(tris):
+        d2[eidx[(a, b)]][j] = 1
+        d2[eidx[(b, c)]][j] = 1
+        d2[eidx[(a, c)]][j] = -1
+    rank_d1 = len(_smith_diagonal(d1))
+    d2_divisors = _smith_diagonal(d2)
+    return len(edges) - rank_d1 - len(d2_divisors), [d for d in d2_divisors if d > 1]
+
+
+def clique_complex(verts, edges):
+    es = {frozenset(e) for e in edges}
+    tris = [t for t in itertools.combinations(verts, 3)
+            if all(frozenset(p) in es for p in itertools.combinations(t, 2))]
+    return SimplicialComplex2.build(verts, edges, tris)
+
+
+def projective_plane():
+    """Barycentric subdivision of the 6-vertex RP^2: flag, H1 = Z/2."""
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    cells = sorted({s for f in faces for k in (1, 2, 3) for s in itertools.combinations(f, k)})
+    edges = [(a, b) for a in cells for b in cells if len(a) < len(b) and set(a) < set(b)]
+    return clique_complex(cells, edges)
+
+
+def test_h1_of_the_presentation_matches_the_boundary_matrices():
+    rng = random.Random(17)
+    complexes = [projective_plane()]
+    while len(complexes) < 300:
+        verts = [f"v{i}" for i in range(rng.randint(2, 10))]
+        rng.shuffle(verts)
+        p = rng.uniform(0.3, 0.9)
+        edges = [e for e in itertools.combinations(verts, 2) if rng.random() < p]
+        L = clique_complex(verts, edges)
+        if L.one_skeleton().is_connected():
+            complexes.append(L)
+    assert boundary_matrix_h1(complexes[0]) == (0, [2])
+    for L in complexes:
+        assert _abelianization(*_pi1_presentation(L, L.one_skeleton())) == boundary_matrix_h1(L)
+
+
+def cone_complexes(k):
+    """Wheel and suspension over C_k (yes), and C_k and a path (no)."""
+    rim = [f"r{i}" for i in range(k)]
+    cycle = [(rim[i], rim[(i + 1) % k]) for i in range(k)]
+    wheel = SimplicialComplex2.build(
+        rim + ["h"], cycle + [("h", x) for x in rim], [("h", a, b) for a, b in cycle])
+    suspension = SimplicialComplex2.build(
+        rim + ["n", "s"], cycle + [(p, x) for p in "ns" for x in rim],
+        [(p, a, b) for p in "ns" for a, b in cycle])
+    cycle_, path = SimplicialComplex2.build(rim, cycle), SimplicialComplex2.build(rim, cycle[:-1])
+    return {"yes": (wheel, suspension), "no": (cycle_, path)}
+
+
+@pytest.mark.parametrize("k", range(4, 41))
+def test_scinf_cones_over_cycles_yes_and_cycles_and_paths_no(k):
+    for verdict, complexes in cone_complexes(k).items():
+        for L in complexes:
+            assert raag_simply_connected_at_infinity(L).verdict == verdict

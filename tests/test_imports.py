@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level helper is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -36,4 +37,45 @@ def test_no_unused_imports_in_package():
         unused = unused_imports(path.read_text(encoding="utf-8"))
         if unused:
             found[path.name] = unused
+    assert found == {}
+
+
+def private_definitions(source):
+    """(line, name) of each module-level `def _name` / `class _Name`."""
+    tree = ast.parse(source)
+    return [
+        (node.lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(source):
+    """Names read as a variable, an attribute or an imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_dead_helper_detector():
+    source = "def _used():\n    pass\n\ndef _dead():\n    _used()\n\nclass _Gone:\n    pass\n"
+    dead = [d for d in private_definitions(source) if d[1] not in referenced_names(source)]
+    assert dead == [(4, "_dead"), (7, "_Gone")]
+
+
+def test_no_dead_private_helpers_in_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(referenced_names(text) for text in sources.values()))
+    found = {}
+    for name, text in sources.items():
+        dead = [d for d in private_definitions(text) if d[1] not in used]
+        if dead:
+            found[name] = dead
     assert found == {}
