@@ -8,7 +8,6 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .atoms import atom_from_name
@@ -27,9 +26,9 @@ from .report import (
     SCHEMA_VERSION,
     analysis_report,
     coxeter_section,
+    dumps,
     graph_product_section,
     input_digest,
-    jsonable,
     render_dot,
 )
 from .towers import lim1_report, ml_check_window, ml_decide_constant, parse_tower
@@ -43,7 +42,7 @@ _BUDGET_ERRORS = (OrbitBudgetExceededError, MemoryCapExceededError)
 
 
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    sys.stdout.write(dumps(payload) + "\n")
 
 
 def _read(path):
@@ -253,13 +252,14 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except ContradictionError as exc:
+        shared = {}  # one map for both trees, so a common premise is one dict
         _emit({
             "schemaVersion": SCHEMA_VERSION,
             "contradiction": {
                 "group": exc.group,
                 "atom": exc.atom.value,
-                "holds": jsonable(certificate_as_dict(exc.cert_holds)),
-                "fails": jsonable(certificate_as_dict(exc.cert_fails)),
+                "holds": certificate_as_dict(exc.cert_holds, shared),
+                "fails": certificate_as_dict(exc.cert_fails, shared),
             },
         })
         sys.stderr.write(f"error: {exc}\n")

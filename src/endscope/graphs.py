@@ -107,16 +107,43 @@ class LabeledGraph:
         return len(self.components()) <= 1
 
     def cut_vertices(self):
-        """Vertices whose removal disconnects the graph."""
-        if len(self.vertices) <= 2:
-            return ()
-        base = len(self.components())
-        out = []
-        for v in self.vertices:
-            rest = induced_subgraph(self, [u for u in self.vertices if u != v])
-            if len(rest.components()) > base:
-                out.append(v)
-        return tuple(out)
+        """Vertices whose removal disconnects their component, in vertex
+        order.  One iterative low-point depth-first search (Hopcroft & Tarjan
+        1973): a root is a cut vertex iff it has two or more tree children,
+        any other vertex iff some child's subtree has no edge above it."""
+        adj = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        order, low, cut = {}, {}, set()
+        for root in self.vertices:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            root_children = 0
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, rest = stack[-1]
+                for w in rest:
+                    if w not in order:
+                        order[w] = low[w] = len(order)
+                        stack.append((w, iter(adj[w])))
+                        break
+                    # a back edge; the tree edge to the parent lowers low[u] to
+                    # order[parent] at most, which keeps the test below true
+                    low[u] = min(low[u], order[w])
+                else:
+                    stack.pop()
+                    if len(stack) == 1:
+                        root_children += 1
+                    elif stack:
+                        p = stack[-1][0]
+                        low[p] = min(low[p], low[u])
+                        if low[u] >= order[p]:
+                            cut.add(p)
+            if root_children >= 2:
+                cut.add(root)
+        return tuple(v for v in self.vertices if v in cut)
 
 
 def induced_subgraph(g: LabeledGraph, vs) -> LabeledGraph:
@@ -234,9 +261,11 @@ class SimplicialComplex2:
 
 
 def is_flag(L: SimplicialComplex2) -> bool:
-    """True iff every 3-clique of the 1-skeleton spans a triangle of L."""
-    g = L.one_skeleton()
-    for trio in combinations(g.vertices, 3):
-        if is_clique(g, trio) and frozenset(trio) not in L.triangles:
-            return False
-    return True
+    """True iff every 3-clique of the 1-skeleton spans a triangle of L.  The
+    3-cliques through an edge are its ends' common neighbours: O(m * degree)."""
+    nbrs = {v: set() for v in L.vertices}
+    for u, v in L.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return all(frozenset((u, v, w)) in L.triangles
+               for u, v in L.edges for w in nbrs[u] & nbrs[v])

@@ -788,7 +788,12 @@ def replay(registry: GroupRegistry, facts: FactSet) -> bool:
     return set(replayed.facts()) == set(facts.facts())
 
 
-def certificate_as_dict(cert: Certificate):
+def certificate_as_dict(cert: Certificate, shared: dict):
+    """The certificate tree as JSON-shaped dicts.  `shared` maps
+    id(certificate) to its dict, and this call adds every node it builds: a
+    certificate met again, in this tree or in an earlier one built with the
+    same map, is the same dict object, so `report.dumps` encodes it once.
+    The certificates must outlive the map, since it is keyed by object id."""
     d = {
         "group": cert.group,
         "atom": cert.atom.value,
@@ -802,5 +807,7 @@ def certificate_as_dict(cert: Certificate):
         d["quote"] = cert.quote
         if cert.provenance:
             d["note"] = cert.provenance
-        d["premises"] = [certificate_as_dict(c) for c in cert.children]
+        d["premises"] = [shared.get(id(c)) or certificate_as_dict(c, shared)
+                         for c in cert.children]
+    shared[id(cert)] = d
     return d

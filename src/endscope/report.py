@@ -8,6 +8,8 @@ serialize byte for byte.
 from __future__ import annotations
 
 import hashlib
+import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .atoms import EndCount, PropertyAtom
 from .cayley import BallGraph
@@ -21,6 +23,75 @@ SCHEMA_VERSION = 1
 
 def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _scalar_text(v):
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, (int, float)):
+        return json.dumps(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k):
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _scalar_text(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _shared_ids(value):
+    """Ids of the dicts, lists and tuples that `value` holds more than once."""
+    seen, shared = set(), set()
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (dict, list, tuple)):
+            if id(v) in seen:
+                shared.add(id(v))
+            else:
+                seen.add(id(v))
+                stack.extend(v.values() if isinstance(v, dict) else v)
+    return shared
+
+
+def dumps(value) -> str:
+    """The text `json.dumps` writes for `value` with an indent of 2, byte for
+    byte, including its TypeError for what JSON cannot hold.  A dict, list or
+    tuple that `value` holds more than once is encoded once per depth it
+    occurs at.  Payloads hold no cycles: this raises RecursionError on one,
+    where `json.dumps` raises ValueError."""
+    shared = _shared_ids(value)
+    memo = {}  # (id, depth) -> text, for shared containers only
+    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+
+    def encode(v, depth):
+        if not isinstance(v, (dict, list, tuple)):
+            return _scalar_text(v)
+        if not v:
+            return "{}" if isinstance(v, dict) else "[]"
+        key = (id(v), depth)
+        if key in memo:
+            return memo[key]
+        if len(breaks) == depth + 1:
+            breaks.append(breaks[depth] + "  ")
+        outer, inner = breaks[depth], breaks[depth + 1]
+        if isinstance(v, dict):
+            parts = [_key_text(k) + ": " + encode(x, depth + 1) for k, x in v.items()]
+            text = "{" + inner + ("," + inner).join(parts) + outer + "}"
+        else:
+            parts = [encode(x, depth + 1) for x in v]
+            text = "[" + inner + ("," + inner).join(parts) + outer + "]"
+        if id(v) in shared:
+            memo[key] = text
+        return text
+
+    return encode(value, 0)
 
 
 def jsonable(value):
@@ -86,6 +157,7 @@ def graph_product_section(name, expr, registry, facts):
 
 
 def facts_section(facts):
+    shared = {}  # one map for every row, so a certificate met again is one dict
     rows = []
     for group, atom, holds in sorted(
         facts.facts(), key=lambda f: (f[0], f[1].value, f[2])
@@ -95,7 +167,7 @@ def facts_section(facts):
             "group": group,
             "atom": atom.value,
             "holds": holds,
-            "certificate": certificate_as_dict(cert),
+            "certificate": shared.get(id(cert)) or certificate_as_dict(cert, shared),
         })
     return {"type": "facts", "facts": rows}
 

@@ -242,6 +242,20 @@ def test_analyze_report_matches_pinned_digest(capsys, fixture):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[fixture]
 
 
+@pytest.mark.parametrize("argv", [
+    *(["analyze", str(FIXTURES / fixture)] for fixture in sorted(PINNED_REPORTS)),
+    ["coxeter", str(FIXTURES / "coxeter_suite.ggt"), "--group", "W2"],
+    ["graph-product", str(FIXTURES / "graph_products.ggt"), "--group", "Hex"],
+    ["cayley", "--oracle", "i2:3", "--radius", "6", "--window", "2", "4"],
+    ["tower", str(FIXTURES / "tower_explicit.twr")],
+    ["tower", str(FIXTURES / "tower_x2.twr")],
+], ids=lambda argv: "-".join(pathlib.Path(a).name for a in argv[:2]))
+def test_output_is_exactly_json_dumps_with_indent_2(capsys, argv):
+    code, out, _ = run_capture(capsys, argv)
+    assert code in (0, 3)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_budget_flag_is_honoured_and_not_sticky(capsys):
     argv = ["cayley", "--oracle", "i2:5", "--radius", "6"]
     code, _, err = run_capture(capsys, ["--budget", "1"] + argv)

@@ -4,6 +4,7 @@ infinity."""
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -333,3 +334,16 @@ def test_scinf_cones_over_cycles_yes_and_cycles_and_paths_no(k):
     for verdict, complexes in cone_complexes(k).items():
         for L in complexes:
             assert raag_simply_connected_at_infinity(L).verdict == verdict
+
+
+def test_scinf_suspension_over_c80_is_fast():
+    # 82 vertices: one search for cut vertices and triangles from each edge's
+    # common neighbours, instead of a search per vertex and all C(82, 3) triples
+    suspension = cone_complexes(80)["yes"][1]
+    elapsed = []
+    for _ in range(3):
+        start = time.monotonic()
+        report = raag_simply_connected_at_infinity(suspension)
+        elapsed.append(time.monotonic() - start)
+        assert report.verdict == "yes"
+    assert min(elapsed) < 0.15

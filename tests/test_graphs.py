@@ -13,6 +13,7 @@ from endscope.graphs import (
     SimplicialComplex2,
     enumerate_clique_separators,
     induced_subgraph,
+    is_clique,
     is_flag,
     link_and_star,
 )
@@ -209,3 +210,64 @@ def test_is_flag():
         "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
     )
     assert is_flag(square)
+
+
+def reference_cut_vertices(g):
+    """The vertices whose removal adds a component: one search per vertex."""
+    if len(g.vertices) <= 2:
+        return ()
+    base = len(g.components())
+    return tuple(v for v in g.vertices
+                 if len(induced_subgraph(g, [u for u in g.vertices if u != v]).components()) > base)
+
+
+def test_cut_vertices_match_the_reference_on_every_small_graph():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+    for g in graphs:
+        assert g.cut_vertices() == reference_cut_vertices(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=30), st.floats(min_value=0.02, max_value=0.5),
+       st.randoms(use_true_random=False))
+def test_cut_vertices_match_the_reference_on_random_graphs(n, p, rng):
+    g = random_graph(rng, n, p)
+    g = LabeledGraph.build(rng.sample(g.vertices, n), g.sorted_edges())  # vertex order != sort order
+    assert g.cut_vertices() == reference_cut_vertices(g)
+
+
+def test_cut_vertices_of_a_long_path_do_not_recurse():
+    n = 5000
+    path = LabeledGraph.build(range(n), [(i, i + 1, 2) for i in range(n - 1)])
+    assert path.cut_vertices() == tuple(range(1, n - 1))
+
+
+def reference_is_flag(L):
+    """Every vertex triple that is a clique of the 1-skeleton is a triangle."""
+    g = L.one_skeleton()
+    return all(frozenset(trio) in L.triangles
+               for trio in itertools.combinations(g.vertices, 3) if is_clique(g, trio))
+
+
+def triangles_of(g):
+    return [t for t in itertools.combinations(g.vertices, 3) if is_clique(g, t)]
+
+
+def test_is_flag_matches_the_reference_on_every_small_complex():
+    # every graph on at most 5 vertices, with all its triangles and with one left out
+    for g in (g for n in range(6) for g in all_graphs(n)):
+        triangles = triangles_of(g)
+        for drop in [None] + triangles:
+            L = SimplicialComplex2.build(g.vertices, g.edges, [t for t in triangles if t != drop])
+            assert is_flag(L) == reference_is_flag(L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=14), st.floats(min_value=0.2, max_value=0.9),
+       st.floats(min_value=0.0, max_value=0.2), st.randoms(use_true_random=False))
+def test_is_flag_matches_the_reference_on_random_complexes(n, p, q, rng):
+    g = random_graph(rng, n, p)
+    triangles = [t for t in triangles_of(g) if rng.random() >= q]
+    L = SimplicialComplex2.build(g.vertices, g.edges, triangles)
+    assert is_flag(L) == reference_is_flag(L)
