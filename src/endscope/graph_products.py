@@ -9,6 +9,7 @@ vertex group has a complete link with finite vertex groups.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -295,22 +296,41 @@ def _freely_reduce(word):
 
 
 def _tietze_trivializes(ngens, relators) -> bool:
-    """True when Tietze moves eliminate every generator.
+    """True when Tietze moves eliminate every generator of a presentation
+    whose relators are freely reduced words.
 
     The shortest relator (then the least word) that is one letter kills its
     generator, or that is two distinct letters g h^{+-1} substitutes g away.
     Each move removes one generator from every relator, so there are at most
-    `ngens` of them.
+    `ngens` of them; a move rewrites only the relators that contain its
+    generator.
     """
-    while True:
-        moves = [r for r in relators if len(r) == 1 or (len(r) == 2 and abs(r[0]) != abs(r[1]))]
-        if not moves:
-            return ngens == 0
-        rel = min(moves, key=lambda r: (len(r), r))
+    current = set()
+    containing = {}  # generator -> the current relators it occurs in
+    moves = []  # heap of (length, relator); one no longer current is stale
+
+    def add(word):
+        current.add(word)
+        for x in word:
+            containing.setdefault(abs(x), set()).add(word)
+        if len(word) == 1 or (len(word) == 2 and abs(word[0]) != abs(word[1])):
+            heapq.heappush(moves, (len(word), word))
+
+    for word in relators:
+        add(word)
+    while moves:
+        rel = heapq.heappop(moves)[1]
+        if rel not in current:
+            continue
         target = abs(rel[0])
         repl = 0 if len(rel) == 1 else (-rel[1] if rel[0] > 0 else rel[1])
-        relators = {
-            _freely_reduce(tuple(repl if x == target else -repl if x == -target else x for x in r))
-            for r in relators
-        }
+        for r in containing.pop(target):
+            current.remove(r)
+            for x in r:
+                if abs(x) != target:
+                    containing[abs(x)].discard(r)
+            word = _freely_reduce(tuple(repl if x == target else -repl if x == -target else x for x in r))
+            if word not in current:
+                add(word)
         ngens -= 1
+    return ngens == 0

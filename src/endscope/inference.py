@@ -9,6 +9,9 @@ the same atom raises ContradictionError with both certificates attached.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .atoms import ENDS_ATOMS, PropertyAtom
@@ -32,6 +35,7 @@ from .model import (
     Free,
     FreeAbelian,
     GraphProduct,
+    GroupExpr,
     GroupRegistry,
     HNN,
     Known,
@@ -92,11 +96,14 @@ class Decisions:
 
 class FactSet:
     """Derived facts keyed by (group, atom, polarity), each with a certificate,
-    and the decider results the derivation used."""
+    the decider results the derivation used, and how often the fixpoint ran
+    each slot: `evaluations` counts runs per (group, i), where i numbers the
+    rule table's clauses, and its bridges, in order."""
 
     def __init__(self):
         self._certs = {}
         self.decided = Decisions()
+        self.evaluations = Counter()
 
     def get(self, group, atom, holds=True):
         return self._certs.get((group, atom, holds))
@@ -130,6 +137,7 @@ class FactSet:
 
 
 G = "group"  # clause role: the group a rule fires on
+V = "vertex"  # bridge role: each vertex group of a graph product
 
 
 @dataclass(frozen=True)
@@ -151,15 +159,19 @@ class Clause:
 
 @dataclass(frozen=True)
 class Rule:
-    """A theorem with its citation tag and quote, stated as clauses; the
+    """A theorem with its citation tag and quote, stated as clauses.  The
     decider bridges instead have a Python body
-    (rule, registry, facts, group, expr) -> certificates."""
+    (rule, registry, facts, group, expr) -> certificates: the fixpoint runs
+    it on each group built by `ctor`, and again after any fact in `reads`,
+    (role, atom, holds) triples like premises, is added."""
 
     name: str
     tag: str
     quote: str
     clauses: tuple = ()
     body: object = field(default=None, compare=False)
+    ctor: object = None
+    reads: tuple = ()
 
     def conclude(self, group, atom, holds, children, note=None):
         return Certificate(
@@ -167,11 +179,6 @@ class Rule:
             rule=self.name, tag=self.tag, quote=self.quote,
             provenance=note, children=tuple(children),
         )
-
-    def fire(self, registry, facts, gname, expr):
-        if self.body is not None:
-            return self.body(self, registry, facts, gname, expr)
-        return _fire_clauses(self, facts, gname, expr)
 
 
 def _member(gname, expr, role):
@@ -181,26 +188,6 @@ def _member(gname, expr, role):
     if isinstance(role, int):
         return expr.factors[role]
     return getattr(expr, role)
-
-
-def _fire_clauses(rule, facts, gname, expr):
-    # A generator: each clause reads the facts only after the caller has
-    # added the conclusions of the clauses before it.
-    for clause in rule.clauses:
-        if clause.ctor is not None and not isinstance(expr, clause.ctor):
-            continue
-        if clause.guard is not None and not getattr(expr, clause.guard):
-            continue
-        children = []
-        for role, atom, holds in clause.premises:
-            cert = facts.get(_member(gname, expr, role), atom, holds)
-            if cert is None:
-                break
-            children.append(cert)
-        else:
-            target = _member(gname, expr, clause.target)
-            for atom, holds in clause.conclusions:
-                yield rule.conclude(target, atom, holds, children, clause.note)
 
 
 # --- Quotes (verbatim from the sources the rules encode) ---------------------
@@ -480,21 +467,21 @@ def _one_clause(premises, conclusions):
 
 
 def _coxeter_ends_bridge(rule, registry, facts, gname, expr):
-    if isinstance(expr, Coxeter) and expr.diagram.vertices:
+    if expr.diagram.vertices:
         report = facts.decided.coxeter_ends(gname, expr)
         note = f"decider witness: {report.witness}"
         yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [], note)
 
 
 def _artin_ends_bridge(rule, registry, facts, gname, expr):
-    if isinstance(expr, Artin) and expr.diagram.vertices:
+    if expr.diagram.vertices:
         report = facts.decided.artin_ends(gname, expr)
         if report.ends is not None:
             yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [])
 
 
 def _graph_product_bridge(rule, registry, facts, gname, expr):
-    if not isinstance(expr, GraphProduct) or not expr.graph.vertices:
+    if not expr.graph.vertices:
         return
     spec, children, complete = graph_product_spec(registry, facts, expr)
     if complete:
@@ -639,10 +626,13 @@ _RULES = (
         for first in (0, 1)
     )),
     # Bridges to the structural deciders.
-    Rule("R-COXE", "CoxE", _Q["CoxE"] + " / " + _Q["Cox2E"], body=_coxeter_ends_bridge),
-    Rule("R-ARTINE", "ArtinE", _Q["ArtinE"], body=_artin_ends_bridge),
+    Rule("R-COXE", "CoxE", _Q["CoxE"] + " / " + _Q["Cox2E"], body=_coxeter_ends_bridge,
+         ctor=Coxeter),
+    Rule("R-ARTINE", "ArtinE", _Q["ArtinE"], body=_artin_ends_bridge, ctor=Artin),
     Rule("R-ACSS", "ACSS", _Q["ACSS"], (Clause((Coxeter, Artin), (), _then(A.SEMISTABLE)),)),
-    Rule("R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"], body=_graph_product_bridge),
+    Rule("R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"], body=_graph_product_bridge,
+         ctor=GraphProduct,  # reads every fact of every vertex group
+         reads=tuple((V, atom, holds) for atom in A for holds in (True, False))),
 )
 
 
@@ -704,6 +694,138 @@ def _vertex_profile(registry, facts, ref):
 
 # --- Engine -----------------------------------------------------------------------
 
+# One slot per clause and one per bridge, in table order.  The fixpoint is the
+# sweep that visits the groups in registry order and, for each, its slots in
+# turn; every round of a naive loop repeats that sweep.
+_SLOTS = tuple((rule, clause) for rule in _RULES for clause in rule.clauses or (None,))
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The slots of the table for a group of one constructor class and one
+    setting of the guard flags: those that run once whatever the facts
+    (bridges and clauses without premises); for each premise (role, atom,
+    holds), the slots that read it, in table order; and the roles they name."""
+
+    unprompted: tuple
+    readers: dict
+    roles: tuple
+
+
+def _index_table():
+    """(guard flag names per constructor class, _Shape per class and tuple of
+    those flags' values)."""
+    views = [  # (slot, ctor, guard, reads, target, unprompted)
+        (i, rule.ctor, None, rule.reads, G, True) if clause is None
+        else (i, clause.ctor, clause.guard, clause.premises, clause.target, not clause.premises)
+        for i, (rule, clause) in enumerate(_SLOTS)
+    ]
+    flags, shapes, tuples = {}, {}, {}
+
+    def shared(t):  # one object for equal tuples of different shapes
+        return tuples.setdefault(t, t)
+
+    for cls in GroupExpr:
+        fits = [view for view in views if view[1] is None or issubclass(cls, view[1])]
+        names = flags[cls] = tuple(dict.fromkeys(view[2] for view in fits if view[2]))
+        for values in itertools.product((False, True), repeat=len(names)):
+            on = {name for name, value in zip(names, values) if value}
+            unprompted, readers, roles = [], {}, {}
+            for i, _, guard, reads, target, alone in fits:
+                if guard is not None and guard not in on:
+                    continue
+                if alone:
+                    unprompted.append(i)
+                roles[target] = None
+                for premise in reads:
+                    roles[premise[0]] = None
+                    readers.setdefault(premise, {})[i] = None
+            shapes[cls, values] = _Shape(
+                shared(tuple(unprompted)),
+                {premise: shared(tuple(ids)) for premise, ids in readers.items()},
+                shared(tuple(roles)),
+            )
+    return flags, shapes
+
+
+_GUARDS, _SHAPES = _index_table()
+
+
+def _derive(rule, clause, certs, names):
+    """The conclusions of one clause on the group whose role members are
+    `names`, or nothing while a premise is missing."""
+    children = []
+    for role, atom, holds in clause.premises:
+        cert = certs.get((names[role], atom, holds))
+        if cert is None:
+            return ()
+        children.append(cert)
+    target = names[clause.target]
+    return [rule.conclude(target, atom, holds, children, clause.note)
+            for atom, holds in clause.conclusions]
+
+
+def _saturate(registry, facts):
+    """Semi-naive evaluation of the sweep.  A (group, slot) runs where the
+    sweep would first see a fact it reads: after that fact is added, later in
+    the same sweep when the slot comes after the one that added it, else in
+    the next sweep.  The facts present at the start count as added before the
+    first sweep, and bridges and clauses without premises run once in it.
+    A slot whose reads are unchanged would conclude nothing new, so every
+    fact keeps the naive loop's first derivation and a contradiction
+    surfaces at the same step."""
+    groups = list(registry.groups.items())
+    width = len(_SLOTS)
+    sweep = len(groups) * width  # positions per round; a position is gi * width + slot
+    names, readers, refs, first = [], [], {}, set()
+    for gi, (gname, expr) in enumerate(groups):
+        cls = type(expr)
+        shape = _SHAPES[cls, tuple(bool(getattr(expr, flag)) for flag in _GUARDS[cls])]
+        members = {}
+        for role in shape.roles:
+            if role == V:
+                for _, ref in expr.vertex_groups:
+                    refs.setdefault(ref, set()).add((gi, V))
+            else:
+                members[role] = _member(gname, expr, role)
+                refs.setdefault(members[role], set()).add((gi, role))
+        names.append(members)
+        readers.append(shape.readers)
+        first.update(gi * width + i for i in shape.unprompted)
+
+    def woken(group, atom, holds):
+        for hi, role in refs.get(group, ()):
+            for j in readers[hi].get((role, atom, holds), ()):
+                yield hi * width + j
+
+    for key in facts:
+        first.update(woken(*key))
+    queue = sorted(first)  # a heap of times, round * sweep + position
+    pending = set(queue)  # the positions in the queue
+    runs = {}  # position -> times run
+    while queue:
+        now = heapq.heappop(queue)
+        pos = now % sweep
+        pending.discard(pos)
+        runs[pos] = runs.get(pos, 0) + 1
+        gi, i = divmod(pos, width)
+        gname, expr = groups[gi]
+        rule, clause = _SLOTS[i]
+        if clause is None:
+            new = rule.body(rule, registry, facts, gname, expr)
+        else:
+            new = _derive(rule, clause, facts._certs, names[gi])
+        for cert in new:
+            if facts.add(cert):
+                for later in woken(cert.group, cert.atom, cert.holds):
+                    if later not in pending:
+                        pending.add(later)
+                        heapq.heappush(queue, now - pos + later + (0 if later > pos else sweep))
+    facts.evaluations.update({
+        (groups[pos // width][0], pos % width): n for pos, n in runs.items()
+    })
+
+
 def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
     """Least fixpoint of the rule table over asserted, database and structural
     facts.  Raises ContradictionError when both polarities of a fact appear.
@@ -729,15 +851,7 @@ def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
             )
         else:
             facts.add(a)
-
-    changed = True
-    while changed:
-        changed = False
-        for gname, expr in registry.groups.items():
-            for rule in _RULES:
-                for cert in rule.fire(registry, facts, gname, expr):
-                    if facts.add(cert):
-                        changed = True
+    _saturate(registry, facts)
     return facts
 
 

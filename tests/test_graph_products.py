@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from endscope.atoms import EndCount
 from endscope.coxeter import CoxeterSystem, coxeter_ends
@@ -17,6 +19,7 @@ from endscope.graph_products import (
     graph_product_ends,
     graph_product_semistable,
     _abelianization,
+    _freely_reduce,
     _pi1_presentation,
     _smith_diagonal,
     _tietze_trivializes,
@@ -230,6 +233,44 @@ def test_tietze_moves_on_small_presentations():
     assert not _tietze_trivializes(2, {(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)})
 
 
+def reference_tietze_trivializes(ngens, relators) -> bool:
+    """Tietze moves that rebuild every relator at each move."""
+    while True:
+        moves = [r for r in relators if len(r) == 1 or (len(r) == 2 and abs(r[0]) != abs(r[1]))]
+        if not moves:
+            return ngens == 0
+        rel = min(moves, key=lambda r: (len(r), r))
+        target = abs(rel[0])
+        repl = 0 if len(rel) == 1 else (-rel[1] if rel[0] > 0 else rel[1])
+        relators = {
+            _freely_reduce(tuple(repl if x == target else -repl if x == -target else x for x in r))
+            for r in relators
+        }
+        ngens -= 1
+
+
+@st.composite
+def presentations(draw):
+    """(ngens, relators): freely reduced words, mostly of length 1 to 3, with
+    repeated letters and inverse pairs."""
+    ngens = draw(st.integers(min_value=0, max_value=7))
+    letters = st.integers(min_value=1, max_value=max(ngens, 1)).flatmap(
+        lambda g: st.sampled_from((g, -g)))
+    words = st.lists(letters, min_size=1, max_size=draw(st.sampled_from((2, 3, 5))))
+    return ngens, {_freely_reduce(tuple(w)) for w in draw(st.lists(words, max_size=10))}
+
+
+@settings(max_examples=500, deadline=None)
+@given(presentations())
+def test_tietze_moves_match_the_reference(presentation):
+    ngens, relators = presentation
+    verdict = _tietze_trivializes(ngens, relators)
+    assert verdict == reference_tietze_trivializes(ngens, relators)
+    event(str(verdict))
+
+
+
+
 def determinantal_invariant_factors(matrix):
     """d_k / d_(k-1), where d_k is the gcd of all k x k minors."""
     def det(m):
@@ -334,6 +375,23 @@ def test_scinf_cones_over_cycles_yes_and_cycles_and_paths_no(k):
     for verdict, complexes in cone_complexes(k).items():
         for L in complexes:
             assert raag_simply_connected_at_infinity(L).verdict == verdict
+
+
+def test_tietze_moves_match_the_reference_on_complexes():
+    rng = random.Random(29)
+    complexes = [L for k in (4, 9, 80) for L in cone_complexes(k)["yes"]] + [projective_plane()]
+    while len(complexes) < 200:
+        verts = [f"v{i}" for i in range(rng.randint(3, 9))]
+        edges = [e for e in itertools.combinations(verts, 2) if rng.random() < rng.uniform(0.4, 0.9)]
+        L = clique_complex(verts, edges)
+        if L.one_skeleton().is_connected():
+            complexes.append(L)
+    verdicts = []
+    for L in complexes:
+        ngens, relators = _pi1_presentation(L, L.one_skeleton())
+        verdicts.append(_tietze_trivializes(ngens, relators))
+        assert verdicts[-1] == reference_tietze_trivializes(ngens, relators)
+    assert True in verdicts and False in verdicts
 
 
 def test_scinf_suspension_over_c80_is_fast():
