@@ -250,8 +250,7 @@ def reference_infer(registry):
         changed = False
         for gname, expr in registry.groups.items():
             for rule in builtin_rules():
-                # bridges now run only on their constructor; the naive loop
-                # fired them everywhere and their bodies skipped the rest
+                # a bridge body handles only groups built by its constructor
                 if rule.ctor is not None and not isinstance(expr, rule.ctor):
                     continue
                 for cert in reference_fire(rule, registry, facts, gname, expr):
