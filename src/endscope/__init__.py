@@ -33,7 +33,6 @@ from .graphs import (
     enumerate_clique_separators,
     induced_subgraph,
     is_flag,
-    link_and_star,
 )
 from .inference import (
     Certificate,

@@ -48,6 +48,10 @@ class PropertyAtom(enum.Enum):
     H2_NONTRIVIAL = "h2_nontrivial"
     PRO_GROUP_STABLE = "pro_group_stable"
 
+    # Equality is identity, so the identity hash is consistent with it and
+    # skips the Python-level Enum.__hash__ on every fact-key lookup.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 

@@ -14,13 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .atoms import EndCount
-from .coxeter import (
-    DEFAULT_ORBIT_BUDGET,
-    CoxeterSystem,
-    has_integral_representation,
-    tits_dual_action,
-    tits_normal_form,
-)
+from .coxeter import CoxeterSystem, tits_cone_action
 from .errors import MemoryCapExceededError, WindowTooSmallError
 from .graphs import LabeledGraph
 
@@ -106,35 +100,24 @@ class CyclicOracle(GroupOracle):
 class CoxeterOracle(GroupOracle):
     """Coxeter group oracle; generators are the diagram vertices.
 
-    When all labels lie in {2, 3, inf} an element w is keyed by w(rho) in the
-    dual coordinates of the Tits cone (see tits_dual_action), and generators
-    act on the left; the left and right Cayley graphs are isomorphic through
+    An element w is keyed by w(rho), exact over Z[2cos(pi/M)] in the dual
+    coordinates of the Tits cone (see tits_cone_action), and generators act
+    on the left; the left and right Cayley graphs are isomorphic through
     w -> w^-1, which breadth-first search from the identity respects.
-    Otherwise keys are canonical words from the braid normal form (adequate
-    for small groups), whose braid-orbit search may visit at most `budget`
-    words.
     """
 
-    def __init__(self, sys: CoxeterSystem, budget=DEFAULT_ORBIT_BUDGET):
-        self.sys = sys
-        self.budget = budget
+    def __init__(self, sys: CoxeterSystem):
         self.name = "coxeter"
         self.generators = tuple(str(v) for v in sys.generators)
-        if has_integral_representation(sys):
-            self._action = tits_dual_action(sys)
-            self.identity = (1,) * len(sys.generators)
-        else:
-            self._action = None
-            self.identity = ()
+        self.identity, self._action = tits_cone_action(sys)
 
     def multiply(self, key, gen):
-        if self._action is None:
-            return tits_normal_form(key + (self.sys.generators[gen],), self.sys, self.budget)
-        f = key[gen]
-        out = list(key)
-        out[gen] = -f
-        for j, c in self._action[gen]:
-            out[j] += c * f
+        out = [*key]
+        for src, column in self._action[gen]:
+            f = key[src]
+            out[src] = -f
+            for dst, c in column:
+                out[dst] += c * f
         return tuple(out)
 
 
@@ -235,9 +218,7 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
     parent = [None]
     row, target, label = [0], [], []
     escaped = False
-    u = 0
-    while u < len(order):
-        key = order[u]
+    for u, key in enumerate(order):  # a list iterator also visits appended keys
         du = distance[u]
         for g in gens:
             w = multiply(key, g)
@@ -248,9 +229,9 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
                 if du == radius:
                     escaped = True
                     continue
-                if len(order) >= element_cap:
-                    raise MemoryCapExceededError(element_cap)
                 v = len(order)
+                if v >= element_cap:
+                    raise MemoryCapExceededError(element_cap)
                 ids[w] = v
                 order.append(w)
                 distance.append(du + 1)
@@ -258,7 +239,6 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
             target.append(v)
             label.append(g)
         row.append(len(target))
-        u += 1
     return BallGraph(
         radius=radius,
         order=order,
@@ -389,10 +369,9 @@ def sample_geodesic_segments(ball: BallGraph, k: int):
 
 # --- Oracle spec strings (used by the CLI) ---------------------------------------
 
-def oracle_from_spec(spec: str, budget=DEFAULT_ORBIT_BUDGET) -> GroupOracle:
+def oracle_from_spec(spec: str) -> GroupOracle:
     """Build a named oracle: z:<n>, free:<n>, zmod:<n>, i2:<m>,
-    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs).
-    `budget` bounds the braid-orbit search of Coxeter word oracles."""
+    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs)."""
     head, _, rest = spec.partition(":")
     if head == "z":
         return ZnOracle(int(rest))
@@ -403,11 +382,11 @@ def oracle_from_spec(spec: str, budget=DEFAULT_ORBIT_BUDGET) -> GroupOracle:
     if head == "i2":
         m = int(rest)
         diagram = LabeledGraph.build(("s", "t"), [("s", "t", m)])
-        return CoxeterOracle(CoxeterSystem(diagram), budget)
+        return CoxeterOracle(CoxeterSystem(diagram))
     if head == "freeprod":
-        parts = [oracle_from_spec(p, budget) for p in rest.split("x")]
+        parts = [oracle_from_spec(p) for p in rest.split("x")]
         return compose_oracles("free_product", parts)
     if head == "prod":
-        parts = [oracle_from_spec(p, budget) for p in rest.split("x")]
+        parts = [oracle_from_spec(p) for p in rest.split("x")]
         return compose_oracles("direct_product", parts)
     raise ValueError(f"unknown oracle spec {spec!r}")

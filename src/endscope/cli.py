@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
-Exit codes: 0 success, 2 input error, 3 contradiction detected, 4 budget or
+Exit codes: 0 success, 2 input error, 3 contradiction detected, 4 element
 cap exceeded.
 """
 
@@ -12,12 +12,11 @@ import sys
 
 from .atoms import atom_from_name
 from .cayley import DEFAULT_ELEMENT_CAP, build_ball, estimate_ends, oracle_from_spec
-from .coxeter import DEFAULT_ORBIT_BUDGET, CoxeterSystem, coxeter_ends
+from .coxeter import CoxeterSystem, coxeter_ends
 from .errors import (
     ContradictionError,
     EndscopeError,
     MemoryCapExceededError,
-    OrbitBudgetExceededError,
     ParseError,
 )
 from .inference import certificate_as_dict, explain, infer
@@ -37,9 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
 EXIT_BUDGET = 4
-
-_BUDGET_ERRORS = (OrbitBudgetExceededError, MemoryCapExceededError)
-
 
 def _emit(payload):
     sys.stdout.write(dumps(payload) + "\n")
@@ -106,7 +102,7 @@ def cmd_graph_product(args):
 
 
 def cmd_cayley(args):
-    oracle = oracle_from_spec(args.oracle, args.budget)
+    oracle = oracle_from_spec(args.oracle)
     ball = build_ball(oracle, args.radius, element_cap=args.element_cap)
     sections = [{
         "type": "ball",
@@ -237,9 +233,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--group", required=True)
     p.set_defaults(func=cmd_dot)
-
-    parser.add_argument("--budget", type=int, default=DEFAULT_ORBIT_BUDGET,
-                        help="braid-orbit state budget of the Coxeter word oracle")
     return parser
 
 
@@ -264,7 +257,7 @@ def run(argv=None) -> int:
         })
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONTRADICTION
-    except _BUDGET_ERRORS as exc:
+    except MemoryCapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
     except (EndscopeError, ValueError) as exc:

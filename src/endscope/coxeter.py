@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 from .atoms import EndCount
 from .errors import EmptyDiagramError, OrbitBudgetExceededError
 from .graphs import LabeledGraph, enumerate_clique_separators, induced_subgraph
-
-DEFAULT_ORBIT_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -301,13 +300,13 @@ def _braid_orbit(word, sys: CoxeterSystem, budget):
     return seen
 
 
-def tits_normal_form(word, sys: CoxeterSystem, budget=DEFAULT_ORBIT_BUDGET):
+def tits_normal_form(word, sys: CoxeterSystem, budget=200_000):
     """ShortLex-least reduced word for the element `word` represents.
 
     Repeatedly searches the braid orbit for a square ss, deletes it, and
     restarts; when no orbit word contains a square the word is reduced and
     the lexicographically least orbit member (in generator order) is the
-    canonical form.
+    canonical form.  Each orbit search may visit at most `budget` words.
     """
     gens = sys.generators
     index = {g: i for i, g in enumerate(gens)}
@@ -332,60 +331,82 @@ def tits_normal_form(word, sys: CoxeterSystem, budget=DEFAULT_ORBIT_BUDGET):
         w = shorter
 
 
-def enumerate_elements(sys: CoxeterSystem, cap=10_000, budget=DEFAULT_ORBIT_BUDGET):
-    """Canonical forms of all group elements, or None if `cap` is exceeded."""
-    identity = ()
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        w = queue.popleft()
-        for s in sys.generators:
-            u = tits_normal_form(w + (s,), sys, budget)
-            if u not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(u)
-                queue.append(u)
-    return seen
+# --- Exact Tits-cone representation over Z[2cos(pi/M)] -------------------------
+
+@cache
+def _cyclotomic(n):
+    """Phi_n, constant term first: z^n - 1 divided exactly by Phi_d for each
+    proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = _cyclotomic(d)  # monic
+        k = len(den) - 1
+        quotient = [0] * (len(poly) - k)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = q = poly[i + k]
+            for j, b in enumerate(den):
+                poly[i + j] -= q * b
+        poly = quotient
+    return tuple(poly)
 
 
-# --- Exact reflection representation (integral for labels in {2, 3, inf}) -----
-
-INTEGRAL_LABELS = {2, 3}
-
-
-def has_integral_representation(sys: CoxeterSystem) -> bool:
-    """True when 2*cos(pi/m) is an integer for every edge label.
-
-    That holds for m in {2, 3} and for unrelated pairs (m = inf), making the
-    Tits reflection representation an exact integer-matrix model.
-    """
-    return all(m in INTEGRAL_LABELS for m in sys.diagram.edges.values())
-
-
-def _two_cos(m):
-    if m == 2:
-        return 0
-    if m == 3:
-        return 1
-    if m == math.inf:
-        return 2
-    raise ValueError(f"label {m} has no integral 2cos(pi/m)")
+def _real_minimal_polynomial(m):
+    """Monic minimal polynomial of 2cos(pi/m), constant term first: Phi_2m,
+    palindromic of degree 2d, folded by x = z + 1/z through
+    z^k + z^-k = c_k(x), c_0 = 2, c_1 = x, c_(k+1) = x c_k - c_(k-1)."""
+    a = _cyclotomic(2 * m)
+    d = len(a) // 2
+    poly = [a[d]] + [0] * d
+    prev, c = [2], [0, 1]
+    for k in range(1, d + 1):
+        for i, b in enumerate(c):
+            poly[i] += a[d + k] * b
+        prev, c = c, [x - y for x, y in zip([0] + c, prev + [0, 0])]
+    return poly
 
 
-def tits_dual_action(sys: CoxeterSystem):
-    """Left action of the generators on dual coordinates of the Tits cone.
+def tits_cone_action(sys: CoxeterSystem):
+    """(rho, action): the exact left action of the generators on the dual
+    coordinates of the Tits cone.
 
-    Only valid when has_integral_representation(sys).  Entry i lists the
-    pairs (j, c) with j != i and c = 2cos(pi/m_ij) nonzero; s_i negates
-    coordinate i and adds c times the old coordinate i to each such j.  The
-    orbit map w -> w(rho) with rho = (1, ..., 1), an interior point of the
-    fundamental chamber, is injective because W acts simply transitively on
-    the chambers of the Tits cone (Bjorner & Brenti, GTM 231, ch. 4), so
-    w(rho) decides the word problem exactly.
+    Coordinates lie in Z[lambda], lambda = 2cos(pi/M) for M the lcm of the
+    labels >= 4 (M = 2, lambda = 0 and the ring Z when there are none), as d
+    integers over the basis 1, lambda, ..., lambda^(d-1), d the degree of
+    lambda, so equal coordinates are equal tuples.  s_i negates coordinate i
+    and adds c_ij = 2cos(pi/m_ij) times it to each coordinate j: 0, 1 and 2
+    for labels 2, 3 and inf, else c_(M/m) by c_(k+1) = lambda c_k - c_(k-1).
+    A key is n blocks of d integers; action[i] pairs each position of block
+    i with the (position, integer) terms it adds.  w -> w(rho), with
+    rho = (1, ..., 1) inside the fundamental chamber, is injective because W
+    acts simply transitively on the chambers of the Tits cone (Bjorner &
+    Brenti, GTM 231, ch. 4), so w(rho) decides the word problem.
     """
     gens = sys.generators
-    return tuple(
-        tuple((j, c) for j, t in enumerate(gens) if t != s and (c := _two_cos(sys.m(s, t))))
-        for s in gens
-    )
+    lcm = max(math.lcm(*(m for m in sys.diagram.edges.values() if m >= 4)), 2)
+    poly = _real_minimal_polynomial(lcm)
+    d = len(poly) - 1
+
+    def times_lambda(v):
+        return [(v[b - 1] if b else 0) - v[-1] * poly[b] for b in range(d)]
+
+    one = [1] + [0] * (d - 1)
+    cos2 = [[2] + one[1:], times_lambda(one)]  # cos2[k] = 2cos(k pi / M)
+    while len(cos2) <= lcm // 4:
+        cos2.append([x - y for x, y in zip(times_lambda(cos2[-1]), cos2[-2])])
+    integral = {2: 0, 3: 1, math.inf: 2}
+
+    def two_cos(m):
+        return [integral[m]] + one[1:] if m in integral else cos2[lcm // m]
+
+    action = []
+    for i, s in enumerate(gens):
+        scaled = [(j, two_cos(sys.m(s, t))) for j, t in enumerate(gens) if t != s]
+        columns = []
+        for a in range(d):  # scaled holds c_ij lambda^a
+            columns.append((i * d + a, tuple(
+                (j * d + b, c) for j, v in scaled for b, c in enumerate(v) if c)))
+            scaled = [(j, times_lambda(v)) for j, v in scaled]
+        action.append(tuple(columns))
+    return tuple(one) * len(gens), tuple(action)

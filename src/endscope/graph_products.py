@@ -27,7 +27,6 @@ from .graphs import (
     induced_subgraph,
     is_clique,
     is_flag,
-    link_and_star,
 )
 from .towers import hermite_normal_form
 
@@ -169,9 +168,9 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
     undecided = None
     for v in graph.vertices:
         p = spec.profile(v)
-        link, _ = link_and_star(graph, v)
-        fin = [spec.profile(u).finite for u in link.vertices]
-        if not is_clique(graph, link.vertices) or any(f is False for f in fin):
+        link = graph.neighbors(v)
+        fin = [spec.profile(u).finite for u in link]
+        if not is_clique(graph, link) or any(f is False for f in fin):
             continue
         link_known_finite = all(f is True for f in fin)
         if p.semistable is False:

@@ -157,14 +157,6 @@ def induced_subgraph(g: LabeledGraph, vs) -> LabeledGraph:
     return LabeledGraph(verts, edges)
 
 
-def link_and_star(g: LabeledGraph, v):
-    """(link, star) of v: full subgraphs on the neighbors, resp. v + neighbors."""
-    nbrs = g.neighbors(v)
-    link = induced_subgraph(g, nbrs)
-    star = induced_subgraph(g, (v,) + nbrs)
-    return link, star
-
-
 def is_clique(g: LabeledGraph, vs) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
 

@@ -1,9 +1,12 @@
 """Cayley ball explorer: oracles, balls, end estimation."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endscope.atoms import EndCount
 from endscope.cayley import (
@@ -14,7 +17,7 @@ from endscope.cayley import (
     oracle_from_spec,
     sample_geodesic_segments,
 )
-from endscope.coxeter import CoxeterSystem
+from endscope.coxeter import CoxeterSystem, tits_normal_form
 from endscope.errors import MemoryCapExceededError, WindowTooSmallError
 from endscope.graphs import LabeledGraph
 from endscope.report import render_dot
@@ -23,6 +26,25 @@ from test_acceptance import distinct_small_diagrams
 # SHA-256 over render_dot of the radius-6 balls of the 80 acceptance-sweep
 # diagrams, in sweep order, recorded before balls were indexed by integer ids.
 SWEEP_DOT_DIGEST = "2da824c2a312ce0b82d9a4f6fc03da0492f0d08259341060a5fe711016d41ae0"
+
+# SHA-256 of render_dot of Coxeter balls with labels >= 4, recorded while
+# such labels were keyed by braid normal forms: (vertices, edges, radius).
+PINNED_COXETER_DOTS = {
+    "I2(5)": ("st", [("s", "t", 5)], 10,
+              "e53dff8f1bb42364d231078ed5690b4f7e3579e91497edd8a244a3e864f885c2"),
+    "I2(7)": ("st", [("s", "t", 7)], 10,
+              "297bbe05e06a87bc4f8c0e97165aa65ced824bd2e67a5d437b77622fb94f1847"),
+    "B3": ("abc", [("a", "b", 4), ("b", "c", 3), ("a", "c", 2)], 12,
+           "250ce038891a79913878b1714a2286490dca15024a294d58d52690a6ceb468cb"),
+    "H3": ("abc", [("a", "b", 5), ("b", "c", 3), ("a", "c", 2)], 12,
+           "1dba2c078aeb35dccbf80d863cff6e305769c26fa294831501ea081d3c8751f2"),
+    "affine C2": ("abc", [("a", "b", 4), ("b", "c", 4), ("a", "c", 2)], 12,
+                  "e454910fd09f69d8496049e9ab4f349c0857d1f978da4cc96eb88e6c0b66dd7b"),
+    "(2,3,7) triangle": ("abc", [("a", "b", 2), ("b", "c", 3), ("a", "c", 7)], 12,
+                         "f9a308b63fe3979882868a319a16af647094be306b21c06bfc054f94eca82eea"),
+    "4/5/3 path": ("abcd", [("a", "b", 4), ("b", "c", 5), ("c", "d", 3)], 7,
+                   "429cd5d86e0773a18ac46a86eeb38d2b301569fbe1ebb6e49afab036acdb5bcc"),
+}
 
 
 def coxeter_oracle(verts, edges=()):
@@ -125,6 +147,38 @@ def test_sweep_ball_dot_matches_pinned_digest():
         ball = build_ball(CoxeterOracle(CoxeterSystem(LabeledGraph.build(range(n), edges))), 6)
         digest.update(render_dot(ball).encode("utf-8"))
     assert digest.hexdigest() == SWEEP_DOT_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COXETER_DOTS))
+def test_coxeter_ball_dot_matches_pinned_digest(name):
+    verts, edges, radius, digest = PINNED_COXETER_DOTS[name]
+    dot = render_dot(build_ball(coxeter_oracle(verts, edges), radius))
+    assert hashlib.sha256(dot.encode("utf-8")).hexdigest() == digest
+
+
+@st.composite
+def diagrams_and_words(draw):
+    n = draw(st.integers(1, 4))
+    labels = st.sampled_from([2, 3, 4, 5, 6, 7, None])
+    edges = [(u, v, m) for u, v in itertools.combinations(range(n), 2)
+             if (m := draw(labels)) is not None]
+    words = st.lists(st.integers(0, n - 1), max_size=8)
+    return CoxeterSystem(LabeledGraph.build(range(n), edges)), draw(words), draw(words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams_and_words())
+def test_coxeter_keys_agree_with_the_braid_normal_form(case):
+    sys_, u, v = case
+    oracle = CoxeterOracle(sys_)
+    gens = sys_.generators
+    key_u, key_v = oracle.normalize(u), oracle.normalize(v)
+    assert all(type(x) is int for x in key_u)  # exact: no floating point
+    nf_u = tits_normal_form([gens[g] for g in u], sys_)
+    nf_v = tits_normal_form([gens[g] for g in v], sys_)
+    assert (key_u == key_v) == (nf_u == nf_v)
+    # a word and its normal form name one element
+    assert oracle.normalize(gens.index(g) for g in nf_u) == key_u
 
 
 def test_ball_serialization_deterministic():

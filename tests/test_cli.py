@@ -256,15 +256,6 @@ def test_output_is_exactly_json_dumps_with_indent_2(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_budget_flag_is_honoured_and_not_sticky(capsys):
-    argv = ["cayley", "--oracle", "i2:5", "--radius", "6"]
-    code, _, err = run_capture(capsys, ["--budget", "1"] + argv)
-    assert code == 4
-    assert "budget of 1 states" in err
-    code, _, _ = run_capture(capsys, argv)
-    assert code == 0
-
-
 def count_calls(monkeypatch, fn):
     """Record each call of `fn`, patched in every endscope module binding it."""
     calls = []

@@ -14,16 +14,30 @@ from endscope.coxeter import (
     _match_two_ended,
     artin_one_ended,
     coxeter_ends,
-    enumerate_elements,
     is_finite_type,
     tits_normal_form,
 )
-from endscope.errors import OrbitBudgetExceededError
+from endscope.cayley import CoxeterOracle, build_ball
+from endscope.errors import MemoryCapExceededError, OrbitBudgetExceededError
 from endscope.graphs import LabeledGraph, induced_subgraph
 
 
 def system(verts, edges=()):
     return CoxeterSystem(LabeledGraph.build(verts, edges))
+
+
+def exhausted_ball(sys_):
+    """The whole group as a Cayley ball, or None when it is infinite.
+
+    An infinite group never exhausts its ball.  Radius 25 and 2000 elements
+    cover every finite group tested here: among those with labels <= 4 on
+    <= 4 generators, F4 has the longest element (length 24) and the largest
+    order (1152), so running into the cap also means infinite."""
+    try:
+        ball = build_ball(CoxeterOracle(sys_), 25, element_cap=2000)
+    except MemoryCapExceededError:
+        return None
+    return ball if ball.exhausted else None
 
 
 FINITE_ORDERS = {
@@ -45,8 +59,8 @@ FINITE_ORDERS = {
 def test_finite_type_catalog_orders():
     for name, (sys_, order) in FINITE_ORDERS.items():
         assert is_finite_type(sys_).is_finite, name
-        elements = enumerate_elements(sys_, cap=200)
-        assert elements is not None and len(elements) == order, name
+        ball = exhausted_ball(sys_)
+        assert ball is not None and len(ball.order) == order, name
 
 
 def test_finite_type_families_reported():
@@ -58,7 +72,7 @@ def test_finite_type_families_reported():
 def test_affine_triangle_is_infinite():
     tri = system("abc", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
     assert not is_finite_type(tri).is_finite
-    assert enumerate_elements(tri, cap=500) is None
+    assert exhausted_ball(tri) is None
 
 
 def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
@@ -88,7 +102,6 @@ def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
 
 
 def test_finite_type_agrees_with_enumeration():
-    # labels <= 4 keep every finite group on <= 4 generators below the cap
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randint(1, 4)
@@ -99,8 +112,7 @@ def test_finite_type_agrees_with_enumeration():
             if rng.random() < 0.7
         ]
         sys_ = CoxeterSystem(LabeledGraph.build(verts, edges))
-        elements = enumerate_elements(sys_, cap=2000)
-        assert is_finite_type(sys_).is_finite == (elements is not None), edges
+        assert is_finite_type(sys_).is_finite == (exhausted_ball(sys_) is not None), edges
 
 
 END_BATTERY = (

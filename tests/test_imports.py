@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level helper is used somewhere in the package."""
+every module-level function and class is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -40,14 +40,13 @@ def test_no_unused_imports_in_package():
     assert found == {}
 
 
-def private_definitions(source):
-    """(line, name) of each module-level `def _name` / `class _Name`."""
+def module_definitions(source):
+    """(line, name) of each module-level `def` / `class`."""
     tree = ast.parse(source)
     return [
         (node.lineno, node.name)
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
     ]
 
 
@@ -65,17 +64,19 @@ def referenced_names(source):
 
 
 def test_dead_helper_detector():
-    source = "def _used():\n    pass\n\ndef _dead():\n    _used()\n\nclass _Gone:\n    pass\n"
-    dead = [d for d in private_definitions(source) if d[1] not in referenced_names(source)]
-    assert dead == [(4, "_dead"), (7, "_Gone")]
+    source = ("def _used():\n    pass\n\ndef _dead():\n    _used()\n\n"
+              "class _Gone:\n    pass\n\ndef public_dead():\n    pass\n")
+    dead = [d for d in module_definitions(source) if d[1] not in referenced_names(source)]
+    assert dead == [(4, "_dead"), (7, "_Gone"), (10, "public_dead")]
 
 
-def test_no_dead_private_helpers_in_package():
+def test_no_dead_definitions_in_package():
+    """A public definition counts as used when `__init__` re-exports it."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     used = set().union(*(referenced_names(text) for text in sources.values()))
     found = {}
     for name, text in sources.items():
-        dead = [d for d in private_definitions(text) if d[1] not in used]
+        dead = [d for d in module_definitions(text) if d[1] not in used]
         if dead:
             found[name] = dead
     assert found == {}
