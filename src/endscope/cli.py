@@ -8,6 +8,8 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
 
 from .atoms import atom_from_name
@@ -19,13 +21,13 @@ from .errors import (
     MemoryCapExceededError,
     ParseError,
 )
-from .inference import certificate_as_dict, explain, infer
+from .inference import explain, infer
 from .model import Artin, Coxeter, GraphProduct, parse_document
 from .report import (
     SCHEMA_VERSION,
     analysis_report,
+    contradiction_report,
     coxeter_section,
-    dumps,
     graph_product_section,
     input_digest,
     render_dot,
@@ -38,7 +40,7 @@ EXIT_CONTRADICTION = 3
 EXIT_BUDGET = 4
 
 def _emit(payload):
-    sys.stdout.write(dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _read(path):
@@ -188,6 +190,7 @@ def cmd_dot(args):
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state between calls
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="endscope",
@@ -245,16 +248,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except ContradictionError as exc:
-        shared = {}  # one map for both trees, so a common premise is one dict
-        _emit({
-            "schemaVersion": SCHEMA_VERSION,
-            "contradiction": {
-                "group": exc.group,
-                "atom": exc.atom.value,
-                "holds": certificate_as_dict(exc.cert_holds, shared),
-                "fails": certificate_as_dict(exc.cert_fails, shared),
-            },
-        })
+        _emit(contradiction_report(exc))
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONTRADICTION
     except MemoryCapExceededError as exc:

@@ -335,20 +335,24 @@ def tits_normal_form(word, sys: CoxeterSystem, budget=200_000):
 
 @cache
 def _cyclotomic(n):
-    """Phi_n, constant term first: z^n - 1 divided exactly by Phi_d for each
-    proper divisor d of n."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d:
-            continue
-        den = _cyclotomic(d)  # monic
-        k = len(den) - 1
-        quotient = [0] * (len(poly) - k)
-        for i in reversed(range(len(quotient))):
-            quotient[i] = q = poly[i + k]
-            for j, b in enumerate(den):
-                poly[i + j] -= q * b
-        poly = quotient
+    """Phi_n, constant term first, built prime by prime from Phi_1 = z - 1:
+    Phi_mp(z) = Phi_m(z^p) when p divides m, else Phi_m(z^p) / Phi_m(z)."""
+    poly, m, p = [-1, 1], 1, 2
+    while m < n:
+        while (n // m) % p:
+            p += 1
+        stretched = [0] * ((len(poly) - 1) * p + 1)
+        stretched[::p] = poly
+        if m % p:  # divide by the monic Phi_m
+            k = len(poly) - 1
+            quotient = [0] * (len(stretched) - k)
+            for i in reversed(range(len(quotient))):
+                quotient[i] = q = stretched[i + k]
+                if q:
+                    for j, b in enumerate(poly):
+                        stretched[i + j] -= q * b
+            stretched = quotient
+        poly, m = stretched, m * p
     return tuple(poly)
 
 

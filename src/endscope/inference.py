@@ -902,26 +902,37 @@ def replay(registry: GroupRegistry, facts: FactSet) -> bool:
     return set(replayed.facts()) == set(facts.facts())
 
 
-def certificate_as_dict(cert: Certificate, shared: dict):
-    """The certificate tree as JSON-shaped dicts.  `shared` maps
-    id(certificate) to its dict, and this call adds every node it builds: a
-    certificate met again, in this tree or in an earlier one built with the
-    same map, is the same dict object, so `report.dumps` encodes it once.
-    The certificates must outlive the map, since it is keyed by object id."""
-    d = {
-        "group": cert.group,
-        "atom": cert.atom.value,
-        "holds": cert.holds,
-    }
-    if cert.is_leaf():
-        d["provenance"] = cert.provenance
-    else:
-        d["rule"] = cert.rule
-        d["theorem"] = cert.tag
-        d["quote"] = cert.quote
-        if cert.provenance:
-            d["note"] = cert.provenance
-        d["premises"] = [shared.get(id(c)) or certificate_as_dict(c, shared)
-                         for c in cert.children]
-    shared[id(cert)] = d
-    return d
+def certificate_dag(roots):
+    """The certificates under `roots` as one row per fact, sorted by (group,
+    atom, polarity): (rules, rows, index).  Each derived row names its rule by
+    an index into `rules`, one {"rule", "theorem", "quote"} per distinct
+    triple in order of first use, and its premises by row indices; `index`
+    maps each fact to its row.  Every node must be the certificate stored for
+    its fact, which holds for the nodes of a FactSet and of a contradiction."""
+    nodes = {}
+    stack = list(roots)
+    while stack:
+        cert = stack.pop()
+        fact = cert.fact()
+        if fact not in nodes:
+            nodes[fact] = cert
+            stack.extend(cert.children)
+    order = sorted(nodes, key=lambda f: (f[0], f[1].value, f[2]))
+    index = {fact: i for i, fact in enumerate(order)}
+    rules, rule_ids, rows = [], {}, []
+    for fact in order:
+        cert = nodes[fact]
+        row = {"group": cert.group, "atom": cert.atom.value, "holds": cert.holds}
+        if cert.is_leaf():
+            row["provenance"] = cert.provenance
+        else:
+            cited = (cert.rule, cert.tag, cert.quote)
+            if cited not in rule_ids:
+                rule_ids[cited] = len(rules)
+                rules.append({"rule": cert.rule, "theorem": cert.tag, "quote": cert.quote})
+            row["rule"] = rule_ids[cited]
+            if cert.provenance:
+                row["note"] = cert.provenance
+            row["premises"] = [index[c.fact()] for c in cert.children]
+        rows.append(row)
+    return rules, rows, index

@@ -8,90 +8,22 @@ serialize byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
-from json.encoder import encode_basestring_ascii as _quote
 
 from .atoms import EndCount, PropertyAtom
 from .cayley import BallGraph
 from .coxeter import CoxeterSystem, is_finite_type
 from .graphs import LabeledGraph
-from .inference import certificate_as_dict, graph_product_spec, infer
+from .inference import certificate_dag, graph_product_spec, infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
 
 SCHEMA_VERSION = 1
+# Reports that carry certificates, `analyze` and the contradiction payload,
+# write them as a DAG of fact rows since version 2.
+CERTIFICATE_SCHEMA_VERSION = 2
 
 
 def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _scalar_text(v):
-    if isinstance(v, str):
-        return _quote(v)
-    if v is None:
-        return "null"
-    if v is True or v is False:
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return json.dumps(v)
-    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(k):
-    if isinstance(k, str):
-        return _quote(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _scalar_text(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _shared_ids(value):
-    """Ids of the dicts, lists and tuples that `value` holds more than once."""
-    seen, shared = set(), set()
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, (dict, list, tuple)):
-            if id(v) in seen:
-                shared.add(id(v))
-            else:
-                seen.add(id(v))
-                stack.extend(v.values() if isinstance(v, dict) else v)
-    return shared
-
-
-def dumps(value) -> str:
-    """The text `json.dumps` writes for `value` with an indent of 2, byte for
-    byte, including its TypeError for what JSON cannot hold.  A dict, list or
-    tuple that `value` holds more than once is encoded once per depth it
-    occurs at.  Payloads hold no cycles: this raises RecursionError on one,
-    where `json.dumps` raises ValueError."""
-    shared = _shared_ids(value)
-    memo = {}  # (id, depth) -> text, for shared containers only
-    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
-
-    def encode(v, depth):
-        if not isinstance(v, (dict, list, tuple)):
-            return _scalar_text(v)
-        if not v:
-            return "{}" if isinstance(v, dict) else "[]"
-        key = (id(v), depth)
-        if key in memo:
-            return memo[key]
-        if len(breaks) == depth + 1:
-            breaks.append(breaks[depth] + "  ")
-        outer, inner = breaks[depth], breaks[depth + 1]
-        if isinstance(v, dict):
-            parts = [_key_text(k) + ": " + encode(x, depth + 1) for k, x in v.items()]
-            text = "{" + inner + ("," + inner).join(parts) + outer + "}"
-        else:
-            parts = [encode(x, depth + 1) for x in v]
-            text = "[" + inner + ("," + inner).join(parts) + outer + "]"
-        if id(v) in shared:
-            memo[key] = text
-        return text
-
-    return encode(value, 0)
 
 
 def jsonable(value):
@@ -157,19 +89,25 @@ def graph_product_section(name, expr, registry, facts):
 
 
 def facts_section(facts):
-    shared = {}  # one map for every row, so a certificate met again is one dict
-    rows = []
-    for group, atom, holds in sorted(
-        facts.facts(), key=lambda f: (f[0], f[1].value, f[2])
-    ):
-        cert = facts.get(group, atom, holds)
-        rows.append({
-            "group": group,
-            "atom": atom.value,
-            "holds": holds,
-            "certificate": shared.get(id(cert)) or certificate_as_dict(cert, shared),
-        })
-    return {"type": "facts", "facts": rows}
+    rules, rows, _ = certificate_dag(facts.certificates())
+    return {"type": "facts", "rules": rules, "facts": rows}
+
+
+def contradiction_report(exc):
+    """The exit-3 payload: both certificates of `exc` as row indices into the
+    DAG of the facts under them."""
+    rules, rows, index = certificate_dag((exc.cert_holds, exc.cert_fails))
+    return {
+        "schemaVersion": CERTIFICATE_SCHEMA_VERSION,
+        "contradiction": {
+            "group": exc.group,
+            "atom": exc.atom.value,
+            "holds": index[exc.cert_holds.fact()],
+            "fails": index[exc.cert_fails.fact()],
+            "rules": rules,
+            "facts": rows,
+        },
+    }
 
 
 def analysis_report(registry: GroupRegistry, text: str):
@@ -200,7 +138,7 @@ def analysis_report(registry: GroupRegistry, text: str):
                 })
     sections.append(facts_section(facts))
     return {
-        "schemaVersion": SCHEMA_VERSION,
+        "schemaVersion": CERTIFICATE_SCHEMA_VERSION,
         "inputDigest": input_digest(text),
         "sections": sections,
         "warnings": warnings,

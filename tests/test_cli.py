@@ -11,11 +11,14 @@ from endscope import coxeter, graph_products
 from endscope.cli import run
 from endscope.inference import infer
 from endscope.model import parse_document
+from test_report import as_v1
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-# SHA-256 of `endscope analyze` stdout, recorded before the rule table became
-# data; a change to any certificate, section or key order shows up here.
+# SHA-256 of `endscope analyze` stdout in schema 1, where each certificate was a
+# tree, recorded before the rule table became data.  The schema-2 report is
+# expanded back to those trees; a change to any certificate, section or key
+# order shows up here.
 PINNED_REPORTS = {
     "contradiction.ggt": "2d7a7ab8e70f83482d62e57eebde6c7486651d4719f40a04e4075fd9d8773fed",
     "coxeter_suite.ggt": "946524562799396f611f7e4c0550a74ca5ac060641fdf971687bd7b9b9db865e",
@@ -44,7 +47,7 @@ def test_analyze_ok(capsys):
     code, out, _ = run_capture(capsys, ["analyze", str(FIXTURES / "coxeter_suite.ggt")])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 1
+    assert report["schemaVersion"] == 2
     assert report["inputDigest"]
     types = [s["type"] for s in report["sections"]]
     assert "registry" in types and "coxeter" in types and "facts" in types
@@ -81,9 +84,13 @@ def test_contradiction_exits_3_with_both_certificates(capsys):
     )
     assert code == 3
     payload = json.loads(out)
+    assert payload["schemaVersion"] == 2
     conflict = payload["contradiction"]
     assert conflict["group"] == "L" and conflict["atom"] == "semistable"
-    assert conflict["holds"] and conflict["fails"]
+    rows = conflict["facts"]
+    both = [rows[conflict["holds"]], rows[conflict["fails"]]]
+    assert [(r["group"], r["atom"], r["holds"]) for r in both] == [
+        ("L", "semistable", True), ("L", "semistable", False)]
 
 
 def test_budget_exhaustion_exits_4(capsys):
@@ -210,6 +217,18 @@ def test_explain_subcommand(capsys):
     assert "R-GM2" in out
 
 
+def test_a_reused_parser_carries_no_options_over(capsys):
+    _, out, _ = run_capture(capsys, ["cayley", "--oracle", "i2:3", "--radius", "6",
+                                     "--window", "2", "4"])
+    assert "end_estimate" in out
+    _, out, _ = run_capture(capsys, ["cayley", "--oracle", "i2:3", "--radius", "6"])
+    assert [s["type"] for s in json.loads(out)["sections"]] == ["ball"]
+    argv = ["explain", str(FIXTURES / "inference.ggt"), "--group", "F", "--atom", "h2_free_abelian"]
+    assert run(argv + ["--negated"]) == 2  # not derived
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("F : h2_free_abelian  [rule R-GM2")
+
+
 def test_explain_unknown_atom_is_input_error(capsys):
     code, _, err = run_capture(
         capsys,
@@ -238,8 +257,8 @@ def test_dot_subcommand_needs_a_diagram(capsys):
 @pytest.mark.parametrize("fixture", sorted(PINNED_REPORTS))
 def test_analyze_report_matches_pinned_digest(capsys, fixture):
     run(["analyze", str(FIXTURES / fixture)])
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[fixture]
+    v1 = json.dumps(as_v1(json.loads(capsys.readouterr().out)), indent=2) + "\n"
+    assert hashlib.sha256(v1.encode("utf-8")).hexdigest() == PINNED_REPORTS[fixture]
 
 
 @pytest.mark.parametrize("argv", [

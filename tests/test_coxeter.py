@@ -1,5 +1,6 @@
 """Coxeter engine: finite-type recognition, end counts, Tits normal form."""
 
+import functools
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from endscope.atoms import EndCount
 from endscope.coxeter import (
     CoxeterSystem,
+    _cyclotomic,
     _match_two_ended,
     artin_one_ended,
     coxeter_ends,
@@ -257,3 +259,27 @@ def test_orbit_budget_is_an_error_not_a_wrong_answer():
     sys_ = system("st", [("s", "t", 3)])
     with pytest.raises(OrbitBudgetExceededError):
         tits_normal_form(("s", "t", "s"), sys_, budget=1)
+
+
+@functools.cache
+def reference_cyclotomic(n):
+    """Phi_n, constant term first: z^n - 1 divided exactly by Phi_d for each
+    proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = reference_cyclotomic(d)  # monic
+        k = len(den) - 1
+        quotient = [0] * (len(poly) - k)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = q = poly[i + k]
+            for j, b in enumerate(den):
+                poly[i + j] -= q * b
+        poly = quotient
+    return tuple(poly)
+
+
+def test_cyclotomic_agrees_with_division_by_every_divisor():
+    for n in range(1, 400):
+        assert _cyclotomic(n) == reference_cyclotomic(n), n

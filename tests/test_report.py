@@ -1,116 +1,133 @@
-"""Report encoder: `report.dumps` writes exactly what `json.dumps(indent=2)` writes."""
+"""Certificate DAGs: the fact rows of a schema-2 report expand back to the
+schema-1 certificate trees."""
 
-import enum
 import json
-import pathlib
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import event, given, settings
 
+from endscope.errors import ContradictionError
 from endscope.inference import infer
-from endscope.model import parse_document
-from endscope.report import dumps, facts_section
-
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-TEXT = st.text(st.characters(exclude_categories=()))  # control characters and lone surrogates too
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10 ** 60), max_value=10 ** 60),
-    st.floats(),
-    TEXT,
-)
-KEYS = st.one_of(TEXT, TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+from endscope.report import contradiction_report, facts_section
+from test_inference import registries
 
 
-def containers(children):
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(KEYS, children, max_size=4),
-    )
+def certificate_as_dict(cert, shared):
+    """Reference: the schema-1 certificate tree, premises written out in
+    full.  `shared` maps id(certificate) to its dict, so a certificate met
+    again is the same dict object."""
+    d = {
+        "group": cert.group,
+        "atom": cert.atom.value,
+        "holds": cert.holds,
+    }
+    if cert.is_leaf():
+        d["provenance"] = cert.provenance
+    else:
+        d["rule"] = cert.rule
+        d["theorem"] = cert.tag
+        d["quote"] = cert.quote
+        if cert.provenance:
+            d["note"] = cert.provenance
+        d["premises"] = [shared.get(id(c)) or certificate_as_dict(c, shared)
+                         for c in cert.children]
+    shared[id(cert)] = d
+    return d
 
 
-@st.composite
-def values_with_shared_parts(draw):
-    """A JSON value some of whose dicts, lists and tuples occur several times,
-    at several depths; a later shared part may hold an earlier one."""
-    pool = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        pool.append(draw(containers(st.recursive(leaves_or(pool), containers, max_leaves=6))))
-    body = draw(st.recursive(leaves_or(pool), containers, max_leaves=16))
-    return [body, pool[-1], {"again": [pool[-1], pool[0]]}]
+def expand(rules, rows):
+    """Each fact row as its schema-1 certificate tree; a premise met again is
+    the same dict object."""
+    trees = {}
+
+    def tree(i):
+        if i not in trees:
+            row = rows[i]
+            d = {"group": row["group"], "atom": row["atom"], "holds": row["holds"]}
+            if "provenance" in row:
+                d["provenance"] = row["provenance"]
+            else:
+                d.update(rules[row["rule"]])
+                if "note" in row:
+                    d["note"] = row["note"]
+                d["premises"] = [tree(j) for j in row["premises"]]
+            trees[i] = d
+        return trees[i]
+
+    return tree
 
 
-def leaves_or(pool):
-    """Scalars, or (half the time) one of the objects in `pool` itself."""
-    if not pool:
-        return SCALARS
-    return st.booleans().flatmap(
-        lambda shared: st.integers(0, len(pool) - 1).map(pool.__getitem__) if shared else SCALARS)
+def as_v1(doc):
+    """The schema-1 document of a schema-2 `analyze` report or exit-3 payload."""
+    if "contradiction" in doc:
+        c = doc["contradiction"]
+        tree = expand(c["rules"], c["facts"])
+        return {"schemaVersion": 1, "contradiction": {
+            "group": c["group"], "atom": c["atom"],
+            "holds": tree(c["holds"]), "fails": tree(c["fails"]),
+        }}
+    sections = []
+    for section in doc["sections"]:
+        if section["type"] == "facts":
+            tree = expand(section["rules"], section["facts"])
+            section = {"type": "facts", "facts": [
+                {"group": row["group"], "atom": row["atom"], "holds": row["holds"],
+                 "certificate": tree(i)}
+                for i, row in enumerate(section["facts"])
+            ]}
+        sections.append(section)
+    return {**doc, "schemaVersion": 1, "sections": sections}
 
 
-@settings(max_examples=100, deadline=None)
-@given(values_with_shared_parts())
-def test_dumps_equals_json_dumps_indent_2(value):
-    assert dumps(value) == json.dumps(value, indent=2)
-
-
-def test_a_shared_part_is_written_in_full_at_every_depth():
-    part = {"quote": "Théorème 3\n", "premises": [[], {}, (1, None)]}
-    value = [part, {"k": part, "l": [part, [part]]}, part]
-    text = dumps(value)
-    assert text == json.dumps(value, indent=2)
-    assert text.count('"Th\\u00e9or\\u00e8me 3\\n"') == 5
-
-
-class Ends(enum.IntEnum):
-    ONE = 1
-
-
-class Name(str):
-    pass
-
-
-@pytest.mark.parametrize("value", [
-    0, -0.0, 1e300, float("nan"), float("inf"), float("-inf"), 10 ** 100, True, None, "",
-    Ends.ONE, Name("x"), {Name("k"): [Ends.ONE]}, {1: 2, 2.5: 3, False: 4, None: 5},
-    [[], {}, ()], {"a": {"b": {"c": [{}]}}},
-])
-def test_dumps_equals_json_dumps_on_edge_cases(value):
-    assert dumps(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [
-    {1, 2}, frozenset(), object(), [1, {"a": {2}}], {"a": b"bytes"}, 1j, {(1, 2): 3},
-    Ends, enum.Enum("Atom", "A").A,
-])
-def test_unencodable_values_raise_the_same_type_error(value):
-    with pytest.raises(TypeError) as ours:
-        dumps(value)
-    with pytest.raises(TypeError) as theirs:
-        json.dumps(value, indent=2)
-    assert str(ours.value) == str(theirs.value)
-
-
-def distinct(roots, children):
-    """The objects reachable from `roots`, by identity."""
-    seen, stack = {}, list(roots)
+def assert_rows_are_the_dag(rules, rows, roots):
+    """One row per fact and one rule per cited triple; every premise index
+    points at the row of the premise's fact."""
+    keys = [(row["group"], row["atom"], row["holds"]) for row in rows]
+    assert len(set(keys)) == len(keys)
+    cited = [(r["rule"], r["theorem"], r["quote"]) for r in rules]
+    assert len(set(cited)) == len(cited)
+    stack, seen = list(roots), set()
     while stack:
-        x = stack.pop()
-        if id(x) not in seen:
-            seen[id(x)] = x
-            stack.extend(children(x))
-    return seen
+        cert = stack.pop()
+        if id(cert) in seen:
+            continue
+        seen.add(id(cert))
+        row = rows[keys.index((cert.group, cert.atom.value, cert.holds))]
+        if cert.is_leaf():
+            assert "rule" not in row and "premises" not in row
+        else:
+            assert cited[row["rule"]] == (cert.rule, cert.tag, cert.quote)
+            assert [keys[j] for j in row["premises"]] == [
+                (c.group, c.atom.value, c.holds) for c in cert.children]
+        stack.extend(cert.children)
+    assert len(seen) == len(rows)
 
 
-def test_facts_section_builds_one_dict_per_certificate():
-    facts = infer(parse_document((FIXTURES / "inference.ggt").read_text(encoding="utf-8")))
-    roots = [row["certificate"] for row in facts_section(facts)["facts"]]
-    certificates = distinct(facts.certificates(), lambda cert: cert.children)
-    dicts = distinct(roots, lambda node: node.get("premises", ()))
-    expanded = distinct(json.loads(json.dumps(roots)), lambda node: node.get("premises", ()))
-    assert len(dicts) == len(certificates) < len(expanded)
+@settings(max_examples=300, deadline=None)
+@given(registries())
+def test_dag_expands_to_the_certificate_trees(registry):
+    try:
+        facts = infer(registry)
+    except ContradictionError as exc:
+        event("contradiction")
+        payload = contradiction_report(exc)
+        c = payload["contradiction"]
+        assert payload["schemaVersion"] == 2
+        assert (c["group"], c["atom"]) == (exc.group, exc.atom.value)
+        shared = {}
+        want = {"holds": certificate_as_dict(exc.cert_holds, shared),
+                "fails": certificate_as_dict(exc.cert_fails, shared)}
+        assert json.dumps(as_v1(payload)["contradiction"]) == json.dumps(
+            {"group": c["group"], "atom": c["atom"], **want})
+        assert_rows_are_the_dag(c["rules"], c["facts"], (exc.cert_holds, exc.cert_fails))
+        return
+    event("facts")
+    section = facts_section(facts)
+    shared = {}
+    want = [
+        {"group": g, "atom": a.value, "holds": h,
+         "certificate": certificate_as_dict(facts.get(g, a, h), shared)}
+        for g, a, h in sorted(facts.facts(), key=lambda f: (f[0], f[1].value, f[2]))
+    ]
+    got = as_v1({"sections": [section]})["sections"][0]["facts"]
+    assert json.dumps(got) == json.dumps(want)
+    assert_rows_are_the_dag(section["rules"], section["facts"], facts.certificates())
