@@ -900,39 +900,3 @@ def replay(registry: GroupRegistry, facts: FactSet) -> bool:
             leaves[leaf.fact()] = leaf
     replayed = infer(registry, extra_facts=list(leaves.values()))
     return set(replayed.facts()) == set(facts.facts())
-
-
-def certificate_dag(roots):
-    """The certificates under `roots` as one row per fact, sorted by (group,
-    atom, polarity): (rules, rows, index).  Each derived row names its rule by
-    an index into `rules`, one {"rule", "theorem", "quote"} per distinct
-    triple in order of first use, and its premises by row indices; `index`
-    maps each fact to its row.  Every node must be the certificate stored for
-    its fact, which holds for the nodes of a FactSet and of a contradiction."""
-    nodes = {}
-    stack = list(roots)
-    while stack:
-        cert = stack.pop()
-        fact = cert.fact()
-        if fact not in nodes:
-            nodes[fact] = cert
-            stack.extend(cert.children)
-    order = sorted(nodes, key=lambda f: (f[0], f[1].value, f[2]))
-    index = {fact: i for i, fact in enumerate(order)}
-    rules, rule_ids, rows = [], {}, []
-    for fact in order:
-        cert = nodes[fact]
-        row = {"group": cert.group, "atom": cert.atom.value, "holds": cert.holds}
-        if cert.is_leaf():
-            row["provenance"] = cert.provenance
-        else:
-            cited = (cert.rule, cert.tag, cert.quote)
-            if cited not in rule_ids:
-                rule_ids[cited] = len(rules)
-                rules.append({"rule": cert.rule, "theorem": cert.tag, "quote": cert.quote})
-            row["rule"] = rule_ids[cited]
-            if cert.provenance:
-                row["note"] = cert.provenance
-            row["premises"] = [index[c.fact()] for c in cert.children]
-        rows.append(row)
-    return rules, rows, index

@@ -13,7 +13,7 @@ from .atoms import EndCount, PropertyAtom
 from .cayley import BallGraph
 from .coxeter import CoxeterSystem, is_finite_type
 from .graphs import LabeledGraph
-from .inference import certificate_dag, graph_product_spec, infer
+from .inference import graph_product_spec, infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
 
 SCHEMA_VERSION = 1
@@ -86,6 +86,42 @@ def graph_product_section(name, expr, registry, facts):
         section["semistability"] = "unknown"
         section["semistability_witness"] = {"kind": "disconnected_graph"}
     return jsonable(section)
+
+
+def certificate_dag(roots):
+    """The certificates under `roots` as one row per fact, sorted by (group,
+    atom, polarity): (rules, rows, index).  Each derived row names its rule by
+    an index into `rules`, one {"rule", "theorem", "quote"} per distinct
+    triple in order of first use, and its premises by row indices; `index`
+    maps each fact to its row.  Every node must be the certificate stored for
+    its fact, which holds for the nodes of a FactSet and of a contradiction."""
+    nodes = {}
+    stack = list(roots)
+    while stack:
+        cert = stack.pop()
+        fact = cert.fact()
+        if fact not in nodes:
+            nodes[fact] = cert
+            stack.extend(cert.children)
+    order = sorted(nodes, key=lambda f: (f[0], f[1].value, f[2]))
+    index = {fact: i for i, fact in enumerate(order)}
+    rules, rule_ids, rows = [], {}, []
+    for fact in order:
+        cert = nodes[fact]
+        row = {"group": cert.group, "atom": cert.atom.value, "holds": cert.holds}
+        if cert.is_leaf():
+            row["provenance"] = cert.provenance
+        else:
+            cited = (cert.rule, cert.tag, cert.quote)
+            if cited not in rule_ids:
+                rule_ids[cited] = len(rules)
+                rules.append({"rule": cert.rule, "theorem": cert.tag, "quote": cert.quote})
+            row["rule"] = rule_ids[cited]
+            if cert.provenance:
+                row["note"] = cert.provenance
+            row["premises"] = [index[c.fact()] for c in cert.children]
+        rows.append(row)
+    return rules, rows, index
 
 
 def facts_section(facts):
