@@ -1,14 +1,22 @@
 """Certificate DAGs: the fact rows of a schema-2 report expand back to the
-schema-1 certificate trees."""
+schema-1 certificate trees.  The report writer writes exactly what
+`json.dumps(indent=2)` writes."""
 
+import enum
 import json
+import pathlib
 
+import pytest
 from hypothesis import event, given, settings
 
+from endscope.cli import _emit
 from endscope.errors import ContradictionError
 from endscope.inference import infer
+from endscope.model import parse_document
 from endscope.report import contradiction_report, facts_section
 from test_inference import registries
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def certificate_as_dict(cert, shared):
@@ -131,3 +139,56 @@ def test_dag_expands_to_the_certificate_trees(registry):
     got = as_v1({"sections": [section]})["sections"][0]["facts"]
     assert json.dumps(got) == json.dumps(want)
     assert_rows_are_the_dag(section["rules"], section["facts"], facts.certificates())
+
+
+def distinct(roots, children):
+    """The objects reachable from `roots`, by identity."""
+    seen, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            stack.extend(children(x))
+    return seen
+
+
+def test_facts_section_builds_one_dict_per_certificate():
+    facts = infer(parse_document((FIXTURES / "inference.ggt").read_text(encoding="utf-8")))
+    section = facts_section(facts)
+    certificates = distinct(facts.certificates(), lambda cert: cert.children)
+    roots = [row["certificate"] for row in as_v1({"sections": [section]})["sections"][0]["facts"]]
+    expanded = distinct(json.loads(json.dumps(roots)), lambda node: node.get("premises", ()))
+    assert len(section["facts"]) == len(certificates) < len(expanded)
+
+
+class Ends(enum.IntEnum):
+    ONE = 1
+
+
+class Name(str):
+    pass
+
+
+# The CLI test of the writer round-trips its output through json.loads, which
+# cannot tell -0.0, nan, non-string keys or str and int subclasses apart.
+@pytest.mark.parametrize("value", [
+    0, -0.0, 1e300, float("nan"), float("inf"), float("-inf"), 10 ** 100, True, None, "",
+    Ends.ONE, Name("x"), {Name("k"): [Ends.ONE]}, {1: 2, 2.5: 3, False: 4, None: 5},
+    [[], {}, ()], {"a": {"b": {"c": [{}]}}},
+])
+def test_dumps_equals_json_dumps_on_edge_cases(capsys, value):
+    _emit(value)
+    assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, frozenset(), object(), [1, {"a": {2}}], {"a": b"bytes"}, 1j, {(1, 2): 3},
+    Ends, enum.Enum("Atom", "A").A,
+])
+def test_unencodable_values_raise_the_same_type_error(capsys, value):
+    with pytest.raises(TypeError) as ours:
+        _emit(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+    assert capsys.readouterr().out == ""
