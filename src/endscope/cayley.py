@@ -27,13 +27,20 @@ class GroupOracle:
     multiply(key, i) multiplies by generator i, an index into `generators`,
     whose names serve only as edge labels.  normalize must be constant on
     equal group elements and multiply must be a congruence with respect to
-    it.  Generator lists are inverse-closed so the Cayley graph can be
-    explored undirected.
+    it.  The generators are distinct as elements and inverse-closed, so the
+    Cayley graph can be explored undirected and each edge read from either
+    end; build_ball checks this.
+
+    `bipartite` is True only when every relator has even length, so the
+    Cayley graph is bipartite and no edge joins two elements at equal
+    distance from the identity.  False is always safe: build_ball then
+    multiplies the outer sphere outward to find its escapes.
     """
 
     name = "oracle"
     identity = None
     generators = ()  # ordered tuple of generator names
+    bipartite = False
 
     def multiply(self, key, gen):
         raise NotImplementedError
@@ -48,6 +55,8 @@ class GroupOracle:
 
 class ZnOracle(GroupOracle):
     """Free abelian group of rank n with the standard generators."""
+
+    bipartite = True
 
     def __init__(self, n):
         if n < 0:
@@ -65,6 +74,8 @@ class ZnOracle(GroupOracle):
 
 class FreeOracle(GroupOracle):
     """Free group of rank n; keys are freely reduced words over +-(i+1)."""
+
+    bipartite = True
 
     def __init__(self, n):
         if n < 0:
@@ -91,6 +102,7 @@ class CyclicOracle(GroupOracle):
         self.n = n
         self.name = f"zmod:{n}"
         self.identity = 0
+        self.bipartite = n % 2 == 0
         self.generators = ("t",) if n <= 2 else ("t", "T")
 
     def multiply(self, key, gen):
@@ -104,7 +116,10 @@ class CoxeterOracle(GroupOracle):
     coordinates of the Tits cone (see tits_cone_action), and generators act
     on the left; the left and right Cayley graphs are isomorphic through
     w -> w^-1, which breadth-first search from the identity respects.
+    Every relator s^2 and (st)^m has even length, so the graph is bipartite.
     """
+
+    bipartite = True
 
     def __init__(self, sys: CoxeterSystem):
         self.name = "coxeter"
@@ -131,6 +146,9 @@ class _ProductOracle(GroupOracle):
             (i, j) for i, p in enumerate(self.parts) for j in range(len(p.generators))
         )
         self.generators = tuple(f"{i}.{self.parts[i].generators[j]}" for i, j in self._local)
+        # word-length parity is a homomorphism onto Z/2 on each bipartite
+        # part, hence on their free or direct product
+        self.bipartite = all(p.bipartite for p in self.parts)
 
 
 class DirectProductOracle(_ProductOracle):
@@ -183,7 +201,8 @@ class BallGraph:
     """A Cayley ball indexed by integer ids: an element's id is its position
     in BFS order, so ids are sorted by distance.  Adjacency is in CSR form:
     the edges of id u are target[row[u]:row[u + 1]], labeled by generator
-    indices in `label`."""
+    indices in `label`.  The edge u -> v labeled g comes back as v -> u
+    labeled inverse[g]."""
 
     radius: int
     order: list  # element keys; the key of id u is order[u]
@@ -195,6 +214,7 @@ class BallGraph:
     layer: list  # d -> first id at distance d, for d in 0..radius + 1
     exhausted: bool  # whole group fits inside the ball
     generator_names: tuple
+    inverse: list  # generator index -> index of its inverse
 
     def sphere(self, d):
         """Ids at distance d, a contiguous range."""
@@ -204,38 +224,66 @@ class BallGraph:
 def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP) -> BallGraph:
     """Breadth-first closure of the generator action, truncated at `radius`.
 
-    Adjacency covers every edge with both ends inside the ball (the generator
-    set is inverse-closed, so each edge is visited from both endpoints).
+    Adjacency covers every edge with both ends inside the ball.  Each edge
+    is computed once, from its smaller id u: the edge u -> v labeled g fills
+    v's slot inverse[g] with u, which is the edge v -> u, so a filled slot
+    costs no multiply.  On a bipartite oracle an empty slot of the outer
+    sphere leads outside the ball, so it is not multiplied either.
     `exhausted` is set when no sphere element has a neighbor outside the ball.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    multiply = oracle.multiply
-    gens = range(len(oracle.generators))
-    order = [oracle.identity]
-    ids = {oracle.identity: 0}  # key -> id, needed only while building
+    if element_cap < 1:
+        raise ValueError("element cap must be >= 1")
+    multiply, identity = oracle.multiply, oracle.identity
+    # inverse[g] is the generator h with g*h = identity (n + n^2 multiplies);
+    # it is a permutation iff the generators are distinct and inverse-closed
+    elements = [multiply(identity, g) for g in range(len(oracle.generators))]
+    n = len(elements)
+    inverse = []
+    for x in elements:
+        solutions = [h for h in range(n) if multiply(x, h) == identity]
+        inverse.append(solutions[0] if len(solutions) == 1 else None)
+    if None in inverse or len(set(inverse)) < n:
+        raise ValueError(f"the generators of {oracle.name} must be distinct and inverse-closed")
+    # a generator equal to the identity labels only self-loops, which the
+    # ball leaves out
+    steps = [(g, inverse[g]) for g, x in enumerate(elements) if x != identity]
+    order = [identity]
+    ids = {identity: 0}  # key -> id, needed only while building
     distance = [0]
     parent = [None]
     row, target, label = [0], [], []
+    back = [None] * n  # back[v * n + g]: the id u < v of the edge v -> u labeled g
+    blank = back[:]
+    bipartite = oracle.bipartite
     escaped = False
     for u, key in enumerate(order):  # a list iterator also visits appended keys
         du = distance[u]
-        for g in gens:
-            w = multiply(key, g)
-            if w == key:
-                continue
-            v = ids.get(w)
+        outer = du == radius
+        skip_outward = outer and bipartite
+        base = u * n
+        for g, h in steps:
+            v = back[base + g]
             if v is None:
-                if du == radius:
+                if skip_outward:
                     escaped = True
                     continue
-                v = len(order)
-                if v >= element_cap:
-                    raise MemoryCapExceededError(element_cap)
-                ids[w] = v
-                order.append(w)
-                distance.append(du + 1)
-                parent.append((u, g))
+                w = multiply(key, g)
+                v = ids.get(w)
+                if v is None:
+                    if outer:
+                        escaped = True
+                        continue
+                    v = len(order)
+                    if v >= element_cap:
+                        raise MemoryCapExceededError(element_cap)
+                    ids[w] = v
+                    order.append(w)
+                    distance.append(du + 1)
+                    parent.append((u, g))
+                    back += blank
+                back[v * n + h] = u
             target.append(v)
             label.append(g)
         row.append(len(target))
@@ -250,6 +298,7 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
         layer=[bisect_left(distance, d) for d in range(radius + 2)],
         exhausted=not escaped,
         generator_names=tuple(oracle.generators),
+        inverse=inverse,
     )
 
 

@@ -194,16 +194,20 @@ def render_dot(graph) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(graph, BallGraph):
-        names, row, target, label = graph.generator_names, graph.row, graph.target, graph.label
+        names, inverse = graph.generator_names, graph.inverse
+        row, target, label = graph.row, graph.target, graph.label
         lines = ["graph ball {"]
         lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(graph.distance)]
-        # each edge {u, v} once per label, under its smaller end, sorted by (v, label)
-        higher = [set() for _ in graph.distance]
-        for u in range(len(higher)):
+        # each edge {u, v} once per label, under its smaller end u, sorted by
+        # (v, label); v -> u carries the inverse label of u -> v
+        for u in range(len(graph.distance)):
+            ends = set()
             for e in range(row[u], row[u + 1]):
                 v = target[e]
-                higher[min(u, v)].add((max(u, v), names[label[e]]))
-        for u, ends in enumerate(higher):
+                if v > u:
+                    g = label[e]
+                    ends.add((v, names[g]))
+                    ends.add((v, names[inverse[g]]))
             lines += [f'  n{u} -- n{v} [label="{name}"];' for v, name in sorted(ends)]
         lines.append("}")
         return "\n".join(lines) + "\n"

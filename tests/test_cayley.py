@@ -1,8 +1,10 @@
 """Cayley ball explorer: oracles, balls, end estimation."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from endscope.atoms import EndCount
 from endscope.cayley import (
+    BallGraph,
     CoxeterOracle,
+    GroupOracle,
     build_ball,
     compose_oracles,
     estimate_ends,
@@ -47,8 +51,78 @@ PINNED_COXETER_DOTS = {
 }
 
 
+# The oracle specs of the benchmark's cayley_cli grid (bench/workloads.py).
+CAYLEY_GRID_SPECS = (
+    "free:2", "free:3", "z:1", "z:2", "z:3", "z:4", "zmod:40", "i2:4", "i2:6",
+    "freeprod:zmod:2xzmod:2", "freeprod:zmod:2xzmod:2xzmod:2", "freeprod:zmod:2xzmod:3",
+    "freeprod:zmod:3xzmod:3", "freeprod:z:2xfree:1", "freeprod:i2:4xzmod:2",
+    "freeprod:i2:6xz:1", "prod:free:2xz:1", "prod:free:2xzmod:2", "prod:z:1xzmod:3",
+    "prod:z:1xz:1xz:1", "prod:i2:4xz:1", "prod:free:2xfree:2",
+)
+
+
 def coxeter_oracle(verts, edges=()):
     return CoxeterOracle(CoxeterSystem(LabeledGraph.build(verts, edges)))
+
+
+def sweep_oracles():
+    for _, (n, edges) in distinct_small_diagrams():
+        yield edges, coxeter_oracle(range(n), edges)
+
+
+def reference_build_ball(oracle, radius, element_cap=2_000_000):
+    """The breadth-first closure that multiplies every (element, generator)
+    pair, each edge from both ends and the outer sphere outward; `inverse`
+    is left None."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    multiply = oracle.multiply
+    gens = range(len(oracle.generators))
+    order = [oracle.identity]
+    ids = {oracle.identity: 0}
+    distance = [0]
+    parent = [None]
+    row, target, label = [0], [], []
+    escaped = False
+    for u, key in enumerate(order):
+        du = distance[u]
+        for g in gens:
+            w = multiply(key, g)
+            if w == key:
+                continue
+            v = ids.get(w)
+            if v is None:
+                if du == radius:
+                    escaped = True
+                    continue
+                v = len(order)
+                if v >= element_cap:
+                    raise MemoryCapExceededError(element_cap)
+                ids[w] = v
+                order.append(w)
+                distance.append(du + 1)
+                parent.append((u, g))
+            target.append(v)
+            label.append(g)
+        row.append(len(target))
+    return BallGraph(
+        radius=radius,
+        order=order,
+        distance=distance,
+        parent=parent,
+        row=row,
+        target=target,
+        label=label,
+        layer=[bisect_left(distance, d) for d in range(radius + 2)],
+        exhausted=not escaped,
+        generator_names=tuple(oracle.generators),
+        inverse=None,
+    )
+
+
+def ball_fields(ball):
+    """Every BallGraph field but `inverse`."""
+    return {f.name: getattr(ball, f.name) for f in dataclasses.fields(ball) if f.name != "inverse"}
 
 
 def ball_rows(ball):
@@ -113,6 +187,118 @@ def test_zxz_ball_is_l1_diamond():
 def test_element_cap_is_an_error():
     with pytest.raises(MemoryCapExceededError):
         build_ball(oracle_from_spec("free:2"), 8, element_cap=100)
+
+
+@st.composite
+def coxeter_oracles(draw):
+    n = draw(st.integers(1, 4))
+    labels = st.sampled_from([2, 3, 4, 5, 6, 7, None])
+    edges = [(u, v, m) for u, v in itertools.combinations(range(n), 2)
+             if (m := draw(labels)) is not None]
+    return coxeter_oracle(range(n), edges)
+
+
+simple_oracles = st.one_of(
+    coxeter_oracles(),
+    st.integers(0, 3).map(lambda n: oracle_from_spec(f"z:{n}")),
+    st.integers(0, 2).map(lambda n: oracle_from_spec(f"free:{n}")),
+    st.integers(1, 6).map(lambda n: oracle_from_spec(f"zmod:{n}")),
+)
+oracles = st.one_of(
+    simple_oracles,
+    *(st.builds(lambda a, b, kind=kind: compose_oracles(kind, [a, b]), simple_oracles, simple_oracles)
+      for kind in ("direct_product", "free_product")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles, st.integers(0, 6), st.integers(1, 3000))
+def test_build_ball_matches_the_reference(oracle, radius, cap):
+    elements = [oracle.normalize([g]) for g in range(len(oracle.generators))]
+    if len(set(elements)) < len(elements):  # two trivial parts, say
+        with pytest.raises(ValueError):
+            build_ball(oracle, radius, element_cap=cap)
+        return
+    try:
+        expected = reference_build_ball(oracle, radius, element_cap=cap)
+    except MemoryCapExceededError:
+        with pytest.raises(MemoryCapExceededError):
+            build_ball(oracle, radius, element_cap=cap)
+        return
+    ball = build_ball(oracle, radius, element_cap=cap)
+    assert ball_fields(ball) == ball_fields(expected)
+    # the edge u -> v labeled g comes back as v -> u labeled inverse[g]
+    edges = set(zip((u for u, nbrs in enumerate(ball_rows(ball)) for _ in nbrs),
+                    ball.target, ball.label))
+    assert all((v, u, ball.inverse[g]) in edges for u, v, g in edges)
+
+
+class CountingOracle(GroupOracle):
+    """Delegates to `inner` and counts its multiplies."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+        self.name, self.identity = inner.name, inner.identity
+        self.generators, self.bipartite = inner.generators, inner.bipartite
+
+    def multiply(self, key, gen):
+        self.calls += 1
+        return self.inner.multiply(key, gen)
+
+
+def test_a_bipartite_ball_multiplies_once_per_edge():
+    specs = ["z:2", "free:2", "zmod:6", "i2:5", "prod:free:1xzmod:2", "freeprod:i2:4xzmod:2"]
+    cases = [(oracle_from_spec(spec), 6) for spec in specs]
+    cases += [(oracle, 5) for _, oracle in sweep_oracles()]
+    for inner, radius in cases:
+        assert inner.bipartite, inner.name
+        oracle = CountingOracle(inner)
+        ball = build_ball(oracle, radius)
+        n = len(oracle.generators)
+        # n + n^2 to derive the inverses, then one per undirected edge
+        assert oracle.calls == n + n * n + len(ball.target) // 2, inner.name
+
+
+def has_edge_inside_a_sphere(ball):
+    return any(ball.distance[u] == ball.distance[v]
+               for u, nbrs in enumerate(ball_rows(ball)) for v in nbrs)
+
+
+def test_bipartite_declarations_are_sound():
+    for spec in CAYLEY_GRID_SPECS:
+        oracle = oracle_from_spec(spec)
+        assert oracle.bipartite != has_edge_inside_a_sphere(reference_build_ball(oracle, 6)), spec
+    for edges, oracle in sweep_oracles():
+        assert oracle.bipartite, edges
+        assert not has_edge_inside_a_sphere(reference_build_ball(oracle, 6)), edges
+    for spec in ["zmod:5", "freeprod:zmod:2xzmod:3"]:
+        oracle = oracle_from_spec(spec)
+        assert not oracle.bipartite
+        assert has_edge_inside_a_sphere(reference_build_ball(oracle, 6)), spec
+
+
+class StepOracle(GroupOracle):
+    """Z/m generated by the listed steps, one generator each."""
+
+    def __init__(self, m, steps):
+        self.name, self.identity, self.m, self.steps = f"steps{steps}", 0, m, steps
+        self.generators = tuple(f"s{i}" for i in range(len(steps)))
+
+    def multiply(self, key, gen):
+        return (key + self.steps[gen]) % self.m
+
+
+def test_generators_must_be_distinct_and_inverse_closed():
+    assert build_ball(StepOracle(4, (1, 3)), 3).exhausted
+    bad = [
+        StepOracle(4, (1, 1, 3)),  # two equal generators
+        StepOracle(2, (1, 1)),  # two equal involutions
+        StepOracle(3, (1,)),  # the inverse 2 is not a generator
+        oracle_from_spec("prod:zmod:1xzmod:1"),  # two identity generators
+    ]
+    for oracle in bad:
+        with pytest.raises(ValueError, match="must be distinct and inverse-closed"):
+            build_ball(oracle, 3)
 
 
 def test_ball_distance_invariants():

@@ -101,6 +101,15 @@ def test_budget_exhaustion_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_element_cap_below_one_is_input_error(capsys, cap):
+    code, _, err = run_capture(
+        capsys, ["cayley", "--oracle", "z:1", "--radius", "3", "--element-cap", cap]
+    )
+    assert code == 2
+    assert err == "error: element cap must be >= 1\n"
+
+
 @pytest.mark.parametrize("spec", ["z:-2", "free:-1"])
 def test_negative_rank_is_input_error(capsys, spec):
     code, _, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "3"])
