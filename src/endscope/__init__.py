@@ -10,14 +10,12 @@ from .cayley import (
     compose_oracles,
     estimate_ends,
     oracle_from_spec,
-    sample_geodesic_segments,
 )
 from .coxeter import (
     CoxeterSystem,
     artin_one_ended,
     coxeter_ends,
     is_finite_type,
-    tits_normal_form,
 )
 from .errors import ContradictionError, EndscopeError
 from .graph_products import (
@@ -49,7 +47,6 @@ from .report import analysis_report, render_dot
 from .towers import (
     AbelianTower,
     MLVerdict,
-    image_lattice,
     lim1_report,
     ml_check_window,
     ml_decide_constant,

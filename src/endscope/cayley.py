@@ -25,11 +25,11 @@ class GroupOracle:
     """Behavioral interface: identity, ordered generators, exact multiply.
 
     multiply(key, i) multiplies by generator i, an index into `generators`,
-    whose names serve only as edge labels.  normalize must be constant on
-    equal group elements and multiply must be a congruence with respect to
-    it.  The generators are distinct as elements and inverse-closed, so the
-    Cayley graph can be explored undirected and each edge read from either
-    end; build_ball checks this.
+    whose names serve only as edge labels.  Keys are equal exactly when the
+    elements are, so multiply is well defined on elements.  The generators
+    are distinct as elements and inverse-closed, so the Cayley graph can be
+    explored undirected and each edge read from either end; build_ball
+    checks this.
 
     `bipartite` is True only when every relator has even length, so the
     Cayley graph is bipartite and no edge joins two elements at equal
@@ -44,13 +44,6 @@ class GroupOracle:
 
     def multiply(self, key, gen):
         raise NotImplementedError
-
-    def normalize(self, word):
-        """Key of a word of generator indices."""
-        key = self.identity
-        for gen in word:
-            key = self.multiply(key, gen)
-        return key
 
 
 class ZnOracle(GroupOracle):
@@ -324,12 +317,11 @@ def _peel(ball: BallGraph, r_min):
     """Reverse union-find that adds the layers from the outer sphere down to
     distance r_min.
 
-    Returns (counts, find): counts[r] for r in [r_min, R] is the number of
+    Returns counts: counts[r] for r in [r_min, R] is the number of
     components of the subgraph induced on distances [r, R] (the ball minus
-    the open ball of radius r) that contain a distance-R element, and find
-    maps an id at distance >= r_min to its component's root.  A root is the
-    largest id of its component, so a component meets the outer sphere iff
-    its root does.
+    the open ball of radius r) that contain a distance-R element.  A root is
+    the largest id of its component, so a component meets the outer sphere
+    iff its root does.
     """
     row, target, layer = ball.row, ball.target, ball.layer
     outer = layer[ball.radius]
@@ -355,7 +347,7 @@ def _peel(ball: BallGraph, r_min):
                         if b >= outer:
                             count -= 1
         counts[d] = count
-    return counts, find
+    return counts
 
 
 def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
@@ -373,7 +365,7 @@ def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
     if ball.exhausted:
         counts = [(r, 0) for r in range(r_min, r_max + 1)]
         return EndEstimate(tuple(counts), "stabilized", EndCount.ZERO, ball.radius)
-    by_radius, _ = _peel(ball, r_min)
+    by_radius = _peel(ball, r_min)
     counts = [(r, by_radius[r]) for r in range(r_min, r_max + 1)]
     values = [c for _, c in counts]
     window = math.ceil(len(values) / 2)
@@ -390,30 +382,6 @@ def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
     if all(values[i] < values[i + 1] for i in range(len(values) - 1)):
         return EndEstimate(tuple(counts), "growing_to_infinity", None, ball.radius)
     return EndEstimate(tuple(counts), "inconclusive", None, ball.radius)
-
-
-def sample_geodesic_segments(ball: BallGraph, k: int):
-    """Up to k geodesic words from the identity to the outer sphere, at most
-    one per outer-touching component of the ball minus the identity (its
-    earliest outer element), components taken in BFS order of their first
-    element."""
-    _, find = _peel(ball, 1)
-    reps = {}
-    for u in ball.sphere(ball.radius):
-        reps.setdefault(find(u), u)
-    words = []
-    for u in range(ball.layer[1], len(ball.order)):
-        if len(words) >= k:
-            break
-        rep = reps.pop(find(u), None)
-        if rep is None:
-            continue
-        word = []
-        while rep:
-            rep, g = ball.parent[rep]
-            word.append(ball.generator_names[g])
-        words.append(tuple(reversed(word)))
-    return words
 
 
 # --- Oracle spec strings (used by the CLI) ---------------------------------------

@@ -2,20 +2,20 @@
 
 Diagrams use the presentation convention: an edge labeled m >= 2 records the
 relation (st)^m = 1, a missing edge means the generators are unrelated.
-Finite-type recognition converts to the Dynkin convention (label-2 edges
-dropped, missing edges become a distinguished infinite label) and pattern
-matches components against the classical finite families.
+Finite-type recognition builds the Dynkin diagram (label-2 edges dropped,
+unrelated pairs joined) and pattern matches its components against the
+classical finite families.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from .atoms import EndCount
-from .errors import EmptyDiagramError, OrbitBudgetExceededError
+from .errors import EmptyDiagramError
 from .graphs import LabeledGraph, enumerate_clique_separators, induced_subgraph
 
 
@@ -42,38 +42,6 @@ class FiniteTypeReport:
 
 
 # --- Finite-type recognition -------------------------------------------------
-
-def _dynkin_components(sys: CoxeterSystem):
-    """Connected components of the diagram in Dynkin convention.
-
-    Dynkin adjacency joins generators with m >= 3 (including m = inf for
-    unrelated pairs); commuting pairs (m = 2) are disconnected.
-    """
-    verts = list(sys.generators)
-    adj = {v: [] for v in verts}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if sys.m(u, v) >= 3:
-                adj[u].append(v)
-                adj[v].append(u)
-    comps = []
-    seen = set()
-    for v in verts:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(x for x in verts if x in set(comp)))
-    return comps, adj
-
 
 def _classify_path(labels):
     """Family tag for a Dynkin path with the given edge-label sequence."""
@@ -105,6 +73,8 @@ def _classify_path(labels):
 
 
 def _classify_component(sys: CoxeterSystem, comp, adj):
+    """Family tag of a Dynkin component; adj is the Dynkin adjacency, so the
+    neighbours of a vertex of comp lie in comp."""
     if len(comp) == 1:
         return "A1"
     # any unrelated pair inside a Dynkin component makes it infinite
@@ -112,7 +82,7 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
         for v in comp[i + 1:]:
             if sys.m(u, v) == math.inf:
                 return "affine/indefinite"
-    degs = {v: len([w for w in adj[v] if w in set(comp)]) for v in comp}
+    degs = {v: len(adj[v]) for v in comp}
     edge_count = sum(degs.values()) // 2
     if edge_count >= len(comp):  # contains a cycle
         return "affine/indefinite"
@@ -126,7 +96,7 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
         order = [start]
         prev = None
         while len(order) < len(comp):
-            nxt = [w for w in adj[order[-1]] if w in set(comp) and w != prev][0]
+            nxt = [w for w in adj[order[-1]] if w != prev][0]
             prev = order[-1]
             order.append(nxt)
         labels = [int(sys.m(order[i], order[i + 1])) for i in range(len(order) - 1)]
@@ -144,12 +114,10 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
     b = branch[0]
     lengths = []
     for start in adj[b]:
-        if start not in set(comp):
-            continue
         length = 1
         prev, cur = b, start
         while True:
-            nxt = [w for w in adj[cur] if w in set(comp) and w != prev]
+            nxt = [w for w in adj[cur] if w != prev]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]
@@ -169,15 +137,16 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
 
 
 def is_finite_type(sys: CoxeterSystem) -> FiniteTypeReport:
-    comps, adj = _dynkin_components(sys)
-    types = []
-    finite = True
-    for comp in comps:
-        tag = _classify_component(sys, comp, adj)
-        if tag == "affine/indefinite":
-            finite = False
-        types.append((comp, tag))
-    return FiniteTypeReport(finite, tuple(types))
+    """Classifies each component of the Dynkin diagram, which joins the
+    generators with m >= 3 (unrelated pairs, m = inf, included) and leaves
+    commuting pairs (m = 2) apart.  Its edge labels are placeholders: the
+    classifier reads m from sys."""
+    gens = sys.generators
+    dynkin = LabeledGraph.build(
+        gens, [(u, v, 3) for u, v in combinations(gens, 2) if sys.m(u, v) >= 3])
+    types = tuple((comp, _classify_component(sys, comp, dynkin.adjacency))
+                  for comp in dynkin.components())
+    return FiniteTypeReport(all(tag != "affine/indefinite" for _, tag in types), types)
 
 
 # --- End counting ------------------------------------------------------------
@@ -268,67 +237,6 @@ def artin_one_ended(diagram: LabeledGraph) -> ArtinEndsReport:
     if not diagram.is_connected():
         return ArtinEndsReport(False, EndCount.INFINITE)
     return ArtinEndsReport(True, EndCount.ONE)
-
-
-# --- Tits-style word problem ---------------------------------------------------
-
-def _braid_orbit(word, sys: CoxeterSystem, budget):
-    """All words reachable from `word` by braid moves (bounded BFS)."""
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        w = queue.popleft()
-        n = len(w)
-        for i in range(n - 1):
-            s, t = w[i], w[i + 1]
-            if s == t:
-                continue
-            m = sys.m(s, t)
-            if m == math.inf or i + m > n:
-                continue
-            m = int(m)
-            expected = tuple(s if k % 2 == 0 else t for k in range(m))
-            if w[i:i + m] != expected:
-                continue
-            flipped = tuple(t if k % 2 == 0 else s for k in range(m))
-            u = w[:i] + flipped + w[i + m:]
-            if u not in seen:
-                if len(seen) >= budget:
-                    raise OrbitBudgetExceededError(budget)
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
-def tits_normal_form(word, sys: CoxeterSystem, budget=200_000):
-    """ShortLex-least reduced word for the element `word` represents.
-
-    Repeatedly searches the braid orbit for a square ss, deletes it, and
-    restarts; when no orbit word contains a square the word is reduced and
-    the lexicographically least orbit member (in generator order) is the
-    canonical form.  Each orbit search may visit at most `budget` words.
-    """
-    gens = sys.generators
-    index = {g: i for i, g in enumerate(gens)}
-    for letter in word:
-        if letter not in index:
-            raise KeyError(f"unknown generator {letter!r}")
-    w = tuple(word)
-    while True:
-        orbit = _braid_orbit(w, sys, budget)
-        shorter = None
-        for u in orbit:
-            for i in range(len(u) - 1):
-                if u[i] == u[i + 1]:
-                    shorter = u[:i] + u[i + 2:]
-                    break
-            if shorter is not None:
-                break
-        if shorter is None:
-            if not orbit:
-                return ()
-            return min(orbit, key=lambda u: [index[c] for c in u])
-        w = shorter
 
 
 # --- Exact Tits-cone representation over Z[2cos(pi/M)] -------------------------

@@ -44,12 +44,6 @@ class EmptyDiagramError(EndscopeError):
     pass
 
 
-class OrbitBudgetExceededError(EndscopeError):
-    def __init__(self, budget):
-        super().__init__(f"braid-orbit search exceeded budget of {budget} states")
-        self.budget = budget
-
-
 class MemoryCapExceededError(EndscopeError):
     def __init__(self, cap):
         super().__init__(f"ball construction exceeded element cap {cap}")

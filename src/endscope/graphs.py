@@ -28,26 +28,33 @@ class LabeledGraph:
 
     vertices: tuple
     edges: dict = field(default_factory=dict)  # (u, v) with u <= v -> label
+    # vertex -> tuple of its neighbours in vertex order; every graph walk reads it
+    adjacency: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen = set()
+        position = {}
         for v in self.vertices:
-            if v in seen:
+            if v in position:
                 raise InvalidEdgeLabelError(f"duplicate vertex {v!r}")
-            seen.add(v)
+            position[v] = len(position)
         normalized = {}
+        adjacency = {v: [] for v in self.vertices}
         for (u, v), m in self.edges.items():
             if u == v:
                 raise InvalidEdgeLabelError(f"self-loop at {u!r}")
-            if u not in seen or v not in seen:
-                raise UnknownVertexError(u if u not in seen else v)
+            if u not in position or v not in position:
+                raise UnknownVertexError(u if u not in position else v)
             if not isinstance(m, int) or m < 2:
                 raise InvalidEdgeLabelError.for_label(m)
             key = _edge_key(u, v)
             if key in normalized:
                 raise InvalidEdgeLabelError(f"duplicate edge {key}")
             normalized[key] = m
+            adjacency[u].append(v)
+            adjacency[v].append(u)
         object.__setattr__(self, "edges", normalized)
+        object.__setattr__(self, "adjacency", {
+            v: tuple(sorted(ws, key=position.__getitem__)) for v, ws in adjacency.items()})
 
     @staticmethod
     def build(vertices, edges=()):
@@ -65,9 +72,9 @@ class LabeledGraph:
         return self.edges.get(_edge_key(u, v))
 
     def neighbors(self, v):
-        if v not in self.vertices:
+        if v not in self.adjacency:
             raise UnknownVertexError(v)
-        return tuple(u for u in self.vertices if u != v and self.has_edge(u, v))
+        return self.adjacency[v]
 
     def degree(self, v):
         return len(self.neighbors(v))
@@ -95,7 +102,7 @@ class LabeledGraph:
             remaining.discard(v)
             while stack:
                 u = stack.pop()
-                for w in self.neighbors(u):
+                for w in self.adjacency[u]:
                     if w in remaining:
                         remaining.discard(w)
                         comp.add(w)
@@ -111,10 +118,7 @@ class LabeledGraph:
         order.  One iterative low-point depth-first search (Hopcroft & Tarjan
         1973): a root is a cut vertex iff it has two or more tree children,
         any other vertex iff some child's subtree has no edge above it."""
-        adj = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self.adjacency
         order, low, cut = {}, {}, set()
         for root in self.vertices:
             if root in order:
@@ -179,10 +183,7 @@ def enumerate_clique_separators(g: LabeledGraph, admissible=None):
     verts = g.vertices
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
-    adj = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
+    adj = [[index[w] for w in g.adjacency[v]] for v in verts]
     madj = [[] for _ in range(n)]  # earlier picks adjacent in H; weight = len
     alive = [True] * n  # not yet picked
     generated = set()
@@ -247,17 +248,12 @@ class SimplicialComplex2:
 
     def one_skeleton(self) -> LabeledGraph:
         # label value is irrelevant for skeleton computations; use 2
-        return LabeledGraph.build(
-            self.vertices, [(tuple(sorted(e, key=self.vertices.index)) + (2,)) for e in self.edges]
-        )
+        return LabeledGraph.build(self.vertices, [(*e, 2) for e in self.edges])
 
 
 def is_flag(L: SimplicialComplex2) -> bool:
     """True iff every 3-clique of the 1-skeleton spans a triangle of L.  The
     3-cliques through an edge are its ends' common neighbours: O(m * degree)."""
-    nbrs = {v: set() for v in L.vertices}
-    for u, v in L.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    adjacency = L.one_skeleton().adjacency
     return all(frozenset((u, v, w)) in L.triangles
-               for u, v in L.edges for w in nbrs[u] & nbrs[v])
+               for u, v in L.edges for w in set(adjacency[u]).intersection(adjacency[v]))

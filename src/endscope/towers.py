@@ -62,15 +62,6 @@ def hermite_normal_form(matrix):
     return tuple(tuple(c) for c in pivots)
 
 
-def image_lattice(matrix):
-    """HNF basis of the integer column span of `matrix`."""
-    return hermite_normal_form(matrix)
-
-
-def lattice_rank(basis):
-    return len(basis)
-
-
 def lattice_contains(basis, vector):
     """Membership of an integer vector in the lattice with HNF basis `basis`."""
     v = list(vector)
@@ -189,11 +180,11 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
     if m < 1 or N < 1:
         raise IndexOutOfRangeError("need m >= 1 and N >= 1")
     n_m = tower.rank_at(m)
-    lattices = [image_lattice(mat_identity(n_m))]
+    lattices = [hermite_normal_form(mat_identity(n_m))]
     composite = mat_identity(n_m)
     for k in range(m, m + N):
         composite = mat_product(composite, tower.bonding(k))
-        lattices.append(image_lattice(composite))
+        lattices.append(hermite_normal_form(composite))
     chain = ImageChain(m, tuple(lattices))
     # sanity: the chain must be descending
     for a, b in zip(lattices, lattices[1:]):
@@ -221,15 +212,15 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
     """
     tower = AbelianTower.constant_tower(rank, matrix)
     A = tower.bondings[0]
-    powers = [mat_identity(rank)]
-    for _ in range(rank + 1):
-        powers.append(mat_product(powers[-1], A))
-    k_star = 0
-    while lattice_rank(image_lattice(powers[k_star])) != lattice_rank(
-        image_lattice(powers[k_star + 1])
-    ):
-        k_star += 1
-    if image_lattice(powers[k_star]) == image_lattice(powers[k_star + 1]):
+    power = mat_identity(rank)
+    lattice, k_star = hermite_normal_form(power), 0
+    while True:  # the rank of im(A^k) stops dropping by k = n
+        power = mat_product(power, A)
+        following = hermite_normal_form(power)
+        if len(following) == len(lattice):
+            break
+        lattice, k_star = following, k_star + 1
+    if following == lattice:
         return MLVerdict("semistable", stabilization_index=k_star + 1)
     return MLVerdict("strictly_descending", first_witness=k_star + 1)
 

@@ -19,13 +19,13 @@ from endscope.cayley import (
     compose_oracles,
     estimate_ends,
     oracle_from_spec,
-    sample_geodesic_segments,
 )
-from endscope.coxeter import CoxeterSystem, tits_normal_form
+from endscope.coxeter import CoxeterSystem
 from endscope.errors import MemoryCapExceededError, WindowTooSmallError
 from endscope.graphs import LabeledGraph
 from endscope.report import render_dot
 from test_acceptance import distinct_small_diagrams
+from test_coxeter import tits_normal_form
 
 # SHA-256 over render_dot of the radius-6 balls of the 80 acceptance-sweep
 # diagrams, in sweep order, recorded before balls were indexed by integer ids.
@@ -63,6 +63,14 @@ CAYLEY_GRID_SPECS = (
 
 def coxeter_oracle(verts, edges=()):
     return CoxeterOracle(CoxeterSystem(LabeledGraph.build(verts, edges)))
+
+
+def normalize(oracle, word):
+    """Key of a word of generator indices."""
+    key = oracle.identity
+    for gen in word:
+        key = oracle.multiply(key, gen)
+    return key
 
 
 def sweep_oracles():
@@ -214,7 +222,7 @@ oracles = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(oracles, st.integers(0, 6), st.integers(1, 3000))
 def test_build_ball_matches_the_reference(oracle, radius, cap):
-    elements = [oracle.normalize([g]) for g in range(len(oracle.generators))]
+    elements = [normalize(oracle, [g]) for g in range(len(oracle.generators))]
     if len(set(elements)) < len(elements):  # two trivial parts, say
         with pytest.raises(ValueError):
             build_ball(oracle, radius, element_cap=cap)
@@ -358,13 +366,13 @@ def test_coxeter_keys_agree_with_the_braid_normal_form(case):
     sys_, u, v = case
     oracle = CoxeterOracle(sys_)
     gens = sys_.generators
-    key_u, key_v = oracle.normalize(u), oracle.normalize(v)
+    key_u, key_v = normalize(oracle, u), normalize(oracle, v)
     assert all(type(x) is int for x in key_u)  # exact: no floating point
     nf_u = tits_normal_form([gens[g] for g in u], sys_)
     nf_v = tits_normal_form([gens[g] for g in v], sys_)
     assert (key_u == key_v) == (nf_u == nf_v)
     # a word and its normal form name one element
-    assert oracle.normalize(gens.index(g) for g in nf_u) == key_u
+    assert normalize(oracle, (gens.index(g) for g in nf_u)) == key_u
 
 
 def test_ball_serialization_deterministic():
@@ -454,26 +462,8 @@ def test_oracle_congruence_on_random_words():
         for _ in range(200):
             u = [rng.choice(gens) for _ in range(rng.randint(0, 6))]
             v = [rng.choice(gens) for _ in range(rng.randint(0, 6))]
-            lhs = oracle.normalize(u + v)
-            rhs = oracle.normalize(u)
+            lhs = normalize(oracle, u + v)
+            rhs = normalize(oracle, u)
             for g in v:
                 rhs = oracle.multiply(rhs, g)
             assert lhs == rhs, (oracle.name, u, v)
-
-
-def test_sample_geodesic_segments():
-    z = build_ball(oracle_from_spec("z:1"), 5)
-    segs = sample_geodesic_segments(z, 5)
-    assert len(segs) == 2
-    assert all(len(w) == 5 for w in segs)
-    f2 = build_ball(oracle_from_spec("free:2"), 4)
-    segs = sample_geodesic_segments(f2, 3)
-    assert len(segs) == 3
-    assert all(len(w) == 4 for w in segs)
-    # a geodesic word must land on the outer sphere
-    oracle = oracle_from_spec("free:2")
-    for w in segs:
-        key = oracle.normalize(oracle.generators.index(g) for g in w)
-        assert f2.distance[f2.order.index(key)] == 4
-    finite = build_ball(coxeter_oracle("st", [("s", "t", 3)]), 10)
-    assert sample_geodesic_segments(finite, 4) == []

@@ -1,10 +1,12 @@
-"""Coxeter engine: finite-type recognition, end counts, Tits normal form."""
+"""Coxeter engine: finite-type recognition, end counts, and the braid-move
+Tits normal form kept here as a reference for the exact oracle's keys."""
 
 import functools
 import itertools
 import math
 import random
 import time
+from collections import deque
 
 import numpy
 import pytest
@@ -17,10 +19,9 @@ from endscope.coxeter import (
     artin_one_ended,
     coxeter_ends,
     is_finite_type,
-    tits_normal_form,
 )
 from endscope.cayley import CoxeterOracle, build_ball
-from endscope.errors import MemoryCapExceededError, OrbitBudgetExceededError
+from endscope.errors import MemoryCapExceededError
 from endscope.graphs import LabeledGraph, induced_subgraph
 
 
@@ -77,6 +78,36 @@ def test_affine_triangle_is_infinite():
     assert exhausted_ball(tri) is None
 
 
+def reference_dynkin_components(sys_):
+    """Connected components of the diagram in Dynkin convention, by a BFS
+    over its own adjacency: generators with m >= 3 (m = inf included) are
+    joined, commuting pairs (m = 2) are not."""
+    verts = list(sys_.generators)
+    adj = {v: [] for v in verts}
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            if sys_.m(u, v) >= 3:
+                adj[u].append(v)
+                adj[v].append(u)
+    comps = []
+    seen = set()
+    for v in verts:
+        if v in seen:
+            continue
+        comp = {v}
+        seen.add(v)
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(tuple(x for x in verts if x in comp))
+    return comps
+
+
 def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
     # independent numeric oracle: finite type iff the cosine matrix
     # B[i][j] = -cos(pi / m_ij) (with m_ii = 1) is positive definite
@@ -100,7 +131,9 @@ def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
                     m = g.label(i, j)
                     B[i][j] = -math.cos(math.pi / m) if m else -1.0
         positive_definite = bool(numpy.all(numpy.linalg.eigvalsh(B) > 1e-9))
-        assert is_finite_type(sys_).is_finite == positive_definite, edges
+        report = is_finite_type(sys_)
+        assert report.is_finite == positive_definite, edges
+        assert [comp for comp, _ in report.component_types] == reference_dynkin_components(sys_)
 
 
 def test_finite_type_agrees_with_enumeration():
@@ -227,6 +260,70 @@ def test_artin_one_ended():
     # disconnected: free product of infinite groups
     split = artin_one_ended(LabeledGraph.build("ab"))
     assert not split.one_ended and split.ends == EndCount.INFINITE
+
+
+class OrbitBudgetExceededError(Exception):
+    pass
+
+
+def braid_orbit(word, sys_, budget):
+    """All words reachable from `word` by braid moves (bounded BFS)."""
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        w = queue.popleft()
+        n = len(w)
+        for i in range(n - 1):
+            s, t = w[i], w[i + 1]
+            if s == t:
+                continue
+            m = sys_.m(s, t)
+            if m == math.inf or i + m > n:
+                continue
+            m = int(m)
+            expected = tuple(s if k % 2 == 0 else t for k in range(m))
+            if w[i:i + m] != expected:
+                continue
+            flipped = tuple(t if k % 2 == 0 else s for k in range(m))
+            u = w[:i] + flipped + w[i + m:]
+            if u not in seen:
+                if len(seen) >= budget:
+                    raise OrbitBudgetExceededError(budget)
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
+def tits_normal_form(word, sys_, budget=200_000):
+    """ShortLex-least reduced word for the element `word` represents.
+
+    Repeatedly searches the braid orbit for a square ss, deletes it, and
+    restarts; when no orbit word contains a square the word is reduced and
+    the lexicographically least orbit member (in generator order) is the
+    canonical form (Tits 1969).  Each orbit search may visit at most
+    `budget` words, and exceeding it is an error, not a wrong answer.
+    """
+    gens = sys_.generators
+    index = {g: i for i, g in enumerate(gens)}
+    for letter in word:
+        if letter not in index:
+            raise KeyError(f"unknown generator {letter!r}")
+    w = tuple(word)
+    while True:
+        orbit = braid_orbit(w, sys_, budget)
+        shorter = None
+        for u in orbit:
+            for i in range(len(u) - 1):
+                if u[i] == u[i + 1]:
+                    shorter = u[:i] + u[i + 2:]
+                    break
+            if shorter is not None:
+                break
+        if shorter is None:
+            if not orbit:
+                return ()
+            return min(orbit, key=lambda u: [index[c] for c in u])
+        w = shorter
 
 
 def test_tits_normal_form_basics():

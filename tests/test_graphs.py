@@ -35,6 +35,8 @@ def test_build_and_accessors():
     assert g.label("a", "c") is None
     assert g.neighbors("b") == ("a", "c")
     assert g.degree("b") == 2
+    with pytest.raises(UnknownVertexError):
+        g.neighbors("z")
     assert not g.is_complete()
     assert g.sorted_edges() == [("a", "b", 3), ("b", "c", 2)]
 
@@ -228,6 +230,8 @@ def test_cut_vertices_match_the_reference_on_every_small_graph():
     assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
     for g in graphs:
         assert g.cut_vertices() == reference_cut_vertices(g)
+        for v in g.vertices:  # the adjacency index, against the edge set
+            assert g.neighbors(v) == tuple(u for u in g.vertices if u != v and g.has_edge(u, v))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level function and class is used somewhere in the package."""
+"""Every name a module of the package imports is used in that module, every
+module-level function and class is used somewhere in the package, and every
+name the package exports is reached by its code or documented."""
 
 import ast
 import pathlib
+import re
 
 import endscope
 
 PACKAGE = pathlib.Path(endscope.__file__).parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def unused_imports(source):
@@ -80,3 +83,32 @@ def test_no_dead_definitions_in_package():
         if dead:
             found[name] = dead
     assert found == {}
+
+
+def library_block(readme):
+    """Identifiers in the README's Library code block, comments left out."""
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    return set(re.findall(r"\w+", re.sub(r"#.*", "", block)))
+
+
+def exported_names(source):
+    return [alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_library_block_reader():
+    readme = "# x\n## Library\n\n```python\nfrom endscope import (\n    a, b_c,  # d\n)\n```\ne\n"
+    assert library_block(readme) == {"from", "endscope", "import", "a", "b_c"}
+    assert exported_names("from .m import (A, b as c)\n") == ["A", "c"]
+
+
+def test_every_export_is_reached_or_documented():
+    """A name `__init__` exports is read by a package module other than
+    `__init__`, or the README's Library block names it: no public name only
+    tests reach."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(referenced_names(text) for name, text in sources.items()
+                         if name != "__init__.py"))
+    documented = library_block(README.read_text(encoding="utf-8"))
+    exports = exported_names(sources["__init__.py"])
+    assert [name for name in exports if name not in used | documented] == []
