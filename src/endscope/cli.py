@@ -24,12 +24,11 @@ from .errors import (
 from .inference import explain, infer
 from .model import Artin, Coxeter, GraphProduct, parse_document
 from .report import (
-    SCHEMA_VERSION,
     analysis_report,
     contradiction_report,
     coxeter_section,
+    envelope,
     graph_product_section,
-    input_digest,
     render_dot,
 )
 from .towers import lim1_report, ml_check_window, ml_decide_constant, parse_tower
@@ -72,12 +71,7 @@ def cmd_coxeter(args):
     registry = parse_document(text)
     expr = _find_group(registry, args.group, Coxeter)
     ends = coxeter_ends(CoxeterSystem(expr.diagram))
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "inputDigest": input_digest(text),
-        "sections": [coxeter_section(args.group, expr, ends)],
-        "warnings": [],
-    })
+    _emit(envelope(text, [coxeter_section(args.group, expr, ends)]))
     return EXIT_OK
 
 
@@ -86,20 +80,8 @@ def cmd_graph_product(args):
     registry = parse_document(text)
     expr = _find_group(registry, args.group, GraphProduct)
     facts = infer(registry)
-    section = graph_product_section(args.group, expr, registry, facts)
-    warnings = []
-    if section["semistability"] == "unknown":
-        warnings.append({
-            "kind": "undetermined_semistability",
-            "group": args.group,
-            "detail": "vertex profiles leave the criterion undecided",
-        })
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "inputDigest": input_digest(text),
-        "sections": [section],
-        "warnings": warnings,
-    })
+    section, warnings = graph_product_section(args.group, expr, registry, facts)
+    _emit(envelope(text, [section], warnings))
     return EXIT_OK
 
 
@@ -127,12 +109,7 @@ def cmd_cayley(args):
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(render_dot(ball))
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "inputDigest": input_digest(args.oracle),
-        "sections": sections,
-        "warnings": warnings,
-    })
+    _emit(envelope(args.oracle, sections, warnings))
     return EXIT_OK
 
 
@@ -146,22 +123,17 @@ def cmd_tower(args):
         n = len(tower.bondings)
         _, verdict = ml_check_window(tower, 1, n)
         window = n
-    lim1 = lim1_report(verdict)
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "inputDigest": input_digest(text),
-        "sections": [{
-            "type": "tower",
-            "constant": tower.constant,
-            "window": window,
-            "verdict": verdict.as_dict(),
-            "lim1": lim1,
-        }],
-        "warnings": [] if tower.constant else [{
-            "kind": "finite_window",
-            "detail": "explicit towers are judged on a finite window only",
-        }],
-    })
+    section = {
+        "type": "tower",
+        "constant": tower.constant,
+        "window": window,
+        "verdict": verdict.as_dict(),
+        "lim1": lim1_report(verdict),
+    }
+    _emit(envelope(text, [section], [] if tower.constant else [{
+        "kind": "finite_window",
+        "detail": "explicit towers are judged on a finite window only",
+    }]))
     return EXIT_OK
 
 

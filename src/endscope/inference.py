@@ -26,7 +26,6 @@ from .graph_products import (
 from .model import (
     Amalgam,
     Artin,
-    AttributeAssertion,
     CommensuratedPair,
     Coxeter,
     DirectProduct,
@@ -828,29 +827,17 @@ def _saturate(registry, facts):
 
 def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
     """Least fixpoint of the rule table over asserted, database and structural
-    facts.  Raises ContradictionError when both polarities of a fact appear.
-    The decider results the rules used are kept in the result's `decided`."""
+    facts and the certificates `extra_facts`.  Raises ContradictionError when
+    both polarities of a fact appear.  The decider results the rules used are
+    kept in the result's `decided`."""
     facts = FactSet()
     for cert in structural_facts(registry):
         facts.add(cert)
-    for name, assertions in registry.assertions.items():
+    for assertions in registry.assertions.values():
         for a in assertions:
-            facts.add(
-                Certificate(
-                    a.target, a.atom, a.holds,
-                    provenance=f"{a.source} assertion",
-                )
-            )
-    for a in extra_facts:
-        if isinstance(a, AttributeAssertion):
-            facts.add(
-                Certificate(
-                    a.target, a.atom, a.holds,
-                    provenance=f"{a.source} assertion",
-                )
-            )
-        else:
-            facts.add(a)
+            facts.add(Certificate(a.target, a.atom, a.holds, provenance=f"{a.source} assertion"))
+    for cert in extra_facts:
+        facts.add(cert)
     _saturate(registry, facts)
     return facts
 

@@ -21,7 +21,7 @@ The text format is line-oriented with ``#`` comments:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .atoms import PropertyAtom, atom_from_name
 from .errors import (
@@ -124,10 +124,30 @@ class CommensuratedPair:
     infinite_index: bool = False
 
 
-GroupExpr = (
-    Known, Finite, FreeAbelian, Free, Coxeter, Artin, GraphProduct,
-    Amalgam, HNN, Extension, DirectProduct, CommensuratedPair,
-)
+# --- Constructor table -----------------------------------------------------
+
+_CONSTRUCTORS = {
+    "known": Known, "finite": Finite, "free_abelian": FreeAbelian, "free": Free,
+    "coxeter": Coxeter, "artin": Artin, "graph_product": GraphProduct,
+    "amalgam": Amalgam, "hnn": HNN, "extension": Extension,
+    "direct_product": DirectProduct, "commensurated_pair": CommensuratedPair,
+}
+_KEYWORDS = {cls: keyword for keyword, cls in _CONSTRUCTORS.items()}
+GroupExpr = tuple(_CONSTRUCTORS.values())
+
+
+def _fields_of(cls, *types):
+    """Fields of `cls` whose annotation (a string, by the future import) is in `types`."""
+    return tuple(f.name for f in fields(cls) if f.type in types)
+
+
+# Between a constructor's parentheses go its str fields (group names, save
+# `known`'s catalog name) or its one int field (an order or a rank); its bool
+# fields follow as flags.  Diagrams and `direct_product` have their own syntax.
+_ARGS = {cls: _fields_of(cls, "str", "int") for cls in GroupExpr}
+_INTEGER = {cls: name for cls in GroupExpr for name in _fields_of(cls, "int")}
+_FLAG_FIELDS = {cls: _fields_of(cls, "bool") for cls in GroupExpr}
+_REFERENCES = {cls: () if cls is Known else _fields_of(cls, "str") for cls in GroupExpr}
 
 
 @dataclass(frozen=True)
@@ -142,17 +162,9 @@ def expr_references(expr):
     """Names of other registry entries this expression refers to."""
     if isinstance(expr, GraphProduct):
         return tuple(ref for _, ref in expr.vertex_groups)
-    if isinstance(expr, Amalgam):
-        return (expr.a, expr.b, expr.c)
-    if isinstance(expr, HNN):
-        return (expr.base, expr.assoc)
-    if isinstance(expr, Extension):
-        return (expr.kernel, expr.quotient)
     if isinstance(expr, DirectProduct):
         return expr.factors
-    if isinstance(expr, CommensuratedPair):
-        return (expr.ambient, expr.subgroup)
-    return ()
+    return tuple(getattr(expr, name) for name in _REFERENCES.get(type(expr), ()))
 
 
 @dataclass
@@ -206,10 +218,6 @@ class GroupRegistry:
 # --- Parser ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[(){};:,=]|[^\s(){};:,=]+")
-
-_AMALGAM_FLAGS = ("edge_finite", "c_index_finite_in_both", "reduced")
-_HNN_FLAGS = ("ascending", "finite_index_image")
-_CP_FLAGS = ("infinite_index",)
 
 
 class _Tokens:
@@ -331,59 +339,24 @@ def parse_document(text: str) -> GroupRegistry:
             name, _, _ = tokens.next()
             tokens.next("=")
             ctor, cl, cc = tokens.next()
-            if ctor == "coxeter":
-                expr = Coxeter(_parse_diagram(tokens, "coxeter"))
-            elif ctor == "artin":
-                expr = Artin(_parse_diagram(tokens, "artin"))
-            elif ctor == "graph_product":
-                graph, vgs = _parse_diagram(tokens, "graph_product")
-                expr = GraphProduct(graph, vgs)
-            elif ctor == "amalgam":
-                a, b, c = _parse_refs(tokens, 3)
-                flags = _parse_flags(tokens, _AMALGAM_FLAGS)
-                expr = Amalgam(
-                    a, b, c,
-                    edge_finite="edge_finite" in flags,
-                    c_index_finite_in_both="c_index_finite_in_both" in flags,
-                    reduced="reduced" in flags,
-                )
-            elif ctor == "hnn":
-                base, assoc = _parse_refs(tokens, 2)
-                flags = _parse_flags(tokens, _HNN_FLAGS)
-                expr = HNN(
-                    base, assoc,
-                    ascending="ascending" in flags,
-                    finite_index_image="finite_index_image" in flags,
-                )
-            elif ctor == "extension":
-                k, q = _parse_refs(tokens, 2)
-                expr = Extension(k, q)
-            elif ctor == "direct_product":
-                expr = DirectProduct(tuple(_parse_refs(tokens)))
-            elif ctor == "commensurated_pair":
-                g, q = _parse_refs(tokens, 2)
-                flags = _parse_flags(tokens, _CP_FLAGS)
-                expr = CommensuratedPair(g, q, infinite_index="infinite_index" in flags)
-            elif ctor == "known":
-                (catalog,) = _parse_refs(tokens, 1)
-                expr = Known(catalog)
-            elif ctor == "finite":
-                tokens.next("(")
-                order = _parse_int(tokens, "order")
-                tokens.next(")")
-                expr = Finite(order)
-            elif ctor == "free":
-                tokens.next("(")
-                rank = _parse_int(tokens, "rank")
-                tokens.next(")")
-                expr = Free(rank)
-            elif ctor == "free_abelian":
-                tokens.next("(")
-                rank = _parse_int(tokens, "rank")
-                tokens.next(")")
-                expr = FreeAbelian(rank)
-            else:
+            cls = _CONSTRUCTORS.get(ctor)
+            if cls is None:
                 raise ParseError(f"unknown constructor {ctor!r}", cl, cc)
+            if cls is Coxeter or cls is Artin:
+                expr = cls(_parse_diagram(tokens, ctor))
+            elif cls is GraphProduct:
+                expr = cls(*_parse_diagram(tokens, ctor))
+            elif cls is DirectProduct:
+                expr = cls(tuple(_parse_refs(tokens)))
+            elif cls in _INTEGER:
+                tokens.next("(")
+                value = _parse_int(tokens, _INTEGER[cls])
+                tokens.next(")")
+                expr = cls(value)
+            else:
+                args = _parse_refs(tokens, len(_ARGS[cls]))
+                flags = _parse_flags(tokens, _FLAG_FIELDS[cls])
+                expr = cls(*args, **dict.fromkeys(flags, True))
             reg.add(name, expr)
         elif kw == "assert":
             target, _, _ = tokens.next()
@@ -418,34 +391,20 @@ def _diagram_text(graph: LabeledGraph, vertex_groups=None, labeled=True):
 
 
 def serialize_expr(expr) -> str:
-    if isinstance(expr, Coxeter):
-        return "coxeter " + _diagram_text(expr.diagram)
-    if isinstance(expr, Artin):
-        return "artin " + _diagram_text(expr.diagram)
-    if isinstance(expr, GraphProduct):
-        return "graph_product " + _diagram_text(expr.graph, expr.vertex_groups, labeled=False)
-    if isinstance(expr, Amalgam):
-        flags = [f for f in _AMALGAM_FLAGS if getattr(expr, f)]
-        return f"amalgam({expr.a}, {expr.b}, {expr.c})" + "".join(" " + f for f in flags)
-    if isinstance(expr, HNN):
-        flags = [f for f in _HNN_FLAGS if getattr(expr, f)]
-        return f"hnn({expr.base}, {expr.assoc})" + "".join(" " + f for f in flags)
-    if isinstance(expr, Extension):
-        return f"extension({expr.kernel}, {expr.quotient})"
-    if isinstance(expr, DirectProduct):
-        return "direct_product(" + ", ".join(expr.factors) + ")"
-    if isinstance(expr, CommensuratedPair):
-        suffix = " infinite_index" if expr.infinite_index else ""
-        return f"commensurated_pair({expr.ambient}, {expr.subgroup})" + suffix
-    if isinstance(expr, Known):
-        return f"known({expr.name})"
-    if isinstance(expr, Finite):
-        return f"finite({expr.order})"
-    if isinstance(expr, Free):
-        return f"free({expr.rank})"
-    if isinstance(expr, FreeAbelian):
-        return f"free_abelian({expr.rank})"
-    raise TypeError(f"unknown expression {expr!r}")
+    cls = type(expr)
+    keyword = _KEYWORDS.get(cls)
+    if keyword is None:
+        raise TypeError(f"unknown expression {expr!r}")
+    if cls is GraphProduct:
+        return f"{keyword} " + _diagram_text(expr.graph, expr.vertex_groups, labeled=False)
+    if cls is Coxeter or cls is Artin:
+        return f"{keyword} " + _diagram_text(expr.diagram)
+    args = expr.factors if cls is DirectProduct else [str(getattr(expr, a)) for a in _ARGS[cls]]
+    text = f"{keyword}({', '.join(args)})"
+    for flag in _FLAG_FIELDS[cls]:
+        if getattr(expr, flag):
+            text += " " + flag
+    return text
 
 
 def serialize_document(reg: GroupRegistry) -> str:

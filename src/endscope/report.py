@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-from .atoms import EndCount, PropertyAtom
 from .cayley import BallGraph
 from .coxeter import CoxeterSystem, is_finite_type
 from .graphs import LabeledGraph
@@ -22,28 +21,21 @@ SCHEMA_VERSION = 1
 CERTIFICATE_SCHEMA_VERSION = 2
 
 
-def input_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def jsonable(value):
-    """Recursively convert report values into JSON-friendly primitives."""
-    if isinstance(value, (EndCount, PropertyAtom)):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=str)
-        return [jsonable(v) for v in items]
-    return value
+def envelope(text, sections, warnings=(), schema=SCHEMA_VERSION):
+    """A report on the input `text`: its sections and warnings, under the
+    schema version and the SHA-256 digest of the input."""
+    return {
+        "schemaVersion": schema,
+        "inputDigest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "sections": list(sections),
+        "warnings": list(warnings),
+    }
 
 
 def coxeter_section(name, expr, report):
     """Finite type of a Coxeter group and its end count `report`."""
     ft = is_finite_type(CoxeterSystem(expr.diagram))
-    return jsonable({
+    return {
         "type": "coxeter",
         "group": name,
         "finite_type": {
@@ -52,28 +44,28 @@ def coxeter_section(name, expr, report):
                 {"vertices": comp, "family": fam} for comp, fam in ft.component_types
             ],
         },
-        "ends": report.ends,
+        "ends": str(report.ends),
         "witness": report.witness,
-    })
+    }
 
 
 def artin_section(name, report):
-    return jsonable({
+    return {
         "type": "artin",
         "group": name,
         "one_ended": report.one_ended,
-        "ends": report.ends,
-    })
+        "ends": None if report.ends is None else str(report.ends),
+    }
 
 
 def graph_product_section(name, expr, registry, facts):
     """Ends and semistability of a graph product, from the decider results
-    that inference recorded in `facts`."""
+    that inference recorded in `facts`, and the warnings they raise."""
     spec, _, complete = graph_product_spec(registry, facts, expr)
     section = {"type": "graph_product", "group": name}
     if complete:
         ends = facts.decided.graph_product_ends(name, spec)
-        section["ends"] = ends.ends
+        section["ends"] = str(ends.ends)
         section["ends_witness"] = ends.witness
     else:
         section["ends"] = None
@@ -85,7 +77,14 @@ def graph_product_section(name, expr, registry, facts):
     else:
         section["semistability"] = "unknown"
         section["semistability_witness"] = {"kind": "disconnected_graph"}
-    return jsonable(section)
+    warnings = []
+    if section["semistability"] == "unknown":
+        warnings.append({
+            "kind": "undetermined_semistability",
+            "group": name,
+            "detail": "vertex profiles leave the criterion undecided",
+        })
+    return section, warnings
 
 
 def certificate_dag(roots):
@@ -164,21 +163,11 @@ def analysis_report(registry: GroupRegistry, text: str):
         elif isinstance(expr, Artin) and expr.diagram.vertices:
             sections.append(artin_section(name, facts.decided.artin_ends(name, expr)))
         elif isinstance(expr, GraphProduct) and expr.graph.vertices:
-            section = graph_product_section(name, expr, registry, facts)
+            section, raised = graph_product_section(name, expr, registry, facts)
             sections.append(section)
-            if section["semistability"] == "unknown":
-                warnings.append({
-                    "kind": "undetermined_semistability",
-                    "group": name,
-                    "detail": "vertex profiles leave the criterion undecided",
-                })
+            warnings += raised
     sections.append(facts_section(facts))
-    return {
-        "schemaVersion": CERTIFICATE_SCHEMA_VERSION,
-        "inputDigest": input_digest(text),
-        "sections": sections,
-        "warnings": warnings,
-    }
+    return envelope(text, sections, warnings, schema=CERTIFICATE_SCHEMA_VERSION)
 
 
 # --- DOT export ---------------------------------------------------------------

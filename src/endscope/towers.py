@@ -146,12 +146,6 @@ class AbelianTower:
 
 
 @dataclass(frozen=True)
-class ImageChain:
-    base: int  # index m
-    lattices: tuple  # HNF bases of image(G_k -> G_m) for k = m .. m+N
-
-
-@dataclass(frozen=True)
 class MLVerdict:
     kind: str  # "semistable" | "strictly_descending" | "inconclusive"
     stabilization_index: int | None = None  # phi(m) for semistable
@@ -171,7 +165,8 @@ MIN_CONFIRMING_STEPS = 3
 
 
 def ml_check_window(tower: AbelianTower, m: int, N: int):
-    """Image chain L_m >= L_{m+1} >= ... >= L_{m+N} inside G_m and a verdict.
+    """Image chain L_m >= L_{m+1} >= ... >= L_{m+N} inside G_m, as a tuple of
+    HNF bases of image(G_k -> G_m) for k = m .. m+N, and a verdict.
 
     Semistable needs the chain eventually constant with at least
     MIN_CONFIRMING_STEPS confirming steps; strictly descending means every
@@ -185,22 +180,22 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
     for k in range(m, m + N):
         composite = mat_product(composite, tower.bonding(k))
         lattices.append(hermite_normal_form(composite))
-    chain = ImageChain(m, tuple(lattices))
+    lattices = tuple(lattices)
     # sanity: the chain must be descending
     for a, b in zip(lattices, lattices[1:]):
         assert lattice_includes(a, b)
 
     equal_next = [lattices[i] == lattices[i + 1] for i in range(len(lattices) - 1)]
     if not any(equal_next):
-        return chain, MLVerdict("strictly_descending", first_witness=m, window=N)
+        return lattices, MLVerdict("strictly_descending", first_witness=m, window=N)
     # smallest j with L_j = L_{j+1} = ... = L_{m+N}
     j = len(equal_next)
     while j > 0 and equal_next[j - 1]:
         j -= 1
     confirming = len(equal_next) - j
     if confirming >= MIN_CONFIRMING_STEPS:
-        return chain, MLVerdict("semistable", stabilization_index=m + j, window=N)
-    return chain, MLVerdict("inconclusive", window=N)
+        return lattices, MLVerdict("semistable", stabilization_index=m + j, window=N)
+    return lattices, MLVerdict("inconclusive", window=N)
 
 
 def ml_decide_constant(rank: int, matrix) -> MLVerdict:
@@ -225,8 +220,10 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
     return MLVerdict("strictly_descending", first_witness=k_star + 1)
 
 
-def lim1_report(verdict: MLVerdict, countable: bool = True):
-    """Triviality of the derived limit lim^1, with the citation attached."""
+def lim1_report(verdict: MLVerdict):
+    """Triviality of the derived limit lim^1, with the citation attached.
+    Every group of a tower of free abelian groups of finite rank is
+    countable, so a strictly descending chain makes lim^1 nontrivial."""
     citation = (
         "Theorem 11.3.2: if the inverse sequence is semistable then lim^1 is "
         "trivial; if lim^1 is trivial and each group is countable, the "
@@ -234,7 +231,7 @@ def lim1_report(verdict: MLVerdict, countable: bool = True):
     )
     if verdict.kind == "semistable":
         status = "trivial"
-    elif verdict.kind == "strictly_descending" and countable:
+    elif verdict.kind == "strictly_descending":
         status = "nontrivial"
     else:
         status = "undetermined"

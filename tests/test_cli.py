@@ -124,6 +124,12 @@ def test_negative_rank_is_input_error(capsys, spec):
     ("group W = coxeter { verts a b ; edge a a 3 ; }\n", "self-loop at 'a'"),
     ("group W = coxeter { verts a b ; edge a b 1 ; }\n",
      "edge label must be an integer >= 2, got 1"),
+    ("group F = finite(x)\n", "line 1, col 18: expected order, got 'x'"),
+    ("group F = finite(2, 3)\n", "line 1, col 19: expected ')', got ','"),
+    ("group K = known(a, b)\n", "line 1, col 21: expected 1 references, got 2"),
+    ("group A = amalgam(X, Y)\n", "line 1, col 23: expected 3 references, got 2"),
+    ("group H = hnn(X)\n", "line 1, col 16: expected 2 references, got 1"),
+    ("group W = wedge { }\n", "line 1, col 11: unknown constructor 'wedge'"),
 ])
 def test_malformed_description_names_its_fault(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ggt"

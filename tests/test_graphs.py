@@ -217,12 +217,33 @@ def test_is_flag():
 
 
 def reference_cut_vertices(g):
-    """The vertices whose removal adds a component: one search per vertex."""
-    if len(g.vertices) <= 2:
-        return ()
-    base = len(g.components())
-    return tuple(v for v in g.vertices
-                 if len(induced_subgraph(g, [u for u in g.vertices if u != v]).components()) > base)
+    """The vertices whose removal adds a component: one breadth-first search
+    over bitmasks of the edge set per deleted vertex."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [0] * len(index)
+    for u, v in g.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+
+    def count(alive):  # components of the subgraph induced on `alive`
+        k = 0
+        while alive:
+            seen = frontier = alive & -alive
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & alive & ~seen
+                seen |= frontier
+            alive &= ~seen
+            k += 1
+        return k
+
+    full = (1 << len(index)) - 1
+    base = count(full)
+    return tuple(v for v, i in index.items() if count(full & ~(1 << i)) > base)
 
 
 def test_cut_vertices_match_the_reference_on_every_small_graph():

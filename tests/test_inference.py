@@ -136,7 +136,7 @@ def test_inference_is_idempotent_and_deterministic():
 def test_inference_monotone_in_extra_facts():
     reg = parse_document(AMALGAM_DOC)
     base = set(infer(reg).facts())
-    extra = AttributeAssertion("Lambda", A.FG, True, source="user")
+    extra = Certificate("Lambda", A.FG, True, provenance="user assertion")
     bigger = set(infer(reg, extra_facts=(extra,)).facts())
     assert base <= bigger
 

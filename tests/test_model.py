@@ -14,6 +14,7 @@ from endscope.model import (
     Coxeter,
     Finite,
     GraphProduct,
+    GroupExpr,
     parse_document,
     serialize_document,
 )
@@ -89,13 +90,26 @@ def test_serialize_round_trip():
     text = (
         "group F = finite(2)\n"
         "group Z = free_abelian(1)\n"
+        "group Fr = free(2)\n"
+        "group K = known(thompson_F)\n"
         "group W = coxeter { verts a b c ; edge a b 3 ; edge b c 2 ; }\n"
+        "group A = artin { verts x y ; edge x y 3 ; }\n"
         "group GP = graph_product { verts p:F q:Z ; edge p q ; }\n"
         "group Am = amalgam(Z, Z, Z) edge_finite reduced\n"
+        "group Am2 = amalgam(Fr, Fr, Z) c_index_finite_in_both\n"
+        "group H = hnn(Fr, Z) ascending finite_index_image\n"
+        "group H2 = hnn(Fr, Z)\n"
+        "group E = extension(Z, Fr)\n"
+        "group D = direct_product(Z, Fr, F)\n"
+        "group CP = commensurated_pair(Fr, Z) infinite_index\n"
         "assert W : fp\n"
         "assert Z : not finite\n"
     )
     reg = parse_document(text)
+    assert {type(expr) for expr in reg.groups.values()} == set(GroupExpr)
+    flags = {name for expr in reg.groups.values() for name, on in vars(expr).items() if on is True}
+    assert flags == {"edge_finite", "c_index_finite_in_both", "reduced",
+                     "ascending", "finite_index_image", "infinite_index"}
     out = serialize_document(reg)
     reg2 = parse_document(out)
     assert reg == reg2

@@ -104,7 +104,7 @@ def test_explicit_window_identity_tower():
     )
     chain, verdict = ml_check_window(tower, 1, 5)
     assert verdict.kind == "semistable"
-    assert all(l == chain.lattices[0] for l in chain.lattices)
+    assert all(l == chain[0] for l in chain)
 
 
 def test_explicit_window_descending_tower():
@@ -112,7 +112,7 @@ def test_explicit_window_descending_tower():
     tower = AbelianTower.explicit((1,) * 6, bonds)
     chain, verdict = ml_check_window(tower, 1, 5)
     assert verdict.kind == "strictly_descending"
-    for a, b in zip(chain.lattices, chain.lattices[1:]):
+    for a, b in zip(chain, chain[1:]):
         assert lattice_includes(a, b) and a != b
 
 
@@ -126,7 +126,7 @@ def test_image_chain_is_always_descending():
         )
         tower = AbelianTower.explicit((n,) * 7, bonds)
         chain, _ = ml_check_window(tower, 1, 6)
-        for a, b in zip(chain.lattices, chain.lattices[1:]):
+        for a, b in zip(chain, chain[1:]):
             assert lattice_includes(a, b)
 
 
