@@ -50,6 +50,14 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0)
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EndscopeError(f"cannot write {path}: {exc.strerror}")
+
+
 def _find_group(registry, name, kind=None):
     if name not in registry.groups:
         raise ParseError(f"group {name!r} not declared", 0, 0)
@@ -107,8 +115,7 @@ def cmd_cayley(args):
                       " approximated by outer-sphere contact",
         })
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(render_dot(ball))
+        _write(args.dot, render_dot(ball))
     _emit(envelope(args.oracle, sections, warnings))
     return EXIT_OK
 

@@ -217,6 +217,7 @@ class GroupRegistry:
 
 # --- Parser ----------------------------------------------------------------
 
+_PUNCTUATION = frozenset("(){};:,=")  # the one-character tokens of _TOKEN_RE
 _TOKEN_RE = re.compile(r"[(){};:,=]|[^\s(){};:,=]+")
 
 
@@ -255,6 +256,14 @@ class _Tokens:
         raise ParseError(message, line, col)
 
 
+def _parse_name(tokens):
+    """A group name, a reference or a catalog name: any token but punctuation."""
+    tok, line, col = tokens.next()
+    if tok in _PUNCTUATION:
+        raise ParseError(f"expected a name, got {tok!r}", line, col)
+    return tok
+
+
 def _parse_int(tokens, what):
     tok, line, col = tokens.next(expected=None)
     try:
@@ -277,12 +286,11 @@ def _parse_diagram(tokens, labeled):
             tokens.next("verts")
             while tokens.peek() not in (";", None):
                 name, line, col = tokens.next()
-                if name in ("edge", "verts", "{", "}"):
+                if name in ("edge", "verts") or name in _PUNCTUATION:
                     raise ParseError(f"bad vertex name {name!r}", line, col)
                 if labeled == "graph_product":
                     tokens.next(":")
-                    ref, _, _ = tokens.next()
-                    vertex_groups.append((name, ref))
+                    vertex_groups.append((name, _parse_name(tokens)))
                 verts.append(name)
             tokens.next(";")
         elif tok == "edge":
@@ -309,15 +317,14 @@ def _parse_refs(tokens, count=None):
     tokens.next("(")
     refs = []
     while True:
-        tok, _, _ = tokens.next()
-        refs.append(tok)
+        refs.append(_parse_name(tokens))
         nxt, line, col = tokens.next()
         if nxt == ")":
             break
         if nxt != ",":
             raise ParseError(f"expected ',' or ')', got {nxt!r}", line, col)
     if count is not None and len(refs) != count:
-        tokens.error(f"expected {count} references, got {len(refs)}")
+        raise ParseError(f"expected {count} references, got {len(refs)}", line, col)
     return refs
 
 
@@ -336,7 +343,7 @@ def parse_document(text: str) -> GroupRegistry:
     while tokens.peek() is not None:
         kw, line, col = tokens.next()
         if kw == "group":
-            name, _, _ = tokens.next()
+            name = _parse_name(tokens)
             tokens.next("=")
             ctor, cl, cc = tokens.next()
             cls = _CONSTRUCTORS.get(ctor)
@@ -359,7 +366,7 @@ def parse_document(text: str) -> GroupRegistry:
                 expr = cls(*args, **dict.fromkeys(flags, True))
             reg.add(name, expr)
         elif kw == "assert":
-            target, _, _ = tokens.next()
+            target = _parse_name(tokens)
             tokens.next(":")
             tok, al, ac = tokens.next()
             holds = True

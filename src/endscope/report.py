@@ -183,21 +183,29 @@ def render_dot(graph) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(graph, BallGraph):
-        names, inverse = graph.generator_names, graph.inverse
-        row, target, label = graph.row, graph.target, graph.label
-        lines = ["graph ball {"]
-        lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(graph.distance)]
+        names = graph.generator_names
+        row, target, label, layer = graph.row, graph.target, graph.label, graph.layer
+        ids = [f"n{u}" for u in range(len(graph.distance))]
         # each edge {u, v} once per label, under its smaller end u, sorted by
-        # (v, label); v -> u carries the inverse label of u -> v
-        for u in range(len(graph.distance)):
-            ends = set()
-            for e in range(row[u], row[u + 1]):
-                v = target[e]
-                if v > u:
-                    g = label[e]
-                    ends.add((v, names[g]))
-                    ends.add((v, names[inverse[g]]))
-            lines += [f'  n{u} -- n{v} [label="{name}"];' for v, name in sorted(ends)]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        # (u, v, label); v -> u carries the inverse label of u -> v.  One
+        # generator leads from u to v (build_ball checks they are distinct),
+        # so sorting by (u, v, g) and writing g's labels in name order is
+        # that order.  first[g] and second[g] hold the label text of the
+        # names of g and its inverse; second[g] is None when they coincide.
+        pairs = [sorted({names[g], names[h]}) for g, h in enumerate(graph.inverse)]
+        first = [f' [label="{pair[0]}"];' for pair in pairs]
+        second = [f' [label="{pair[1]}"];' if len(pair) == 2 else None for pair in pairs]
+        lines = ["graph ball {"]
+        lines += [f'  {i} [label="d={d}"];' for i, d in zip(ids, graph.distance)]
+        # one sort per sphere, not per ball, bounds the triples held at once
+        for d in range(graph.radius + 1):
+            edges = sorted((u, v, label[e]) for u in range(layer[d], layer[d + 1])
+                           for e in range(row[u], row[u + 1]) if (v := target[e]) > u)
+            for u, v, g in edges:
+                head = f"  {ids[u]} -- {ids[v]}"
+                lines.append(head + first[g])
+                if second[g]:
+                    lines.append(head + second[g])
+        lines += ["}", ""]
+        return "\n".join(lines)
     raise TypeError(f"cannot render {type(graph).__name__} as DOT")

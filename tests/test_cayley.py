@@ -128,6 +128,28 @@ def reference_build_ball(oracle, radius, element_cap=2_000_000):
     )
 
 
+def reference_render_dot(ball):
+    """The DOT text of `ball`, one vertex at a time: a set of (v, name) pairs
+    per id u, sorted."""
+    names, inverse = ball.generator_names, ball.inverse
+    row, target, label = ball.row, ball.target, ball.label
+    lines = ["graph ball {"]
+    lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(ball.distance)]
+    # each edge {u, v} once per label, under its smaller end u, sorted by
+    # (v, label); v -> u carries the inverse label of u -> v
+    for u in range(len(ball.distance)):
+        ends = set()
+        for e in range(row[u], row[u + 1]):
+            v = target[e]
+            if v > u:
+                g = label[e]
+                ends.add((v, names[g]))
+                ends.add((v, names[inverse[g]]))
+        lines += [f'  n{u} -- n{v} [label="{name}"];' for v, name in sorted(ends)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def ball_fields(ball):
     """Every BallGraph field but `inverse`."""
     return {f.name: getattr(ball, f.name) for f in dataclasses.fields(ball) if f.name != "inverse"}
@@ -348,6 +370,37 @@ def test_coxeter_ball_dot_matches_pinned_digest(name):
     verts, edges, radius, digest = PINNED_COXETER_DOTS[name]
     dot = render_dot(build_ball(coxeter_oracle(verts, edges), radius))
     assert hashlib.sha256(dot.encode("utf-8")).hexdigest() == digest
+
+
+def test_render_dot_matches_the_reference():
+    cases = [(spec, 5) for spec in CAYLEY_GRID_SPECS]
+    cases += [("zmod:5", 6), ("freeprod:zmod:2xzmod:3", 6)]  # not bipartite
+    cases += [("prod:zmod:1xz:1", 4)]  # an identity generator
+    cases += [("zmod:40", 24)]  # exhausted
+    for spec, radius in cases:
+        ball = build_ball(oracle_from_spec(spec), radius)
+        assert render_dot(ball) == reference_render_dot(ball), spec
+    assert ball.exhausted  # zmod:40 at radius 24, the last case
+
+
+@st.composite
+def named_step_oracles(draw):
+    """A StepOracle on inverse-closed distinct steps of Z/m, 0 allowed, whose
+    generator names are shuffled, so a name can sort before or after its
+    inverse's."""
+    m = draw(st.integers(1, 12))
+    picked = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=4))
+    steps = sorted(picked | {-s % m for s in picked})
+    oracle = StepOracle(m, tuple(steps))
+    oracle.generators = tuple(draw(st.permutations(oracle.generators)))
+    return oracle
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(named_step_oracles(), st.integers(0, 5))
+def test_render_dot_matches_the_reference_on_shuffled_names(oracle, radius):
+    ball = build_ball(oracle, radius)
+    assert render_dot(ball) == reference_render_dot(ball)
 
 
 @st.composite

@@ -130,6 +130,14 @@ def test_negative_rank_is_input_error(capsys, spec):
     ("group A = amalgam(X, Y)\n", "line 1, col 23: expected 3 references, got 2"),
     ("group H = hnn(X)\n", "line 1, col 16: expected 2 references, got 1"),
     ("group W = wedge { }\n", "line 1, col 11: unknown constructor 'wedge'"),
+    ("group ( = free(1)\n", "line 1, col 7: expected a name, got '('"),
+    ("group X = known(=)\n", "line 1, col 17: expected a name, got '='"),
+    ("group D = direct_product()\n", "line 1, col 26: expected a name, got ')'"),
+    ("group P = graph_product { verts u:( ; }\n", "line 1, col 35: expected a name, got '('"),
+    ("assert ( : semistable\n", "line 1, col 8: expected a name, got '('"),
+    ("group W = coxeter { verts a , b ; }\n", "line 1, col 29: bad vertex name ','"),
+    ("group A = free(1)\ngroup C = amalgam(A, A)\ngroup D = free(1)\n",
+     "line 2, col 23: expected 3 references, got 2"),
 ])
 def test_malformed_description_names_its_fault(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ggt"
@@ -202,6 +210,20 @@ def test_cayley_subcommand_with_window_and_dot(tmp_path, capsys):
     assert any(w["kind"] == "heuristic_verdict" for w in payload["warnings"])
     text = dot_path.read_text()
     assert text.startswith("graph ball {") and "d=0" in text
+
+
+@pytest.mark.parametrize("where,reason", [
+    ("missing/ball.dot", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_cayley_unwritable_dot_is_input_error(tmp_path, capsys, where, reason):
+    dot_path = tmp_path / where
+    code, out, err = run_capture(
+        capsys, ["cayley", "--oracle", "z:1", "--radius", "3", "--dot", str(dot_path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {dot_path}: {reason}\n"
 
 
 def test_tower_subcommand_constant(capsys):
