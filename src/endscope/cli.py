@@ -15,12 +15,7 @@ import sys
 from .atoms import atom_from_name
 from .cayley import DEFAULT_ELEMENT_CAP, build_ball, estimate_ends, oracle_from_spec
 from .coxeter import CoxeterSystem, coxeter_ends
-from .errors import (
-    ContradictionError,
-    EndscopeError,
-    MemoryCapExceededError,
-    ParseError,
-)
+from .errors import ContradictionError, EndscopeError, MemoryCapExceededError
 from .inference import explain, infer
 from .model import Artin, Coxeter, GraphProduct, parse_document
 from .report import (
@@ -47,7 +42,7 @@ def _read(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0)
+        raise EndscopeError(f"cannot read {path}: {exc.strerror}")
 
 
 def _write(path, text):
@@ -60,10 +55,10 @@ def _write(path, text):
 
 def _find_group(registry, name, kind=None):
     if name not in registry.groups:
-        raise ParseError(f"group {name!r} not declared", 0, 0)
+        raise EndscopeError(f"group {name!r} not declared")
     expr = registry.groups[name]
     if kind is not None and not isinstance(expr, kind):
-        raise ParseError(f"group {name!r} is not a {kind.__name__} description", 0, 0)
+        raise EndscopeError(f"group {name!r} is not a {kind.__name__} description")
     return expr
 
 
@@ -79,7 +74,7 @@ def cmd_coxeter(args):
     registry = parse_document(text)
     expr = _find_group(registry, args.group, Coxeter)
     ends = coxeter_ends(CoxeterSystem(expr.diagram))
-    _emit(envelope(text, [coxeter_section(args.group, expr, ends)]))
+    _emit(envelope(text, [coxeter_section(args.group, ends)]))
     return EXIT_OK
 
 
@@ -150,7 +145,7 @@ def cmd_explain(args):
     try:
         atom = atom_from_name(args.atom)
     except KeyError:
-        raise ParseError(f"unknown property atom {args.atom!r}", 0, 0)
+        raise EndscopeError(f"unknown property atom {args.atom!r}")
     facts = infer(registry)
     sys.stdout.write(explain(facts, args.group, atom, holds=not args.negated) + "\n")
     return EXIT_OK
@@ -165,7 +160,7 @@ def cmd_dot(args):
     elif isinstance(expr, GraphProduct):
         sys.stdout.write(render_dot(expr.graph))
     else:
-        raise ParseError(f"group {args.group!r} has no diagram", 0, 0)
+        raise EndscopeError(f"group {args.group!r} has no diagram")
     return EXIT_OK
 
 

@@ -155,6 +155,7 @@ def is_finite_type(sys: CoxeterSystem) -> FiniteTypeReport:
 class CoxeterEndsReport:
     ends: EndCount
     witness: dict
+    finite_type: FiniteTypeReport  # of the whole diagram, read by the end count
 
 
 def coxeter_ends(sys: CoxeterSystem) -> CoxeterEndsReport:
@@ -169,7 +170,7 @@ def coxeter_ends(sys: CoxeterSystem) -> CoxeterEndsReport:
     report = is_finite_type(sys)
     if report.is_finite:
         return CoxeterEndsReport(
-            EndCount.ZERO, {"kind": "finite_type", "components": report.component_types}
+            EndCount.ZERO, {"kind": "finite_type", "components": report.component_types}, report
         )
 
     def admissible(vs):
@@ -177,16 +178,17 @@ def coxeter_ends(sys: CoxeterSystem) -> CoxeterEndsReport:
 
     separators = enumerate_clique_separators(diagram, admissible)
     if not separators:
-        return CoxeterEndsReport(EndCount.ONE, {"kind": "no_admissible_separator"})
+        return CoxeterEndsReport(EndCount.ONE, {"kind": "no_admissible_separator"}, report)
 
     two = _match_two_ended(sys)
     if two is not None:
         lambda0, pair = two
         return CoxeterEndsReport(
-            EndCount.TWO, {"kind": "two_ended_decomposition", "lambda0": lambda0, "pair": pair}
+            EndCount.TWO, {"kind": "two_ended_decomposition", "lambda0": lambda0, "pair": pair},
+            report,
         )
     return CoxeterEndsReport(
-        EndCount.INFINITE, {"kind": "separator", "separator": separators[0]}
+        EndCount.INFINITE, {"kind": "separator", "separator": separators[0]}, report
     )
 
 

@@ -835,7 +835,7 @@ def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
         facts.add(cert)
     for assertions in registry.assertions.values():
         for a in assertions:
-            facts.add(Certificate(a.target, a.atom, a.holds, provenance=f"{a.source} assertion"))
+            facts.add(Certificate(a.target, a.atom, a.holds, provenance="user assertion"))
     for cert in extra_facts:
         facts.add(cert)
     _saturate(registry, facts)
@@ -843,47 +843,38 @@ def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
 
 
 def explain(facts: FactSet, group, atom, holds=True) -> str:
-    """Textual derivation tree for one derived fact."""
+    """Textual derivation tree for one derived fact, each fact in full where
+    it first appears and by its head line and `[see above]` after that."""
     cert = facts.get(group, atom, holds)
     if cert is None:
         raise FactNotDerivedError(group, atom)
-    lines = []
-
-    def render(c, depth):
+    lines, seen = [], set()
+    stack = [(cert, "")]
+    while stack:
+        c, indent = stack.pop()
         pol = "" if c.holds else "not "
-        head = f"{'  ' * depth}{c.group} : {pol}{c.atom.value}"
-        if c.is_leaf():
+        head = f"{indent}{c.group} : {pol}{c.atom.value}"
+        if c.fact() in seen:
+            lines.append(f"{head}  [see above]")
+        elif c.is_leaf():
             lines.append(f"{head}  [{c.provenance}]")
         else:
             lines.append(f"{head}  [rule {c.rule}, theorem {c.tag}]")
-            lines.append(f"{'  ' * depth}  quote: {c.quote}")
+            lines.append(f"{indent}  quote: {c.quote}")
             if c.provenance:
-                lines.append(f"{'  ' * depth}  note: {c.provenance}")
-            for child in c.children:
-                render(child, depth + 1)
-
-    render(cert, 0)
+                lines.append(f"{indent}  note: {c.provenance}")
+            stack.extend((child, indent + "  ") for child in reversed(c.children))
+        seen.add(c.fact())
     return "\n".join(lines)
 
 
-def certificate_leaves(cert: Certificate):
-    """All leaf certificates under a derivation tree."""
-    if cert.is_leaf():
-        return [cert]
-    out = []
-    for child in cert.children:
-        out += certificate_leaves(child)
-    return out
-
-
 def replay(registry: GroupRegistry, facts: FactSet) -> bool:
-    """Re-derive the fact set from the leaf assertions of its certificates.
+    """Re-derive the fact set from its leaf certificates: the assertions,
+    database and structural facts.  Each node of the set's certificates is the
+    certificate stored for its fact, so these are all their leaves.
 
     Returns True when the replayed fixpoint equals the original fact set.
     """
-    leaves = {}
-    for cert in facts.certificates():
-        for leaf in certificate_leaves(cert):
-            leaves[leaf.fact()] = leaf
-    replayed = infer(registry, extra_facts=list(leaves.values()))
+    leaves = [c for c in facts.certificates() if c.is_leaf()]
+    replayed = infer(registry, extra_facts=leaves)
     return set(replayed.facts()) == set(facts.facts())

@@ -155,7 +155,6 @@ class AttributeAssertion:
     target: str
     atom: PropertyAtom
     holds: bool
-    source: str = "user"  # "user" or "database"
 
 
 def expr_references(expr):
@@ -206,13 +205,6 @@ class GroupRegistry:
         for name in self.groups:
             visit(name)
         return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRegistry)
-            and self.groups == other.groups
-            and self.assertions == other.assertions
-        )
 
 
 # --- Parser ----------------------------------------------------------------
@@ -277,6 +269,7 @@ def _parse_diagram(tokens, labeled):
     verts = []
     vertex_groups = []
     edges = []
+    endpoints = []  # (vertex, line, col) of each edge end
     while True:
         tok = tokens.peek()
         if tok == "}":
@@ -295,8 +288,8 @@ def _parse_diagram(tokens, labeled):
             tokens.next(";")
         elif tok == "edge":
             tokens.next("edge")
-            u, _, _ = tokens.next()
-            v, _, _ = tokens.next()
+            u, v = _parse_name(tokens), _parse_name(tokens)
+            endpoints += tokens.items[tokens.pos - 2:tokens.pos]
             if labeled == "graph_product":
                 label = 2
             else:
@@ -307,6 +300,11 @@ def _parse_diagram(tokens, labeled):
             edges.append((u, v, label))
         else:
             tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}")
+    # an edge may come before the verts that declare its ends
+    declared = set(verts)
+    for name, line, col in endpoints:
+        if name not in declared:
+            raise ParseError(f"unknown vertex {name!r}", line, col)
     graph = LabeledGraph.build(verts, edges)
     if labeled == "graph_product":
         return graph, tuple(vertex_groups)
@@ -420,8 +418,6 @@ def serialize_document(reg: GroupRegistry) -> str:
         lines.append(f"group {name} = {serialize_expr(expr)}")
     for name in reg.groups:
         for a in reg.assertions.get(name, []):
-            if a.source != "user":
-                continue
             neg = "" if a.holds else "not "
             lines.append(f"assert {a.target} : {neg}{a.atom.value}")
     return "\n".join(lines) + "\n"

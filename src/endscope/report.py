@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 
 from .cayley import BallGraph
-from .coxeter import CoxeterSystem, is_finite_type
 from .graphs import LabeledGraph
 from .inference import graph_product_spec, infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
@@ -32,9 +31,10 @@ def envelope(text, sections, warnings=(), schema=SCHEMA_VERSION):
     }
 
 
-def coxeter_section(name, expr, report):
-    """Finite type of a Coxeter group and its end count `report`."""
-    ft = is_finite_type(CoxeterSystem(expr.diagram))
+def coxeter_section(name, report):
+    """Finite type and end count of a Coxeter group, from its `coxeter_ends`
+    `report`."""
+    ft = report.finite_type
     return {
         "type": "coxeter",
         "group": name,
@@ -159,7 +159,7 @@ def analysis_report(registry: GroupRegistry, text: str):
     warnings = []
     for name, expr in registry.groups.items():
         if isinstance(expr, Coxeter) and expr.diagram.vertices:
-            sections.append(coxeter_section(name, expr, facts.decided.coxeter_ends(name, expr)))
+            sections.append(coxeter_section(name, facts.decided.coxeter_ends(name, expr)))
         elif isinstance(expr, Artin) and expr.diagram.vertices:
             sections.append(artin_section(name, facts.decided.artin_ends(name, expr)))
         elif isinstance(expr, GraphProduct) and expr.graph.vertices:

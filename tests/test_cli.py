@@ -65,9 +65,13 @@ def test_analyze_is_byte_deterministic(capsys):
 
 
 def test_analyze_missing_file_is_input_error(capsys):
-    code, _, err = run_capture(capsys, ["analyze", "/nonexistent/input.ggt"])
-    assert code == 2
-    assert "error" in err
+    code, out, err = run_capture(capsys, ["analyze", "/nonexistent/input.ggt"])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read /nonexistent/input.ggt: No such file or directory\n"
+    code, out, err = run_capture(
+        capsys, ["coxeter", str(FIXTURES / "coxeter_suite.ggt"), "--group", "Nope"])
+    assert (code, out) == (2, "")
+    assert err == "error: group 'Nope' not declared\n"
 
 
 def test_analyze_parse_error_is_input_error(tmp_path, capsys):
@@ -136,6 +140,9 @@ def test_negative_rank_is_input_error(capsys, spec):
     ("group P = graph_product { verts u:( ; }\n", "line 1, col 35: expected a name, got '('"),
     ("assert ( : semistable\n", "line 1, col 8: expected a name, got '('"),
     ("group W = coxeter { verts a , b ; }\n", "line 1, col 29: bad vertex name ','"),
+    ("group W = coxeter { verts a b ; edge a , 3 ; }\n",
+     "line 1, col 40: expected a name, got ','"),
+    ("group W = coxeter { verts a b ; edge a z 3 ; }\n", "line 1, col 40: unknown vertex 'z'"),
     ("group A = free(1)\ngroup C = amalgam(A, A)\ngroup D = free(1)\n",
      "line 2, col 23: expected 3 references, got 2"),
 ])

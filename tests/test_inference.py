@@ -14,7 +14,6 @@ from endscope.inference import (
     FactSet,
     _member,
     builtin_rules,
-    certificate_leaves,
     explain,
     infer,
     known_groups_db,
@@ -38,6 +37,7 @@ from endscope.model import (
     Known,
     parse_document,
 )
+from endscope.report import certificate_dag
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 FIXTURES = ("contradiction.ggt", "coxeter_suite.ggt", "graph_products.ggt", "inference.ggt")
@@ -161,11 +161,57 @@ def test_certificate_replay_reproduces_facts():
 def test_certificate_leaves_are_rule_free():
     facts = infer(parse_document(THOMPSON_DOC))
     cert = facts.get("F", A.H2_FREE_ABELIAN)
-    leaves = list(certificate_leaves(cert))
+    _, rows, _ = certificate_dag([cert])
+    leaves = [row for row in rows if not row.get("premises")]
     assert leaves
     for leaf in leaves:
-        assert leaf.rule is None
-        assert leaf.provenance
+        assert "rule" not in leaf
+        assert leaf["provenance"]
+
+
+def amalgam_chain(depth):
+    """G{k+1} = amalgam(G{k}, G{k}, C) edge_finite: R-H2RED derives h2_trivial
+    on each link from both copies of the one below, so every derivation
+    shares its premises and a tree of it holds 2^depth copies of the
+    derivation of G0 : h2_trivial."""
+    return "group G0 = known(thompson_F)\ngroup C = finite(2)\n" + "".join(
+        f"group G{k + 1} = amalgam(G{k}, G{k}, C) edge_finite\n" for k in range(depth))
+
+
+@pytest.mark.parametrize("depth", [16, 200])
+def test_explain_and_replay_read_each_shared_fact_once(depth):
+    reg = parse_document(amalgam_chain(depth))
+    facts = infer(reg)
+    cert = facts.get(f"G{depth}", A.H2_TRIVIAL)
+    _, rows, _ = certificate_dag([cert])
+    text = explain(facts, f"G{depth}", A.H2_TRIVIAL)
+    assert text.count("[rule ") == sum("rule" in row for row in rows) == depth + 1
+    assert replay(reg, facts)
+
+
+def test_explain_writes_a_repeated_fact_once():
+    facts = infer(parse_document((FIXTURE_DIR / "graph_products.ggt").read_text()))
+    assert explain(facts, "OV2", A.ENDS_TWO).split("\n") == [
+        "OV2 : ends_two  [rule R-GP, theorem OV]",
+        "  quote: (i) $\\Gamma$ is a complete graph such that one vertex group has"
+        " more than one end and all others are finite, or (ii) $G$ visually splits"
+        " over a finite group. / Then $G$ does not have semistable fundamental group"
+        " at $\\infty$ if and only if there is a vertex $v$ of $\\Lambda$ such that:"
+        " (1) $G_v$ does not have semistable fundamental group at $\\infty$ and (2)"
+        " the link of $v$ is a complete graph with each vertex group finite.",
+        "  note: decider witness: {'kind': 'join_with_infinite_dihedral',"
+        " 'gamma1': (), 'gamma2': ('x', 'y')}",
+        "  Z2 : finite  [structural: finite of order 2]",
+        "  Z2 : ends_zero  [rule R-FIN, theorem E3inf]",
+        "    quote: Then $X$ has $0$, $1$, $2$ or infinitely many ends.",
+        "    Z2 : finite  [see above]",
+        "  Z2 : semistable  [structural: finite of order 2]",
+        "  Z2 : fp  [structural: finite of order 2]",
+        "  Z2 : finite  [see above]",
+        "  Z2 : ends_zero  [see above]",
+        "  Z2 : semistable  [see above]",
+        "  Z2 : fp  [see above]",
+    ]
 
 
 def test_explain_renders_rule_tag_and_quote():
@@ -244,7 +290,7 @@ def reference_infer(registry):
         facts.add(cert)
     for name, assertions in registry.assertions.items():
         for a in assertions:
-            facts.add(Certificate(a.target, a.atom, a.holds, provenance=f"{a.source} assertion"))
+            facts.add(Certificate(a.target, a.atom, a.holds, provenance="user assertion"))
     changed = True
     while changed:
         changed = False

@@ -67,6 +67,14 @@ def test_parse_rejects_bad_edge_label():
         parse_document("group W = coxeter { verts a b ; edge a b 1 ; }")
 
 
+def test_edge_ends_are_checked_once_the_diagram_is_read():
+    reg = parse_document("group W = coxeter { edge a b 3 ; verts a b ; }\n")
+    assert reg.groups["W"].diagram.label("a", "b") == 3
+    with pytest.raises(ParseError) as exc:
+        parse_document("group W = coxeter { edge a z 3 ; verts a b ; }\n")
+    assert (exc.value.line, exc.value.col) == (1, 28)
+
+
 def test_parse_rejects_unknown_atom():
     with pytest.raises(ParseError):
         parse_document("group F = finite(2)\nassert F : shiny\n")

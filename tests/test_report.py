@@ -5,15 +5,18 @@ schema-1 certificate trees.  The report writer writes exactly what
 import enum
 import json
 import pathlib
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
 
 from endscope.cli import _emit
+from endscope.coxeter import is_finite_type
 from endscope.errors import ContradictionError
 from endscope.inference import infer
-from endscope.model import parse_document
-from endscope.report import contradiction_report, facts_section
+from endscope.model import Coxeter, parse_document
+from endscope.report import analysis_report, contradiction_report, facts_section
 from test_inference import registries
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -159,6 +162,30 @@ def test_facts_section_builds_one_dict_per_certificate():
     roots = [row["certificate"] for row in as_v1({"sections": [section]})["sections"][0]["facts"]]
     expanded = distinct(json.loads(json.dumps(roots)), lambda node: node.get("premises", ()))
     assert len(section["facts"]) == len(certificates) < len(expanded)
+
+
+def test_analyze_classifies_each_coxeter_diagram_once():
+    """The end count and the report section share one finite-type
+    recognition of a Coxeter group's whole diagram.  Calls are counted by
+    code object, so no import of the recogniser escapes the count."""
+    text = (FIXTURES / "coxeter_suite.ggt").read_text(encoding="utf-8")
+    registry = parse_document(text)
+    diagrams = {name: expr.diagram for name, expr in registry.groups.items()
+                if isinstance(expr, Coxeter)}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is is_finite_type.__code__:
+            diagram = frame.f_locals["sys"].diagram
+            calls.update(name for name, d in diagrams.items() if d == diagram)
+
+    sys.setprofile(profile)
+    try:
+        analysis_report(registry, text)
+    finally:
+        sys.setprofile(None)
+    assert len(diagrams) == 7
+    assert calls == dict.fromkeys(diagrams, 1)
 
 
 class Ends(enum.IntEnum):
