@@ -9,8 +9,8 @@ the same atom raises ContradictionError with both certificates attached.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -34,7 +34,6 @@ from .model import (
     Free,
     FreeAbelian,
     GraphProduct,
-    GroupExpr,
     GroupRegistry,
     HNN,
     Known,
@@ -387,8 +386,28 @@ def known_groups_db():
 
 # --- Structural facts from constructors ---------------------------------------
 
-def _leaf(group, atom, holds, provenance):
-    return Certificate(group, atom, holds, provenance=provenance)
+def _constructor_facts(expr):
+    """The provenance and the atoms that hold for a finite, Coxeter, Artin,
+    free or free abelian group, read off its constructor; (None, ()) for the
+    other constructors."""
+    if isinstance(expr, Finite):
+        why = f"structural: finite of order {expr.order}"
+        return why, (A.FINITE, A.FG, A.FP, A.SEMISTABLE, A.SC_INF)
+    if isinstance(expr, (Coxeter, Artin)):
+        return "structural: finite presentation diagram", (A.FG, A.FP)
+    if not isinstance(expr, (Free, FreeAbelian)):
+        return None, ()
+    free = isinstance(expr, Free)
+    why = f"structural: {'free' if free else 'free abelian'} of rank {expr.rank}"
+    if expr.rank == 0:
+        by_rank = (A.FINITE, A.SEMISTABLE)
+    elif expr.rank == 1:
+        by_rank = (A.INFINITE, A.ENDS_TWO, A.SOLVABLE, A.NO_F2_SUBGROUP)
+    elif free:
+        by_rank = (A.INFINITE, A.ENDS_INFINITE, A.WORD_HYPERBOLIC)
+    else:
+        by_rank = (A.INFINITE, A.SOLVABLE, A.NO_F2_SUBGROUP, A.HAS_ZXZ_QUOTIENT)
+    return why, (A.FG, A.FP) + by_rank
 
 
 def structural_facts(registry: GroupRegistry):
@@ -396,55 +415,13 @@ def structural_facts(registry: GroupRegistry):
     db = known_groups_db()
     out = []
     for name, expr in registry.groups.items():
-        if isinstance(expr, Finite):
-            why = f"structural: finite of order {expr.order}"
-            out += [
-                _leaf(name, A.FINITE, True, why),
-                _leaf(name, A.FG, True, why),
-                _leaf(name, A.FP, True, why),
-                _leaf(name, A.SEMISTABLE, True, why),
-                _leaf(name, A.SC_INF, True, why),
-            ]
-        elif isinstance(expr, (Free, FreeAbelian)):
-            flavor = "free" if isinstance(expr, Free) else "free abelian"
-            why = f"structural: {flavor} of rank {expr.rank}"
-            out += [_leaf(name, A.FG, True, why), _leaf(name, A.FP, True, why)]
-            if expr.rank == 0:
-                out += [
-                    _leaf(name, A.FINITE, True, why),
-                    _leaf(name, A.SEMISTABLE, True, why),
-                ]
-            elif expr.rank == 1:
-                out += [
-                    _leaf(name, A.INFINITE, True, why),
-                    _leaf(name, A.ENDS_TWO, True, why),
-                    _leaf(name, A.SOLVABLE, True, why),
-                    _leaf(name, A.NO_F2_SUBGROUP, True, why),
-                ]
-            elif isinstance(expr, Free):
-                out += [
-                    _leaf(name, A.INFINITE, True, why),
-                    _leaf(name, A.ENDS_INFINITE, True, why),
-                    _leaf(name, A.WORD_HYPERBOLIC, True, why),
-                ]
-            else:
-                out += [
-                    _leaf(name, A.INFINITE, True, why),
-                    _leaf(name, A.SOLVABLE, True, why),
-                    _leaf(name, A.NO_F2_SUBGROUP, True, why),
-                    _leaf(name, A.HAS_ZXZ_QUOTIENT, True, why),
-                ]
-        elif isinstance(expr, (Coxeter, Artin)):
-            why = "structural: finite presentation diagram"
-            out += [_leaf(name, A.FG, True, why), _leaf(name, A.FP, True, why)]
-        elif isinstance(expr, Known):
-            for atom, holds, tag in db.get(expr.name, ()):
-                out.append(
-                    Certificate(
-                        name, atom, holds,
-                        provenance=f"database: {expr.name} [{tag}] {_Q[tag]}",
-                    )
-                )
+        if isinstance(expr, Known):
+            out += [Certificate(name, atom, holds,
+                                provenance=f"database: {expr.name} [{tag}] {_Q[tag]}")
+                    for atom, holds, tag in db.get(expr.name, ())]
+        else:
+            why, atoms = _constructor_facts(expr)
+            out += [Certificate(name, atom, True, provenance=why) for atom in atoms]
     return out
 
 
@@ -659,35 +636,21 @@ def _vertex_profile(registry, facts, ref):
     used = []
 
     def look(atom, holds=True):
-        c = facts.get(ref, atom, holds)
-        if c is not None:
-            used.append(c)
-        return c
+        cert = facts.get(ref, atom, holds)
+        if cert is not None:
+            used.append(cert)
+        return cert is not None
 
-    finite = None
-    if look(A.FINITE):
-        finite = True
-    elif look(A.INFINITE):
-        finite = False
-    order = None
+    def either(yes, no):
+        """True or False by the first of two (atom, holds) facts derived, else None."""
+        return True if look(*yes) else False if look(*no) else None
+
+    finite = either((A.FINITE, True), (A.INFINITE, True))
     expr = registry.groups.get(ref)
-    if isinstance(expr, Finite):
-        order = expr.order
-    ends = None
-    for count, atom in ENDS_ATOMS.items():
-        if look(atom):
-            ends = count
-            break
-    semistable = None
-    if look(A.SEMISTABLE, True):
-        semistable = True
-    elif look(A.SEMISTABLE, False):
-        semistable = False
-    fp = None
-    if look(A.FP, True):
-        fp = True
-    elif look(A.FP, False):
-        fp = False
+    order = expr.order if isinstance(expr, Finite) else None
+    ends = next((count for count, atom in ENDS_ATOMS.items() if look(atom)), None)
+    semistable = either((A.SEMISTABLE, True), (A.SEMISTABLE, False))
+    fp = either((A.FP, True), (A.FP, False))
     return VertexProfile(finite, order, ends, semistable, fp), used
 
 
@@ -699,55 +662,32 @@ def _vertex_profile(registry, facts, ref):
 _SLOTS = tuple((rule, clause) for rule in _RULES for clause in rule.clauses or (None,))
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """The slots of the table for a group of one constructor class and one
-    setting of the guard flags: those that run once whatever the facts
-    (bridges and clauses without premises); for each premise (role, atom,
-    holds), the slots that read it, in table order; and the roles they name."""
-
-    unprompted: tuple
-    readers: dict
-    roles: tuple
+# The guard flag names of the table; a group's set flags key its _shape.
+_GUARDS = tuple(dict.fromkeys(clause.guard for _, clause in _SLOTS if clause and clause.guard))
 
 
-def _index_table():
-    """(guard flag names per constructor class, _Shape per class and tuple of
-    those flags' values)."""
-    views = [  # (slot, ctor, guard, reads, target, unprompted)
-        (i, rule.ctor, None, rule.reads, G, True) if clause is None
-        else (i, clause.ctor, clause.guard, clause.premises, clause.target, not clause.premises)
-        for i, (rule, clause) in enumerate(_SLOTS)
-    ]
-    flags, shapes, tuples = {}, {}, {}
-
-    def shared(t):  # one object for equal tuples of different shapes
-        return tuples.setdefault(t, t)
-
-    for cls in GroupExpr:
-        fits = [view for view in views if view[1] is None or issubclass(cls, view[1])]
-        names = flags[cls] = tuple(dict.fromkeys(view[2] for view in fits if view[2]))
-        for values in itertools.product((False, True), repeat=len(names)):
-            on = {name for name, value in zip(names, values) if value}
-            unprompted, readers, roles = [], {}, {}
-            for i, _, guard, reads, target, alone in fits:
-                if guard is not None and guard not in on:
-                    continue
-                if alone:
-                    unprompted.append(i)
-                roles[target] = None
-                for premise in reads:
-                    roles[premise[0]] = None
-                    readers.setdefault(premise, {})[i] = None
-            shapes[cls, values] = _Shape(
-                shared(tuple(unprompted)),
-                {premise: shared(tuple(ids)) for premise, ids in readers.items()},
-                shared(tuple(roles)),
-            )
-    return flags, shapes
-
-
-_GUARDS, _SHAPES = _index_table()
+@functools.cache
+def _shape(cls, on):
+    """The slots of the table for a group built by `cls` whose set guard flags
+    are `on`: those that run once whatever the facts (bridges and clauses
+    without premises); for each premise (role, atom, holds), the slots that
+    read it, in table order; and the roles they name.  Built on first use,
+    once per constructor class and setting of its flags."""
+    unprompted, readers, roles = [], {}, {}
+    for i, (rule, clause) in enumerate(_SLOTS):
+        if clause is None:
+            ctor, guard, reads, target = rule.ctor, None, rule.reads, G
+        else:
+            ctor, guard, reads, target = clause.ctor, clause.guard, clause.premises, clause.target
+        if ctor is not None and not issubclass(cls, ctor) or guard is not None and guard not in on:
+            continue
+        if clause is None or not reads:
+            unprompted.append(i)
+        roles[target] = None
+        for premise in reads:
+            roles[premise[0]] = None
+            readers.setdefault(premise, []).append(i)
+    return tuple(unprompted), {p: tuple(ids) for p, ids in readers.items()}, tuple(roles)
 
 
 def _derive(rule, clause, certs, names):
@@ -778,10 +718,10 @@ def _saturate(registry, facts):
     sweep = len(groups) * width  # positions per round; a position is gi * width + slot
     names, readers, refs, first = [], [], {}, set()
     for gi, (gname, expr) in enumerate(groups):
-        cls = type(expr)
-        shape = _SHAPES[cls, tuple(bool(getattr(expr, flag)) for flag in _GUARDS[cls])]
+        on = tuple(flag for flag in _GUARDS if getattr(expr, flag, False))
+        unprompted, slot_readers, roles = _shape(type(expr), on)
         members = {}
-        for role in shape.roles:
+        for role in roles:
             if role == V:
                 for _, ref in expr.vertex_groups:
                     refs.setdefault(ref, set()).add((gi, V))
@@ -789,8 +729,8 @@ def _saturate(registry, facts):
                 members[role] = _member(gname, expr, role)
                 refs.setdefault(members[role], set()).add((gi, role))
         names.append(members)
-        readers.append(shape.readers)
-        first.update(gi * width + i for i in shape.unprompted)
+        readers.append(slot_readers)
+        first.update(gi * width + i for i in unprompted)
 
     def woken(group, atom, holds):
         for hi, role in refs.get(group, ()):

@@ -174,8 +174,12 @@ class GroupRegistry:
     assertions: dict = field(default_factory=dict)  # name -> list[AttributeAssertion]
 
     def add(self, name, expr):
+        """Declare `name`; each group it refers to must be declared above it."""
         if name in self.groups:
             raise DuplicateNameError(name)
+        for ref in expr_references(expr):
+            if ref not in self.groups:
+                raise DanglingReferenceError(ref)
         self.groups[name] = expr
         self.assertions.setdefault(name, [])
 
@@ -183,28 +187,6 @@ class GroupRegistry:
         if assertion.target not in self.groups:
             raise DanglingReferenceError(assertion.target)
         self.assertions[assertion.target].append(assertion)
-
-    def validate(self):
-        for name, expr in self.groups.items():
-            for ref in expr_references(expr):
-                if ref not in self.groups:
-                    raise DanglingReferenceError(ref)
-        # reference graph must be acyclic
-        state = {}  # 0 = visiting, 1 = done
-
-        def visit(n):
-            if state.get(n) == 1:
-                return
-            if state.get(n) == 0:
-                raise DanglingReferenceError(f"cycle through '{n}'")
-            state[n] = 0
-            for ref in expr_references(self.groups[n]):
-                visit(ref)
-            state[n] = 1
-
-        for name in self.groups:
-            visit(name)
-        return self
 
 
 # --- Parser ----------------------------------------------------------------
@@ -335,7 +317,8 @@ def _parse_flags(tokens, allowed):
 
 
 def parse_document(text: str) -> GroupRegistry:
-    """Parse a group-description document into a validated registry."""
+    """Parse a group-description document into a registry.  A reference must
+    name a group declared above it, so the reference graph has no cycle."""
     tokens = _Tokens(text)
     reg = GroupRegistry()
     while tokens.peek() is not None:
@@ -378,7 +361,7 @@ def parse_document(text: str) -> GroupRegistry:
             reg.assert_attr(AttributeAssertion(target, atom, holds))
         else:
             raise ParseError(f"expected 'group' or 'assert', got {kw!r}", line, col)
-    return reg.validate()
+    return reg
 
 
 # --- Serializer (canonical text, round-trips through parse_document) --------

@@ -249,7 +249,8 @@ def parse_tower(text: str) -> AbelianTower:
     Explicit:  tower { ranks: 2 2 ; bond 1: 1 0, 0 1 ; }
     Constant:  tower constant { rank 1 ; matrix 2 ; }
 
-    Matrix rows are comma separated, entries whitespace separated.
+    Matrix rows are comma separated, entries whitespace separated.  Each
+    statement appears once (`bond k` once per k).
     """
     stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     flat = _WS.sub(" ", stripped).strip()
@@ -257,42 +258,45 @@ def parse_tower(text: str) -> AbelianTower:
     if not m:
         raise ParseError("expected 'tower { ... }' or 'tower constant { ... }'", 1, 1)
     constant = m.group(1) is not None
-    body = m.group(2)
-    stmts = [s.strip() for s in body.split(";") if s.strip()]
+    stmts = [s.strip() for s in m.group(2).split(";") if s.strip()]
+    seen = {}  # "rank", "matrix", "ranks" or a bond index -> its value
 
-    def rows_of(s):
+    def integer(s, token):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"expected an integer, got {token.strip()!r},"
+                             f" in tower statement {s!r}", 1, 1) from None
+
+    def rows_of(s, text):
         return tuple(
-            tuple(int(x) for x in row.split()) for row in s.split(",") if row.strip()
+            tuple(integer(s, x) for x in row.split()) for row in text.split(",") if row.strip()
         )
 
-    if constant:
-        rank = None
-        matrix = None
-        for s in stmts:
-            if s.startswith("rank"):
-                rank = int(s[len("rank"):])
-            elif s.startswith("matrix"):
-                matrix = rows_of(s[len("matrix"):])
-            else:
-                raise ParseError(f"unknown tower statement {s!r}", 1, 1)
-        if rank is None or matrix is None:
-            raise ParseError("constant tower needs 'rank' and 'matrix'", 1, 1)
-        return AbelianTower.constant_tower(rank, matrix)
+    def once(key, s, value):
+        if key in seen:
+            raise ParseError(f"repeated tower statement {s!r}", 1, 1)
+        seen[key] = value
 
-    ranks = None
-    bonds = {}
     for s in stmts:
-        if s.startswith("ranks:"):
-            ranks = tuple(int(x) for x in s[len("ranks:"):].split())
-        elif s.startswith("bond"):
+        if constant and s.startswith("rank"):
+            once("rank", s, integer(s, s[len("rank"):]))
+        elif constant and s.startswith("matrix"):
+            once("matrix", s, rows_of(s, s[len("matrix"):]))
+        elif not constant and s.startswith("ranks:"):
+            once("ranks", s, tuple(integer(s, x) for x in s[len("ranks:"):].split()))
+        elif not constant and s.startswith("bond"):
             head, _, rest = s.partition(":")
-            k = int(head[len("bond"):])
-            bonds[k] = rows_of(rest)
+            once(integer(s, head[len("bond"):]), s, rows_of(s, rest))
         else:
             raise ParseError(f"unknown tower statement {s!r}", 1, 1)
+    if constant:
+        if "rank" not in seen or "matrix" not in seen:
+            raise ParseError("constant tower needs 'rank' and 'matrix'", 1, 1)
+        return AbelianTower.constant_tower(seen["rank"], seen["matrix"])
+    ranks = seen.pop("ranks", None)
     if ranks is None:
         raise ParseError("explicit tower needs 'ranks:'", 1, 1)
-    bondings = [bonds[k] for k in sorted(bonds)]
-    if sorted(bonds) != list(range(1, len(ranks))):
+    if sorted(seen) != list(range(1, len(ranks))):
         raise ParseError("bond indices must be 1..len(ranks)-1", 1, 1)
-    return AbelianTower.explicit(ranks, bondings)
+    return AbelianTower.explicit(ranks, [seen[k] for k in sorted(seen)])

@@ -121,6 +121,14 @@ def test_negative_rank_is_input_error(capsys, spec):
     assert "rank must be >= 0" in err
 
 
+def chain_document(length, in_order):
+    """`group G{k} = direct_product(G{k+1})` for k < length, ending in a free
+    group; declared bottom-up when `in_order`, else top-down."""
+    lines = [f"group G{k} = direct_product(G{k + 1})" for k in range(length)]
+    lines.append(f"group G{length} = free(1)")
+    return "\n".join(lines[::-1] if in_order else lines) + "\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("group F = finite(0)\n", "finite order must be >= 1, got 0"),
     ("group F = free(-1)\n", "rank must be >= 0, got -1"),
@@ -145,6 +153,11 @@ def test_negative_rank_is_input_error(capsys, spec):
     ("group W = coxeter { verts a b ; edge a z 3 ; }\n", "line 1, col 40: unknown vertex 'z'"),
     ("group A = free(1)\ngroup C = amalgam(A, A)\ngroup D = free(1)\n",
      "line 2, col 23: expected 3 references, got 2"),
+    pytest.param(chain_document(1200, in_order=False), "reference to undeclared group 'G1'",
+                 id="forward-chain"),
+    ("group A = direct_product(B)\ngroup B = direct_product(A)\n",
+     "reference to undeclared group 'B'"),
+    ("group A = direct_product(A)\n", "reference to undeclared group 'A'"),
 ])
 def test_malformed_description_names_its_fault(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ggt"
@@ -356,3 +369,106 @@ def test_graph_product_sections_reuse_the_inference_decisions(monkeypatch, capsy
         code, _, _ = run_capture(capsys, argv)
         assert code == 0
         assert (len(ends), len(semi)) == in_inference, argv
+
+
+def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):
+    path = tmp_path / "chain.ggt"
+    path.write_text(chain_document(1200, in_order=True), encoding="utf-8")
+    code, out, err = run_capture(capsys, ["analyze", str(path)])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["sections"][0]["groups"]) == 1201
+
+
+@pytest.mark.parametrize("text,message", [
+    ("towr { }", "line 1, col 1: expected 'tower { ... }' or 'tower constant { ... }'"),
+    ("tower constant { rank 1 ; bond 1: 2 ; }",
+     "line 1, col 1: unknown tower statement 'bond 1: 2'"),
+    ("tower constant { rank 1 ; }", "line 1, col 1: constant tower needs 'rank' and 'matrix'"),
+    ("tower { ranks: 1 1 ; matrix 2 ; }", "line 1, col 1: unknown tower statement 'matrix 2'"),
+    ("tower { bond 1: 2 ; }", "line 1, col 1: explicit tower needs 'ranks:'"),
+    ("tower { ranks: 1 1 1 ; bond 1: 2 ; }", "line 1, col 1: bond indices must be 1..len(ranks)-1"),
+    ("tower { ranks: 2 1 ; bond 1: 1 0 ; }", "bonding 1 must have shape 2 x 1"),
+    ("tower constant { rank 2 ; matrix 1 0 ; }", "matrix must be 2 x 2"),
+    ("tower { ranks: 2 2 ; bond 1: 1 0 , 0 1 ; bond 1: 2 0 , 0 2 ; }",
+     "line 1, col 1: repeated tower statement 'bond 1: 2 0 , 0 2'"),
+    ("tower { ranks: 1 1 ; bond 1: 1 ; bond 01: 2 ; }",
+     "line 1, col 1: repeated tower statement 'bond 01: 2'"),
+    ("tower { ranks: 1 1 ; ranks: 1 1 ; bond 1: 1 ; }",
+     "line 1, col 1: repeated tower statement 'ranks: 1 1'"),
+    ("tower constant { rank 1 ; rank 2 ; matrix 2 ; }",
+     "line 1, col 1: repeated tower statement 'rank 2'"),
+    ("tower constant { rank 1 ; matrix 2 ; matrix 3 ; }",
+     "line 1, col 1: repeated tower statement 'matrix 3'"),
+    ("tower { ranks: 1 1 ; bond x: 1 ; }",
+     "line 1, col 1: expected an integer, got 'x', in tower statement 'bond x: 1'"),
+    ("tower { ranks: 1 y ; bond 1: 1 ; }",
+     "line 1, col 1: expected an integer, got 'y', in tower statement 'ranks: 1 y'"),
+    ("tower constant { rank 1 ; matrix z ; }",
+     "line 1, col 1: expected an integer, got 'z', in tower statement 'matrix z'"),
+])
+def test_malformed_tower_names_its_fault(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.twr"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert run_capture(capsys, ["tower", str(path)]) == (2, "", f"error: {message}\n")
+
+
+def readme_block(heading):
+    """The first fenced block under `heading` in the README."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split("```", 2)[1].lstrip("\n")
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    path = tmp_path / "readme.ggt"
+    path.write_text(readme_block("## Group description files"), encoding="utf-8")
+    code, out, err = run_capture(capsys, ["analyze", str(path)])
+    assert (code, err) == (0, "")
+    lines = readme_block("## Tower files").splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        path = tmp_path / "readme.twr"
+        path.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_capture(capsys, ["tower", str(path)])
+        assert (code, err) == (0, ""), line
+
+
+CATALOG_GRAPH_PRODUCTS = """\
+group L = known(lamplighter)
+group Q = finite(2)
+group P = graph_product { verts l:L f:Q ; edge l f ; }
+group G = known(grigorchuk)
+group R = graph_product { verts g:G f:Q ; edge g f ; }
+"""
+
+
+def test_graph_products_over_catalog_groups(tmp_path, capsys):
+    path = tmp_path / "catalog.ggt"
+    path.write_text(CATALOG_GRAPH_PRODUCTS, encoding="utf-8")
+    code, out, _ = run_capture(capsys, ["analyze", str(path)])
+    assert code == 0
+    report = json.loads(out)
+    sections = [s for s in report["sections"] if s["type"] == "graph_product"]
+    assert sections == [
+        {"type": "graph_product", "group": "P", "ends": None,
+         "ends_witness": {"kind": "incomplete_vertex_profiles"},
+         "semistability": "not_semistable",
+         "semistability_witness": {"kind": "vertex", "vertex": "l"}},
+        {"type": "graph_product", "group": "R", "ends": None,
+         "ends_witness": {"kind": "incomplete_vertex_profiles"},
+         "semistability": "unknown",
+         "semistability_witness": {"kind": "vertex_not_known_fp", "vertex": "g"}},
+    ]
+    assert report["warnings"] == [{
+        "kind": "undetermined_semistability", "group": "R",
+        "detail": "vertex profiles leave the criterion undecided"}]
+    argv = ["explain", str(path), "--group", "P", "--atom", "semistable", "--negated"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "P : not semistable  [rule R-GP, theorem OV]"
+    assert lines[2] == "  note: decider witness: {'kind': 'vertex', 'vertex': 'l'}"
+    # the premises are the vertex profiles' facts, in the order they are read
+    premises = [line.split("  [")[0].strip() for line in lines[3:]
+                if line.startswith("  ") and not line.startswith("   ")]
+    assert premises == ["L : infinite", "L : not semistable", "L : not fp", "Q : finite",
+                        "Q : ends_zero", "Q : semistable", "Q : fp"]

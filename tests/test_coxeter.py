@@ -108,9 +108,73 @@ def reference_dynkin_components(sys_):
     return comps
 
 
+def cosine_matrix_positive_definite(sys_):
+    """Independent numeric oracle: finite type iff the cosine matrix
+    B[i][j] = -cos(pi / m_ij) (with m_ii = 1) is positive definite."""
+    g = sys_.diagram
+    n = len(g.vertices)
+    B = numpy.zeros((n, n))
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            if i == j:
+                B[i][j] = 1.0
+            else:
+                m = g.label(u, v)
+                B[i][j] = -math.cos(math.pi / m) if m else -1.0
+    return bool(numpy.all(numpy.linalg.eigvalsh(B) > 1e-9))
+
+
+def dynkin(bonds):
+    """Coxeter system on 0..n-1 with label m on each bond (u, v, m), u < v, of
+    a Dynkin diagram and 2 on every other pair."""
+    labels = {(u, v): m for u, v, m in bonds}
+    n = 1 + max(v for _, v, _ in bonds)
+    return system(range(n), [(u, v, labels.get((u, v), 2))
+                             for u, v in itertools.combinations(range(n), 2)])
+
+
+def path(*labels):
+    return dynkin([(i, i + 1, m) for i, m in enumerate(labels)])
+
+
+def branched(*arms):
+    """Simply laced tree: arms of the given lengths out of vertex 0."""
+    bonds, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            bonds.append((prev, nxt, 3))
+            prev, nxt = nxt, nxt + 1
+    return dynkin(bonds)
+
+
+# name -> (diagram, family tag); affine diagrams are tagged "affine/indefinite"
+DYNKIN_CATALOG = {
+    "D5": (branched(1, 1, 2), "D5"),
+    "E6": (branched(1, 2, 2), "E6"),
+    "E7": (branched(1, 2, 3), "E7"),
+    "E8": (branched(1, 2, 4), "E8"),
+    "F4": (path(3, 4, 3), "F4"),
+    "H3": (path(5, 3), "H3"),
+    "H4": (path(5, 3, 3), "H4"),
+    "affine-E6": (branched(2, 2, 2), "affine/indefinite"),
+    "affine-E7": (branched(1, 3, 3), "affine/indefinite"),
+    "affine-E8": (branched(1, 2, 5), "affine/indefinite"),
+    "affine-D4": (branched(1, 1, 1, 1), "affine/indefinite"),
+    "affine-F4": (path(3, 3, 4, 3), "affine/indefinite"),
+}
+
+
+@pytest.mark.parametrize("name", DYNKIN_CATALOG)
+def test_dynkin_catalog_families(name):
+    sys_, family = DYNKIN_CATALOG[name]
+    report = is_finite_type(sys_)
+    assert report.component_types == ((sys_.diagram.vertices, family),)
+    assert report.is_finite == (family != "affine/indefinite")
+    assert report.is_finite == cosine_matrix_positive_definite(sys_)
+
+
 def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
-    # independent numeric oracle: finite type iff the cosine matrix
-    # B[i][j] = -cos(pi / m_ij) (with m_ii = 1) is positive definite
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -120,19 +184,9 @@ def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
             for u, v in itertools.combinations(verts, 2)
             if rng.random() < 0.6
         ]
-        g = LabeledGraph.build(verts, edges)
-        sys_ = CoxeterSystem(g)
-        B = numpy.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    B[i][j] = 1.0
-                else:
-                    m = g.label(i, j)
-                    B[i][j] = -math.cos(math.pi / m) if m else -1.0
-        positive_definite = bool(numpy.all(numpy.linalg.eigvalsh(B) > 1e-9))
+        sys_ = CoxeterSystem(LabeledGraph.build(verts, edges))
         report = is_finite_type(sys_)
-        assert report.is_finite == positive_definite, edges
+        assert report.is_finite == cosine_matrix_positive_definite(sys_), edges
         assert [comp for comp, _ in report.component_types] == reference_dynkin_components(sys_)
 
 
