@@ -142,6 +142,7 @@ def cmd_tower(args):
 def cmd_explain(args):
     text = _read(args.file)
     registry = parse_document(text)
+    _find_group(registry, args.group)
     try:
         atom = atom_from_name(args.atom)
     except KeyError:

@@ -58,8 +58,14 @@ class LabeledGraph:
 
     @staticmethod
     def build(vertices, edges=()):
-        """edges: iterable of (u, v, label)."""
-        return LabeledGraph(tuple(vertices), {_edge_key(u, v): m for u, v, m in edges})
+        """edges: iterable of (u, v, label); a pair given twice is an error."""
+        labels = {}
+        for u, v, m in edges:
+            key = _edge_key(u, v)
+            if key in labels:
+                raise InvalidEdgeLabelError(f"duplicate edge {key}")
+            labels[key] = m
+        return LabeledGraph(tuple(vertices), labels)
 
     def __len__(self):
         return len(self.vertices)

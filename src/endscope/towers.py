@@ -8,10 +8,10 @@ arbitrary precision.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRangeError, ParseError
+from .model import _parse_int, _Tokens
 
 
 # --- Integer lattice machinery ------------------------------------------------
@@ -240,63 +240,62 @@ def lim1_report(verdict: MLVerdict):
 
 # --- Tower text format ----------------------------------------------------------
 
-_WS = re.compile(r"\s+")
+def _rows(tokens, what, sep=","):
+    """Integers up to the statement's end, as rows split at `sep`; none empty."""
+    rows = [(_parse_int(tokens, what),)]
+    while tokens.peek() not in (";", "}", None):
+        if tokens.peek() == sep:
+            tokens.next()
+            rows.append(())
+        rows[-1] += (_parse_int(tokens, what),)
+    return tuple(rows)
 
 
 def parse_tower(text: str) -> AbelianTower:
-    """Parse the tower block format.
-
-    Explicit:  tower { ranks: 2 2 ; bond 1: 1 0, 0 1 ; }
-    Constant:  tower constant { rank 1 ; matrix 2 ; }
-
-    Matrix rows are comma separated, entries whitespace separated.  Each
-    statement appears once (`bond k` once per k).
-    """
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    flat = _WS.sub(" ", stripped).strip()
-    m = re.fullmatch(r"tower\s*(constant)?\s*\{(.*)\}", flat)
-    if not m:
-        raise ParseError("expected 'tower { ... }' or 'tower constant { ... }'", 1, 1)
-    constant = m.group(1) is not None
-    stmts = [s.strip() for s in m.group(2).split(";") if s.strip()]
-    seen = {}  # "rank", "matrix", "ranks" or a bond index -> its value
-
-    def integer(s, token):
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"expected an integer, got {token.strip()!r},"
-                             f" in tower statement {s!r}", 1, 1) from None
-
-    def rows_of(s, text):
-        return tuple(
-            tuple(integer(s, x) for x in row.split()) for row in text.split(",") if row.strip()
-        )
-
-    def once(key, s, value):
-        if key in seen:
-            raise ParseError(f"repeated tower statement {s!r}", 1, 1)
-        seen[key] = value
-
-    for s in stmts:
-        if constant and s.startswith("rank"):
-            once("rank", s, integer(s, s[len("rank"):]))
-        elif constant and s.startswith("matrix"):
-            once("matrix", s, rows_of(s, s[len("matrix"):]))
-        elif not constant and s.startswith("ranks:"):
-            once("ranks", s, tuple(integer(s, x) for x in s[len("ranks:"):].split()))
-        elif not constant and s.startswith("bond"):
-            head, _, rest = s.partition(":")
-            once(integer(s, head[len("bond"):]), s, rows_of(s, rest))
+    """Parse `tower { ranks: 2 2 ; bond 1: 1 0, 0 1 ; }` or `tower constant {
+    rank 1 ; matrix 2 ; }` with the `.ggt` tokens, so statements may span lines
+    and errors name their line and column.  Each statement appears once."""
+    tokens = _Tokens(text)
+    if tokens.peek() != "tower":
+        tokens.error("expected 'tower { ... }' or 'tower constant { ... }'")
+    _, line, col = tokens.next()
+    constant = tokens.peek() == "constant"
+    if constant:
+        tokens.next()
+    tokens.next("{")
+    seen = {}  # "rank", "matrix", "ranks" or "bond <k>" -> its value
+    while tokens.peek() not in ("}", None):
+        key, kl, kc = tokens.next()
+        if constant and key == "rank":
+            value = _parse_int(tokens, "rank")
+        elif constant and key == "matrix":
+            value = _rows(tokens, "matrix entry")
+        elif not constant and key == "ranks":
+            tokens.next(":")
+            (value,) = _rows(tokens, "rank", sep=None)
+        elif not constant and key == "bond":
+            key = f"bond {_parse_int(tokens, 'bond index')}"
+            tokens.next(":")
+            value = _rows(tokens, "matrix entry")
         else:
-            raise ParseError(f"unknown tower statement {s!r}", 1, 1)
+            raise ParseError(f"unknown tower statement {key!r}", kl, kc)
+        tokens.next(";")
+        if key in seen:
+            raise ParseError(f"repeated tower statement {key!r}", kl, kc)
+        seen[key] = value
+    tokens.next("}")
+    if tokens.peek() is not None:
+        tokens.error(f"expected end of input after '}}', got {tokens.peek()!r}")
     if constant:
         if "rank" not in seen or "matrix" not in seen:
-            raise ParseError("constant tower needs 'rank' and 'matrix'", 1, 1)
+            raise ParseError("constant tower needs 'rank' and 'matrix'", line, col)
         return AbelianTower.constant_tower(seen["rank"], seen["matrix"])
     ranks = seen.pop("ranks", None)
     if ranks is None:
-        raise ParseError("explicit tower needs 'ranks:'", 1, 1)
-    if sorted(seen) != list(range(1, len(ranks))):
-        raise ParseError("bond indices must be 1..len(ranks)-1", 1, 1)
-    return AbelianTower.explicit(ranks, [seen[k] for k in sorted(seen)])
+        raise ParseError("explicit tower needs 'ranks:'", line, col)
+    if len(ranks) < 2:
+        raise ParseError("explicit tower needs at least two ranks", line, col)
+    bonds = [f"bond {k}" for k in range(1, len(ranks))]
+    if set(seen) != set(bonds):
+        raise ParseError("bond indices must be 1..len(ranks)-1", line, col)
+    return AbelianTower.explicit(ranks, [seen[k] for k in bonds])

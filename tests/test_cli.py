@@ -72,6 +72,10 @@ def test_analyze_missing_file_is_input_error(capsys):
         capsys, ["coxeter", str(FIXTURES / "coxeter_suite.ggt"), "--group", "Nope"])
     assert (code, out) == (2, "")
     assert err == "error: group 'Nope' not declared\n"
+    code, out, err = run_capture(capsys, [
+        "explain", str(FIXTURES / "inference.ggt"), "--group", "Nope", "--atom", "semistable"])
+    assert (code, out) == (2, "")
+    assert err == "error: group 'Nope' not declared\n"
 
 
 def test_analyze_parse_error_is_input_error(tmp_path, capsys):
@@ -151,6 +155,8 @@ def chain_document(length, in_order):
     ("group W = coxeter { verts a b ; edge a , 3 ; }\n",
      "line 1, col 40: expected a name, got ','"),
     ("group W = coxeter { verts a b ; edge a z 3 ; }\n", "line 1, col 40: unknown vertex 'z'"),
+    ("group W = coxeter { verts a b ; edge a b 3 ; edge b a 2 ; }\n",
+     "duplicate edge ('a', 'b')"),
     ("group A = free(1)\ngroup C = amalgam(A, A)\ngroup D = free(1)\n",
      "line 2, col 23: expected 3 references, got 2"),
     pytest.param(chain_document(1200, in_order=False), "reference to undeclared group 'G1'",
@@ -262,6 +268,45 @@ def test_tower_subcommand_explicit_window(capsys):
     payload = json.loads(out)
     assert payload["sections"][0]["verdict"]["kind"] == "semistable"
     assert any(w["kind"] == "finite_window" for w in payload["warnings"])
+
+
+# tower_explicit.twr reflowed: comments, and statements split across lines
+REFLOWED_EXPLICIT = """\
+# six stages of Z^2, every bonding the identity
+tower {
+  ranks: 2 2 2
+         2 2 2 ;
+  bond 1: 1 0 ,
+          0 1 ;  # rows may sit on lines of their own
+  bond 2: 1 0 , 0 1 ; bond 3: 1 0 , 0 1 ;
+  bond 4: 1 0 , 0 1 ;
+  bond 5: 1 0 ,
+          0 1
+  ;
+}
+"""
+
+
+def test_tower_read_across_lines(tmp_path, capsys):
+    path = tmp_path / "reflowed.twr"
+    path.write_text(REFLOWED_EXPLICIT, encoding="utf-8")
+    code, out, err = run_capture(capsys, ["tower", str(path)])
+    _, one_line, _ = run_capture(capsys, ["tower", str(FIXTURES / "tower_explicit.twr")])
+    reflowed, expected = json.loads(out), json.loads(one_line)
+    del reflowed["inputDigest"], expected["inputDigest"]  # a digest of the text itself
+    assert (code, err, reflowed) == (0, "", expected)
+    # an error names the line and column of its statement or token
+    lines = REFLOWED_EXPLICIT.splitlines()
+    for number, line, message in [
+        (7, "  bond 2: 1 0 , 0 1 ; bond 1: 1 0 , 0 1 ;",
+         "line 7, col 23: repeated tower statement 'bond 1'"),
+        (6, "          0 x ;", "line 6, col 13: expected matrix entry, got 'x'"),
+        (4, "         2 2 , 2 ;", "line 4, col 14: expected rank, got ','"),
+        (11, "  }", "line 11, col 3: expected ';', got '}'"),
+    ]:
+        path.write_text("\n".join(lines[:number - 1] + [line] + lines[number:]) + "\n",
+                        encoding="utf-8")
+        assert run_capture(capsys, ["tower", str(path)]) == (2, "", f"error: {message}\n")
 
 
 def test_explain_subcommand(capsys):
@@ -382,29 +427,45 @@ def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ("towr { }", "line 1, col 1: expected 'tower { ... }' or 'tower constant { ... }'"),
     ("tower constant { rank 1 ; bond 1: 2 ; }",
-     "line 1, col 1: unknown tower statement 'bond 1: 2'"),
+     "line 1, col 27: unknown tower statement 'bond'"),
     ("tower constant { rank 1 ; }", "line 1, col 1: constant tower needs 'rank' and 'matrix'"),
-    ("tower { ranks: 1 1 ; matrix 2 ; }", "line 1, col 1: unknown tower statement 'matrix 2'"),
+    ("tower { ranks: 1 1 ; matrix 2 ; }", "line 1, col 22: unknown tower statement 'matrix'"),
     ("tower { bond 1: 2 ; }", "line 1, col 1: explicit tower needs 'ranks:'"),
     ("tower { ranks: 1 1 1 ; bond 1: 2 ; }", "line 1, col 1: bond indices must be 1..len(ranks)-1"),
     ("tower { ranks: 2 1 ; bond 1: 1 0 ; }", "bonding 1 must have shape 2 x 1"),
     ("tower constant { rank 2 ; matrix 1 0 ; }", "matrix must be 2 x 2"),
     ("tower { ranks: 2 2 ; bond 1: 1 0 , 0 1 ; bond 1: 2 0 , 0 2 ; }",
-     "line 1, col 1: repeated tower statement 'bond 1: 2 0 , 0 2'"),
+     "line 1, col 42: repeated tower statement 'bond 1'"),
     ("tower { ranks: 1 1 ; bond 1: 1 ; bond 01: 2 ; }",
-     "line 1, col 1: repeated tower statement 'bond 01: 2'"),
+     "line 1, col 34: repeated tower statement 'bond 1'"),
     ("tower { ranks: 1 1 ; ranks: 1 1 ; bond 1: 1 ; }",
-     "line 1, col 1: repeated tower statement 'ranks: 1 1'"),
+     "line 1, col 22: repeated tower statement 'ranks'"),
     ("tower constant { rank 1 ; rank 2 ; matrix 2 ; }",
-     "line 1, col 1: repeated tower statement 'rank 2'"),
+     "line 1, col 27: repeated tower statement 'rank'"),
     ("tower constant { rank 1 ; matrix 2 ; matrix 3 ; }",
-     "line 1, col 1: repeated tower statement 'matrix 3'"),
+     "line 1, col 38: repeated tower statement 'matrix'"),
     ("tower { ranks: 1 1 ; bond x: 1 ; }",
-     "line 1, col 1: expected an integer, got 'x', in tower statement 'bond x: 1'"),
+     "line 1, col 27: expected bond index, got 'x'"),
     ("tower { ranks: 1 y ; bond 1: 1 ; }",
-     "line 1, col 1: expected an integer, got 'y', in tower statement 'ranks: 1 y'"),
+     "line 1, col 18: expected rank, got 'y'"),
     ("tower constant { rank 1 ; matrix z ; }",
-     "line 1, col 1: expected an integer, got 'z', in tower statement 'matrix z'"),
+     "line 1, col 34: expected matrix entry, got 'z'"),
+    ("tower constant { rank 2 ; matrix 1 0 , , 0 1 ; }",
+     "line 1, col 40: expected matrix entry, got ','"),
+    ("tower constant { rank 2 ; matrix 1 0 , 0 1 , ; }",
+     "line 1, col 46: expected matrix entry, got ';'"),
+    ("tower { ranks: 1 1 ; bond 1: 1 , ; }", "line 1, col 34: expected matrix entry, got ';'"),
+    ("tower constant { rank 1 2 ; matrix 2 ; }", "line 1, col 25: expected ';', got '2'"),
+    ("tower constant { rank 1 ; matrix 2 ; } }",
+     "line 1, col 40: expected end of input after '}', got '}'"),
+    ("tower { ranks: 1 ; }", "line 1, col 1: explicit tower needs at least two ranks"),
+    ("tower { ranks: 1 1 ; bond1: 1 ; }", "line 1, col 22: unknown tower statement 'bond1'"),
+    ("tower { ranks: 1 1 ; bond 1: 1 }", "line 1, col 32: expected ';', got '}'"),
+    ("tower { ranks: 1 1 ; ; bond 1: 1 ; }", "line 1, col 22: unknown tower statement ';'"),
+    ("tower constant { rank 0 ; matrix ; }", "line 1, col 34: expected matrix entry, got ';'"),
+    ("tower constant { rank 1 ; matrix 2 ;", "line 1, col 36: unexpected end of input (expected })"),
+    ("tower {\n  ranks: 2 2 ;\n  bond 1: 1 0 , 0 1 ;\n  bond 1: 2 0 , 0 2 ;\n}",
+     "line 4, col 3: repeated tower statement 'bond 1'"),
 ])
 def test_malformed_tower_names_its_fault(tmp_path, capsys, text, message):
     path = tmp_path / "bad.twr"

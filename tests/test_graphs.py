@@ -50,6 +50,8 @@ def test_build_rejects_bad_input():
         LabeledGraph.build("ab", [("a", "c", 2)])
     with pytest.raises(InvalidEdgeLabelError):
         LabeledGraph.build("aa")
+    with pytest.raises(InvalidEdgeLabelError, match="duplicate edge"):
+        LabeledGraph.build("ab", [("a", "b", 3), ("b", "a", 2)])
 
 
 def test_components_and_connectivity():
