@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .atoms import atom_from_name
@@ -22,6 +21,7 @@ from .report import (
     analysis_report,
     contradiction_report,
     coxeter_section,
+    dumps,
     envelope,
     graph_product_section,
     render_dot,
@@ -34,7 +34,7 @@ EXIT_CONTRADICTION = 3
 EXIT_BUDGET = 4
 
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(dumps(payload) + "\n")
 
 
 def _read(path):

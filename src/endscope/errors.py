@@ -24,8 +24,13 @@ class InvalidEdgeLabelError(EndscopeError):
     or rank."""
 
     @classmethod
-    def for_label(cls, label):
-        return cls(f"edge label must be an integer >= 2, got {label!r}")
+    def for_label(cls, label, *position):
+        return cls(f"edge label must be an integer >= 2, got {label!r}", *position)
+
+
+class DiagramParseError(ParseError, InvalidEdgeLabelError):
+    """A malformed diagram at its place in the text: a duplicate vertex or
+    edge, a self-loop or an edge label below 2."""
 
 
 class DuplicateNameError(EndscopeError):

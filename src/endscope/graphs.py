@@ -61,10 +61,10 @@ class LabeledGraph:
         """edges: iterable of (u, v, label); a pair given twice is an error."""
         labels = {}
         for u, v, m in edges:
-            key = _edge_key(u, v)
-            if key in labels:
-                raise InvalidEdgeLabelError(f"duplicate edge {key}")
-            labels[key] = m
+            # the graph normalises each pair and rejects (v, u) after (u, v)
+            if (u, v) in labels:
+                raise InvalidEdgeLabelError(f"duplicate edge {_edge_key(u, v)}")
+            labels[u, v] = m
         return LabeledGraph(tuple(vertices), labels)
 
     def __len__(self):

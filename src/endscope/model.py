@@ -26,11 +26,12 @@ from dataclasses import dataclass, field, fields
 from .atoms import PropertyAtom, atom_from_name
 from .errors import (
     DanglingReferenceError,
+    DiagramParseError,
     DuplicateNameError,
     InvalidEdgeLabelError,
     ParseError,
 )
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, _edge_key
 
 
 # --- AST -------------------------------------------------------------------
@@ -210,10 +211,8 @@ class _Tokens:
     def next(self, expected=None):
         if self.pos >= len(self.items):
             last = self.items[-1] if self.items else ("", 1, 1)
-            raise ParseError(
-                f"unexpected end of input (expected {expected or 'more input'})",
-                last[1], last[2],
-            )
+            wanted = "more input" if expected is None else repr(expected)
+            raise ParseError(f"unexpected end of input (expected {wanted})", last[1], last[2])
         tok, line, col = self.items[self.pos]
         self.pos += 1
         if expected is not None and tok != expected:
@@ -248,9 +247,9 @@ def _parse_int(tokens, what):
 
 def _parse_diagram(tokens, labeled):
     tokens.next("{")
-    verts = []
+    verts, declared = [], set()
     vertex_groups = []
-    edges = []
+    edges = {}  # (u, v) with u <= v -> label, as LabeledGraph keeps them
     endpoints = []  # (vertex, line, col) of each edge end
     while True:
         tok = tokens.peek()
@@ -263,31 +262,40 @@ def _parse_diagram(tokens, labeled):
                 name, line, col = tokens.next()
                 if name in ("edge", "verts") or name in _PUNCTUATION:
                     raise ParseError(f"bad vertex name {name!r}", line, col)
+                if name in declared:
+                    raise DiagramParseError(f"duplicate vertex {name!r}", line, col)
                 if labeled == "graph_product":
                     tokens.next(":")
                     vertex_groups.append((name, _parse_name(tokens)))
                 verts.append(name)
+                declared.add(name)
             tokens.next(";")
         elif tok == "edge":
             tokens.next("edge")
             u, v = _parse_name(tokens), _parse_name(tokens)
-            endpoints += tokens.items[tokens.pos - 2:tokens.pos]
+            first, second = tokens.items[tokens.pos - 2:tokens.pos]  # (name, line, col)
+            if u == v:
+                raise DiagramParseError(f"self-loop at {u!r}", *second[1:])
+            key = _edge_key(u, v)
+            if key in edges:
+                raise DiagramParseError(f"duplicate edge {key}", *first[1:])
+            endpoints += (first, second)
             if labeled == "graph_product":
                 label = 2
             else:
                 label = _parse_int(tokens, "edge label")
                 if label < 2:
-                    raise InvalidEdgeLabelError.for_label(label)
+                    _, line, col = tokens.items[tokens.pos - 1]
+                    raise DiagramParseError.for_label(label, line, col)
             tokens.next(";")
-            edges.append((u, v, label))
+            edges[key] = label
         else:
             tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}")
     # an edge may come before the verts that declare its ends
-    declared = set(verts)
     for name, line, col in endpoints:
         if name not in declared:
             raise ParseError(f"unknown vertex {name!r}", line, col)
-    graph = LabeledGraph.build(verts, edges)
+    graph = LabeledGraph(tuple(verts), edges)
     if labeled == "graph_product":
         return graph, tuple(vertex_groups)
     return graph

@@ -1,4 +1,4 @@
-"""Structured report assembly and DOT export.
+"""Structured report assembly, the report writer and DOT export.
 
 Reports are plain JSON-shaped dictionaries with a schema version and a
 content digest of the input, built deterministically so identical inputs
@@ -8,6 +8,8 @@ serialize byte for byte.
 from __future__ import annotations
 
 import hashlib
+import json
+from json.encoder import encode_basestring_ascii
 
 from .cayley import BallGraph
 from .graphs import LabeledGraph
@@ -168,6 +170,58 @@ def analysis_report(registry: GroupRegistry, text: str):
             warnings += raised
     sections.append(facts_section(facts))
     return envelope(text, sections, warnings, schema=CERTIFICATE_SCHEMA_VERSION)
+
+
+# --- JSON text ----------------------------------------------------------------
+
+class _NotReportType(Exception):
+    """A value the writer leaves to the `json` module."""
+
+
+def dumps(value) -> str:
+    """Exactly `json.dumps(value, indent=2)`.  CPython runs its pure-Python
+    encoder whenever an indent is given; this writes the report's own types
+    (exact dict with exact str keys, list, tuple, exact str and int, bool and
+    None) itself.  Any other type anywhere in `value`, or a payload too deep
+    or cyclic to walk, hands the whole of `value` to `json`, so floats,
+    enums, subclasses and non-str keys get its bytes and unencodable input
+    its errors."""
+    try:
+        return _dumps(value, "\n")
+    except (_NotReportType, RecursionError):
+        return json.dumps(value, indent=2)
+
+
+def _dumps(value, newline):
+    """`value` as JSON text; `newline` is the line break and indent at its
+    own depth."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if cls is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _NotReportType
+            items.append(encode_basestring_ascii(key) + ": " + _dumps(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        items = [_dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise _NotReportType
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -136,10 +136,10 @@ def chain_document(length, in_order):
 @pytest.mark.parametrize("text,message", [
     ("group F = finite(0)\n", "finite order must be >= 1, got 0"),
     ("group F = free(-1)\n", "rank must be >= 0, got -1"),
-    ("group W = coxeter { verts a a ; }\n", "duplicate vertex 'a'"),
-    ("group W = coxeter { verts a b ; edge a a 3 ; }\n", "self-loop at 'a'"),
+    ("group W = coxeter { verts a a ; }\n", "line 1, col 29: duplicate vertex 'a'"),
+    ("group W = coxeter { verts a b ; edge a a 3 ; }\n", "line 1, col 40: self-loop at 'a'"),
     ("group W = coxeter { verts a b ; edge a b 1 ; }\n",
-     "edge label must be an integer >= 2, got 1"),
+     "line 1, col 42: edge label must be an integer >= 2, got 1"),
     ("group F = finite(x)\n", "line 1, col 18: expected order, got 'x'"),
     ("group F = finite(2, 3)\n", "line 1, col 19: expected ')', got ','"),
     ("group K = known(a, b)\n", "line 1, col 21: expected 1 references, got 2"),
@@ -156,7 +156,13 @@ def chain_document(length, in_order):
      "line 1, col 40: expected a name, got ','"),
     ("group W = coxeter { verts a b ; edge a z 3 ; }\n", "line 1, col 40: unknown vertex 'z'"),
     ("group W = coxeter { verts a b ; edge a b 3 ; edge b a 2 ; }\n",
-     "duplicate edge ('a', 'b')"),
+     "line 1, col 51: duplicate edge ('a', 'b')"),
+    ("group A = free(1)\ngroup P = graph_product { verts u:A v:A u:A ; }\n",
+     "line 2, col 41: duplicate vertex 'u'"),
+    ("group A = free(1)\ngroup P = graph_product { verts u:A v:A ; edge v v ; }\n",
+     "line 2, col 50: self-loop at 'v'"),
+    ("group A = free(1)\ngroup P = graph_product { verts u:A v:A ; edge u v ; edge v u ; }\n",
+     "line 2, col 59: duplicate edge ('u', 'v')"),
     ("group A = free(1)\ngroup C = amalgam(A, A)\ngroup D = free(1)\n",
      "line 2, col 23: expected 3 references, got 2"),
     pytest.param(chain_document(1200, in_order=False), "reference to undeclared group 'G1'",
@@ -463,7 +469,7 @@ def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):
     ("tower { ranks: 1 1 ; bond 1: 1 }", "line 1, col 32: expected ';', got '}'"),
     ("tower { ranks: 1 1 ; ; bond 1: 1 ; }", "line 1, col 22: unknown tower statement ';'"),
     ("tower constant { rank 0 ; matrix ; }", "line 1, col 34: expected matrix entry, got ';'"),
-    ("tower constant { rank 1 ; matrix 2 ;", "line 1, col 36: unexpected end of input (expected })"),
+    ("tower constant { rank 1 ; matrix 2 ;", "line 1, col 36: unexpected end of input (expected '}')"),
     ("tower {\n  ranks: 2 2 ;\n  bond 1: 1 0 , 0 1 ;\n  bond 1: 2 0 , 0 2 ;\n}",
      "line 4, col 3: repeated tower statement 'bond 1'"),
 ])

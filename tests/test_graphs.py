@@ -52,6 +52,8 @@ def test_build_rejects_bad_input():
         LabeledGraph.build("aa")
     with pytest.raises(InvalidEdgeLabelError, match="duplicate edge"):
         LabeledGraph.build("ab", [("a", "b", 3), ("b", "a", 2)])
+    with pytest.raises(InvalidEdgeLabelError, match="duplicate edge"):
+        LabeledGraph.build("ab", [("b", "a", 3), ("b", "a", 3)])
 
 
 def test_components_and_connectivity():
@@ -264,6 +266,22 @@ def test_cut_vertices_match_the_reference_on_random_graphs(n, p, rng):
     g = random_graph(rng, n, p)
     g = LabeledGraph.build(rng.sample(g.vertices, n), g.sorted_edges())  # vertex order != sort order
     assert g.cut_vertices() == reference_cut_vertices(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=30), st.floats(min_value=0.02, max_value=0.9),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_adjacency_lists_neighbours_in_vertex_order(n, p, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    # vertices and edges in shuffled order, each edge either way round
+    edges = [(v, u, m) if rng.random() < 0.5 else (u, v, m)
+             for u, v, m in g.sorted_edges()]
+    rng.shuffle(edges)
+    h = LabeledGraph.build(rng.sample(g.vertices, n), edges)
+    assert h.edges == g.edges
+    for v in h.vertices:
+        assert h.adjacency[v] == tuple(u for u in h.vertices if u != v and h.has_edge(u, v))
 
 
 def test_cut_vertices_of_a_long_path_do_not_recurse():

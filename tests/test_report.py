@@ -2,7 +2,9 @@
 schema-1 certificate trees.  The report writer writes exactly what
 `json.dumps(indent=2)` writes."""
 
+import contextlib
 import enum
+import io
 import json
 import pathlib
 import sys
@@ -10,6 +12,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from endscope.cli import _emit
 from endscope.coxeter import is_finite_type
@@ -219,3 +222,48 @@ def test_unencodable_values_raise_the_same_type_error(capsys, value):
         json.dumps(value, indent=2)
     assert str(ours.value) == str(theirs.value)
     assert capsys.readouterr().out == ""
+
+
+# Text with control characters and lone surrogates, which st.characters()
+# leaves out by default, next to the rest of Unicode.
+TEXT = st.text(st.one_of(
+    st.characters(),
+    st.integers(0, 0x1F).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr),
+), max_size=6)
+REPORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10 ** 60), 10 ** 60), TEXT)
+# Each of these makes the writer hand the whole payload to json.dumps.
+FOREIGN = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), -0.0]), st.just(Ends.ONE), TEXT.map(Name))
+FOREIGN_KEYS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+
+
+@st.composite
+def payloads(draw):
+    """A JSON-shaped value in which one dict, list or tuple occurs at several
+    depths; half the time some leaves or keys are values the writer leaves to
+    json.dumps, wherever the recursion puts them."""
+    foreign = draw(st.booleans())
+    leaves = st.one_of(REPORT_SCALARS, FOREIGN) if foreign else REPORT_SCALARS
+    keys = st.one_of(TEXT, FOREIGN_KEYS) if foreign else TEXT
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(keys, children, max_size=4),
+        )
+
+    shared = draw(containers(st.recursive(leaves, containers, max_leaves=6)))
+    body = draw(st.recursive(st.one_of(leaves, st.just(shared)), containers, max_leaves=16))
+    return [body, shared, {"again": [shared, (shared,)]}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(payloads())
+def test_emit_writes_json_dumps_with_indent_2(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
