@@ -103,7 +103,10 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
         tag = _classify_path(labels)
         rev = _classify_path(labels[::-1])
         # orientation must not matter; both walks classify identically
-        assert tag == rev
+        if tag != rev:
+            raise AssertionError(
+                f"path labels {labels} classify as {tag!r} but reversed as {rev!r}"
+            )
         return tag
     # one degree-3 branch vertex: D/E shapes, simply laced only
     for i, u in enumerate(comp):

@@ -3,18 +3,31 @@
 A tower is an inverse sequence Z^{n_1} <- Z^{n_2} <- ... with integer bonding
 matrices.  Images are tracked as integer lattices in canonical (column)
 Hermite normal form, so chain comparisons are exact.  All arithmetic is
-arbitrary precision.
+arbitrary precision.  The HNF makes one pass per row: the first column nonzero
+there is the pivot, and each other column nonzero there is folded into it by
+a unimodular 2x2 column step from the extended gcd of the two row entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import IndexOutOfRangeError, ParseError
 from .model import _parse_int, _Tokens
 
 
 # --- Integer lattice machinery ------------------------------------------------
+
+def _xgcd(a, b):
+    """(g, x, y) with g = x*a + y*b a gcd of a and b (g may be negative)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
+
 
 def hermite_normal_form(matrix):
     """Canonical column-style HNF basis of the lattice spanned by the columns.
@@ -23,6 +36,14 @@ def hermite_normal_form(matrix):
     nonzero entry of its column, positive, with pivot rows strictly
     increasing; entries of earlier columns in a pivot row are reduced into
     [0, pivot).  The result is unique per lattice.
+
+    One pass per row r: the first column nonzero in row r becomes the pivot,
+    and each later column c nonzero there is combined with it by a unimodular
+    2x2 step on rows r.. (rows above r are zero in all these columns).  If
+    a = pivot[r] divides b = c[r], c -= (b // a) * pivot; otherwise, with
+    g = x*a + y*b from the extended gcd, pivot <- x*pivot + y*c and
+    c <- (b/g)*pivot - (a/g)*c (determinant -1).  Either way c[r] becomes 0,
+    and c goes on to the next row unless it is zero.
     """
     if not matrix:
         return ()
@@ -30,27 +51,32 @@ def hermite_normal_form(matrix):
     cols = [list(col) for col in zip(*matrix) if any(col)]
     pivots = []  # finished columns, in pivot-row order
     for r in range(n):
-        nz = [c for c in cols if c[r] != 0]
-        rest = [c for c in cols if c[r] == 0]
-        if not nz:
-            cols = rest
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda c: abs(c[r]))
-            base = nz[0]
-            keep = [base]
-            for c in nz[1:]:
-                q = c[r] // base[r]
-                for k in range(r, n):
-                    c[k] -= q * base[k]
-                if c[r] != 0:
-                    keep.append(c)
-                elif any(c):
+        pivot, rest = None, []
+        for c in cols:
+            b = c[r]
+            if not b:
+                rest.append(c)
+            elif pivot is None:
+                pivot = c
+            else:
+                a = pivot[r]
+                q, rem = divmod(b, a)
+                if rem:
+                    g, x, y = _xgcd(a, b)
+                    s, t = b // g, a // g
+                    for k in range(r, n):
+                        p, v = pivot[k], c[k]
+                        pivot[k], c[k] = x * p + y * v, s * p - t * v
+                else:
+                    for k in range(r, n):
+                        c[k] -= q * pivot[k]
+                if any(c):
                     rest.append(c)
-            nz = keep
-        pivot = nz[0]
+        cols = rest
+        if pivot is None:
+            continue
         if pivot[r] < 0:
-            for k in range(n):
+            for k in range(r, n):
                 pivot[k] = -pivot[k]
         for done in pivots:
             q = done[r] // pivot[r]
@@ -58,18 +84,19 @@ def hermite_normal_form(matrix):
                 for k in range(r, n):
                     done[k] -= q * pivot[k]
         pivots.append(pivot)
-        cols = rest
     return tuple(tuple(c) for c in pivots)
 
 
 def lattice_contains(basis, vector):
     """Membership of an integer vector in the lattice with HNF basis `basis`."""
     v = list(vector)
+    r = 0  # pivot rows increase, so each scan starts where the last one stopped
     for col in basis:
-        r = next(i for i, x in enumerate(col) if x != 0)
-        if v[r] % col[r] != 0:
+        while not col[r]:
+            r += 1
+        q, rem = divmod(v[r], col[r])
+        if rem:
             return False
-        q = v[r] // col[r]
         if q:
             for k in range(r, len(v)):
                 v[k] -= q * col[k]
@@ -85,10 +112,8 @@ def mat_product(a, b):
     """a (p x q) times b (q x r) over the integers."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shapes do not chain")
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
-    )
+    bt = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_identity(n):
@@ -182,8 +207,11 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
         lattices.append(hermite_normal_form(composite))
     lattices = tuple(lattices)
     # sanity: the chain must be descending
-    for a, b in zip(lattices, lattices[1:]):
-        assert lattice_includes(a, b)
+    for k, (a, b) in enumerate(zip(lattices, lattices[1:]), start=m):
+        if not lattice_includes(a, b):
+            raise AssertionError(
+                f"image chain not descending: L_{k + 1} is not inside L_{k} in G_{m}"
+            )
 
     equal_next = [lattices[i] == lattices[i + 1] for i in range(len(lattices) - 1)]
     if not any(equal_next):

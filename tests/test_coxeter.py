@@ -72,6 +72,14 @@ def test_finite_type_families_reported():
     assert families == {"B3"}
 
 
+def test_path_classified_one_way_round_raises(monkeypatch):
+    # a classifier that read the labels in order would call B3 and its
+    # reversal different families; the check must catch that, under -O too
+    monkeypatch.setattr("endscope.coxeter._classify_path", lambda labels: str(labels))
+    with pytest.raises(AssertionError, match="classify as"):
+        is_finite_type(system("abc", [("a", "b", 4), ("b", "c", 3), ("a", "c", 2)]))
+
+
 def test_affine_triangle_is_infinite():
     tri = system("abc", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
     assert not is_finite_type(tri).is_finite

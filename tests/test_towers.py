@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from endscope import towers
 from endscope.errors import IndexOutOfRangeError
+from endscope.graph_products import _smith_diagonal
 from endscope.towers import (
     AbelianTower,
     hermite_normal_form,
@@ -18,6 +20,217 @@ from endscope.towers import (
     ml_decide_constant,
     parse_tower,
 )
+
+
+def reference_hermite_normal_form(matrix):
+    """The column HNF by repeated Euclid rounds: sort the columns nonzero in
+    row r by |entry|, reduce the rest by the smallest, until one is left."""
+    if not matrix:
+        return ()
+    n = len(matrix)
+    cols = [list(col) for col in zip(*matrix) if any(col)]
+    pivots = []
+    for r in range(n):
+        nz = [c for c in cols if c[r] != 0]
+        rest = [c for c in cols if c[r] == 0]
+        if not nz:
+            cols = rest
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda c: abs(c[r]))
+            base = nz[0]
+            keep = [base]
+            for c in nz[1:]:
+                q = c[r] // base[r]
+                for k in range(r, n):
+                    c[k] -= q * base[k]
+                if c[r] != 0:
+                    keep.append(c)
+                elif any(c):
+                    rest.append(c)
+            nz = keep
+        pivot = nz[0]
+        if pivot[r] < 0:
+            for k in range(n):
+                pivot[k] = -pivot[k]
+        for done in pivots:
+            q = done[r] // pivot[r]
+            if q:
+                for k in range(r, n):
+                    done[k] -= q * pivot[k]
+        pivots.append(pivot)
+        cols = rest
+    return tuple(tuple(c) for c in pivots)
+
+
+def reference_mat_product(a, b):
+    """a times b, one generator per entry."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix shapes do not chain")
+    bt = list(zip(*b)) if b else []
+    return tuple(
+        tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
+    )
+
+
+def random_matrix(rng, rows, cols, bound, zero_share=0.0):
+    return tuple(
+        tuple(0 if rng.random() < zero_share else rng.randint(-bound, bound)
+              for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def awkward_matrix(rng, bound):
+    """0-6 x 0-6, sometimes with a zero row or column, or with a column that
+    is a combination of the others (rank deficient)."""
+    rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+    mat = [list(row) for row in random_matrix(rng, rows, cols, bound, rng.choice((0, 0.5)))]
+    shape = rng.randrange(4)
+    if shape == 1 and rows:
+        mat[rng.randrange(rows)] = [0] * cols
+    elif shape == 2 and cols:
+        j = rng.randrange(cols)
+        for row in mat:
+            row[j] = 0
+    elif shape == 3 and cols >= 2:
+        j, i1, i2 = rng.randrange(cols), rng.randrange(cols), rng.randrange(cols)
+        c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
+        for row in mat:
+            row[j] = c1 * row[i1] + c2 * row[i2]
+    return tuple(tuple(row) for row in mat)
+
+
+def random_unimodular(rng, n, moves, bound):
+    """A product of elementary column moves col_i += c * col_j, |c| <= bound,
+    and column swaps."""
+    u = [list(row) for row in mat_identity(n)]
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            for row in u:
+                row[i], row[j] = row[j], row[i]
+        else:
+            c = rng.randint(-bound, bound)
+            for row in u:
+                row[i] += c * row[j]
+    if n and rng.random() < 0.5:  # determinant -1 too
+        for row in u:
+            row[0] = -row[0]
+    return tuple(tuple(row) for row in u)
+
+
+def test_hnf_matches_the_reference():
+    rng = random.Random(18)
+    for bound in (3, 3, 2 ** 80):
+        for _ in range(1500):
+            mat = awkward_matrix(rng, bound)
+            assert hermite_normal_form(mat) == reference_hermite_normal_form(mat), mat
+
+
+def test_mat_product_matches_the_reference():
+    rng = random.Random(19)
+    for bound in (3, 2 ** 80):
+        for _ in range(800):
+            p, q, r = (rng.randint(0, 6) for _ in range(3))
+            a = random_matrix(rng, p, q, bound)
+            b = random_matrix(rng, q, r, bound)
+            assert mat_product(a, b) == reference_mat_product(a, b), (a, b)
+    with pytest.raises(ValueError):
+        mat_product(((1, 2),), ((1,),))
+
+
+def test_hnf_is_invariant_under_large_unimodular_changes_of_basis():
+    rng = random.Random(20)
+    for _ in range(300):
+        mat = awkward_matrix(rng, rng.choice((3, 2 ** 80)))
+        if not mat or not mat[0]:
+            continue
+        u = random_unimodular(rng, len(mat[0]), rng.randint(1, 12), 2 ** 40)
+        assert hermite_normal_form(mat) == hermite_normal_form(mat_product(mat, u)), (mat, u)
+
+
+def test_lattice_contains_agrees_with_the_hnf():
+    # v lies in the lattice iff adding it as a column leaves the HNF unchanged
+    rng = random.Random(21)
+    for _ in range(600):
+        mat = awkward_matrix(rng, rng.choice((3, 2 ** 80)))
+        if not mat:
+            continue
+        basis = hermite_normal_form(mat)
+        if rng.random() < 0.5 and basis:
+            coeffs = [rng.randint(-5, 5) for _ in basis]
+            v = tuple(sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(len(mat)))
+        else:
+            v = tuple(rng.randint(-3, 3) for _ in mat)
+        joined = tuple(row + (x,) for row, x in zip(mat, v))
+        assert lattice_contains(basis, v) == (hermite_normal_form(joined) == basis), (mat, v)
+
+
+def test_smith_diagonal_matches_the_reference_hnf(monkeypatch):
+    rng = random.Random(22)
+    mats = [
+        random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), 2, 0.7)
+        for _ in range(800)
+    ]
+    fast = [_smith_diagonal(mat) for mat in mats]
+    monkeypatch.setattr("endscope.graph_products.hermite_normal_form",
+                        reference_hermite_normal_form)
+    assert fast == [_smith_diagonal(mat) for mat in mats]
+
+
+def conjugated_jordan(rng, spectrum):
+    """U J U^-1 with J upper triangular (the spectrum on its diagonal, 0/1
+    just above it) and U a product of elementary row moves."""
+    n = len(spectrum)
+    diag = list(spectrum)
+    rng.shuffle(diag)
+    jordan = tuple(tuple(diag[i] if i == j else (rng.randint(0, 1) if j == i + 1 else 0)
+                         for j in range(n)) for i in range(n))
+    u = u_inv = mat_identity(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        move = tuple(tuple(int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n))
+                     for a in range(n))
+        undo = tuple(tuple(int(a == b) - (c if (a, b) == (i, j) else 0) for b in range(n))
+                     for a in range(n))
+        u, u_inv = reference_mat_product(move, u), reference_mat_product(u_inv, undo)
+    return reference_mat_product(reference_mat_product(u, jordan), u_inv)
+
+
+def window_with_reference_kernels(monkeypatch, tower, m, n_steps):
+    with monkeypatch.context() as patch:
+        patch.setattr(towers, "hermite_normal_form", reference_hermite_normal_form)
+        patch.setattr(towers, "mat_product", reference_mat_product)
+        return ml_check_window(tower, m, n_steps)
+
+
+def test_window_matches_the_reference_kernels(monkeypatch):
+    rng = random.Random(23)
+    spectra = ((2,), (1, 0), (2, 1, 0), (-2, 1, -1, 0), (3, -1), (1, 1, 0, 0))
+    for t in range(36):
+        mat = conjugated_jordan(rng, spectra[t % len(spectra)])
+        tower = AbelianTower.constant_tower(len(mat), mat)
+        chain, verdict = ml_check_window(tower, 1, 30)
+        ref_chain, ref_verdict = window_with_reference_kernels(monkeypatch, tower, 1, 30)
+        assert chain == ref_chain and verdict == ref_verdict, mat
+    for _ in range(40):
+        ranks = tuple(rng.randint(1, 4) for _ in range(9))
+        bonds = tuple(random_matrix(rng, ranks[i], ranks[i + 1], 3, 0.3) for i in range(8))
+        tower = AbelianTower.explicit(ranks, bonds)
+        m = rng.randint(1, 3)
+        chain, verdict = ml_check_window(tower, m, 8 - m + 1)
+        assert (chain, verdict) == window_with_reference_kernels(monkeypatch, tower, m, 8 - m + 1)
+
+
+def test_window_raises_when_the_chain_is_not_descending(monkeypatch):
+    # a kernel that returned 2Z, then 3Z, would claim L_2 = 3Z inside L_1 = 2Z
+    answers = iter((((2,),), ((3,),)))
+    monkeypatch.setattr(towers, "hermite_normal_form", lambda matrix: next(answers))
+    tower = AbelianTower.constant_tower(1, ((3,),))
+    with pytest.raises(AssertionError, match="L_2 is not inside L_1"):
+        ml_check_window(tower, 1, 1)
 
 
 def test_hnf_fixed_cases():
