@@ -10,12 +10,11 @@ approximated by "touches the outer sphere", guarded by a stability window.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .atoms import EndCount
 from .coxeter import CoxeterSystem, tits_cone_action
-from .errors import MemoryCapExceededError, WindowTooSmallError
+from .errors import EndscopeError, MemoryCapExceededError, WindowTooSmallError
 from .graphs import LabeledGraph
 
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -192,18 +191,15 @@ def compose_oracles(kind, parts):
 @dataclass
 class BallGraph:
     """A Cayley ball indexed by integer ids: an element's id is its position
-    in BFS order, so ids are sorted by distance.  Adjacency is in CSR form:
-    the edges of id u are target[row[u]:row[u + 1]], labeled by generator
-    indices in `label`.  The edge u -> v labeled g comes back as v -> u
-    labeled inverse[g]."""
+    in BFS order, so ids are sorted by distance.  Adjacency is one table of
+    n slots per id, n the number of generators: neighbors[u * n + g] is the
+    id of u*g, or -1 when u*g lies outside the ball or g is the identity.
+    Slot g of u holds v exactly when slot inverse[g] of v holds u."""
 
     radius: int
     order: list  # element keys; the key of id u is order[u]
     distance: list  # id -> distance from the identity
-    parent: list  # id -> (parent id, generator index); None for the identity
-    row: list  # id -> offset of its first edge; row[len(order)] == len(target)
-    target: list  # edge -> neighbor id
-    label: list  # edge -> generator index
+    neighbors: list  # u * n + g -> id of u*g, or -1
     layer: list  # d -> first id at distance d, for d in 0..radius + 1
     exhausted: bool  # whole group fits inside the ball
     generator_names: tuple
@@ -217,12 +213,17 @@ class BallGraph:
 def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP) -> BallGraph:
     """Breadth-first closure of the generator action, truncated at `radius`.
 
-    Adjacency covers every edge with both ends inside the ball.  Each edge
-    is computed once, from its smaller id u: the edge u -> v labeled g fills
-    v's slot inverse[g] with u, which is the edge v -> u, so a filled slot
-    costs no multiply.  On a bipartite oracle an empty slot of the outer
-    sphere leads outside the ball, so it is not multiplied either.
-    `exhausted` is set when no sphere element has a neighbor outside the ball.
+    The spheres are expanded in turn, and the table covers every edge with
+    both ends inside the ball.  Each edge is multiplied once, from its
+    smaller id u: finding v = u*g fills slot g of u with v and slot
+    inverse[g] of v with u, so when v's turn comes that slot is already
+    filled and costs no multiply.  On a bipartite oracle no edge joins two
+    elements of the outer sphere, so its empty slots all lead outside the
+    ball and the outer sphere is not multiplied at all.  On any other oracle
+    it is multiplied outward to find the edges inside it, and a product
+    outside the ball leaves its slot at -1.  `exhausted` is set when no
+    element of the outer sphere has a neighbor outside the ball, that is,
+    when its only empty slots are those of identity generators.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -240,55 +241,47 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
     if None in inverse or len(set(inverse)) < n:
         raise ValueError(f"the generators of {oracle.name} must be distinct and inverse-closed")
     # a generator equal to the identity labels only self-loops, which the
-    # ball leaves out
+    # ball leaves out: its slots stay -1
     steps = [(g, inverse[g]) for g, x in enumerate(elements) if x != identity]
     order = [identity]
     ids = {identity: 0}  # key -> id, needed only while building
-    distance = [0]
-    parent = [None]
-    row, target, label = [0], [], []
-    back = [None] * n  # back[v * n + g]: the id u < v of the edge v -> u labeled g
-    blank = back[:]
-    bipartite = oracle.bipartite
-    escaped = False
-    for u, key in enumerate(order):  # a list iterator also visits appended keys
-        du = distance[u]
-        outer = du == radius
-        skip_outward = outer and bipartite
-        base = u * n
-        for g, h in steps:
-            v = back[base + g]
-            if v is None:
-                if skip_outward:
-                    escaped = True
-                    continue
-                w = multiply(key, g)
-                v = ids.get(w)
-                if v is None:
-                    if outer:
-                        escaped = True
-                        continue
-                    v = len(order)
-                    if v >= element_cap:
-                        raise MemoryCapExceededError(element_cap)
-                    ids[w] = v
-                    order.append(w)
-                    distance.append(du + 1)
-                    parent.append((u, g))
-                    back += blank
-                back[v * n + h] = u
-            target.append(v)
-            label.append(g)
-        row.append(len(target))
+    layer = [0]
+    neighbors = [-1] * n
+    blank = neighbors[:]
+    for d in range(radius + 1):
+        lo, hi = layer[d], len(order)
+        layer.append(hi)  # expanding sphere d appends sphere d + 1
+        outer = d == radius
+        if outer and oracle.bipartite:
+            break
+        for u, key in enumerate(order[lo:hi], lo):
+            base = u * n
+            for g, h in steps:
+                if neighbors[base + g] < 0:
+                    w = multiply(key, g)
+                    v = ids.get(w)
+                    if v is None:
+                        if outer:
+                            continue
+                        v = len(order)
+                        if v >= element_cap:
+                            raise MemoryCapExceededError(element_cap)
+                        ids[w] = v
+                        order.append(w)
+                        neighbors += blank
+                    neighbors[base + g] = v
+                    neighbors[v * n + h] = u
+    lo = layer[radius]
+    escaped = neighbors[lo * n:].count(-1) > (len(order) - lo) * (n - len(steps))
+    distance = []
+    for d in range(radius + 1):
+        distance += [d] * (layer[d + 1] - layer[d])
     return BallGraph(
         radius=radius,
         order=order,
         distance=distance,
-        parent=parent,
-        row=row,
-        target=target,
-        label=label,
-        layer=[bisect_left(distance, d) for d in range(radius + 2)],
+        neighbors=neighbors,
+        layer=layer,
         exhausted=not escaped,
         generator_names=tuple(oracle.generators),
         inverse=inverse,
@@ -321,25 +314,29 @@ def _peel(ball: BallGraph, r_min):
     components of the subgraph induced on distances [r, R] (the ball minus
     the open ball of radius r) that contain a distance-R element.  A root is
     the largest id of its component, so a component meets the outer sphere
-    iff its root does.
+    iff its root does.  Layer d joins each u to the slots of u holding an id
+    of distance >= d; an empty slot holds -1, which is below every layer.
+    The root a of u's component is found once per u and kept current across
+    its unions, since the larger root is the one that survives.
     """
-    row, target, layer = ball.row, ball.target, ball.layer
+    neighbors, layer = ball.neighbors, ball.layer
+    n = len(ball.generator_names)
     outer = layer[ball.radius]
     root = list(range(len(ball.order)))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
     count = len(ball.order) - outer
     counts = [0] * (ball.radius + 1)
     for d in range(ball.radius, r_min - 1, -1):
         lo = layer[d]
         for u in range(lo, layer[d + 1]):
-            for v in target[row[u]:row[u + 1]]:
+            a = u
+            while root[a] != a:  # path halving
+                root[a] = a = root[root[a]]
+            base = u * n
+            for v in neighbors[base:base + n]:
                 if v >= lo:
-                    a, b = find(u), find(v)
+                    b = v
+                    while root[b] != b:
+                        root[b] = b = root[root[b]]
                     if a != b:
                         if a < b:
                             a, b = b, a
@@ -386,24 +383,30 @@ def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
 
 # --- Oracle spec strings (used by the CLI) ---------------------------------------
 
+def _dihedral(m):
+    return CoxeterOracle(CoxeterSystem(LabeledGraph.build(("s", "t"), [("s", "t", m)])))
+
+
+# spec head -> oracle of the integer after the colon
+_SPEC_OF = {"z": ZnOracle, "free": FreeOracle, "zmod": CyclicOracle, "i2": _dihedral}
+
+
 def oracle_from_spec(spec: str) -> GroupOracle:
     """Build a named oracle: z:<n>, free:<n>, zmod:<n>, i2:<m>,
-    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs)."""
+    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs).
+    A bad spec raises ValueError quoting the spec, or the part of a product
+    spec that is bad, as typed."""
     head, _, rest = spec.partition(":")
-    if head == "z":
-        return ZnOracle(int(rest))
-    if head == "free":
-        return FreeOracle(int(rest))
-    if head == "zmod":
-        return CyclicOracle(int(rest))
-    if head == "i2":
-        m = int(rest)
-        diagram = LabeledGraph.build(("s", "t"), [("s", "t", m)])
-        return CoxeterOracle(CoxeterSystem(diagram))
-    if head == "freeprod":
+    if head in ("freeprod", "prod"):
         parts = [oracle_from_spec(p) for p in rest.split("x")]
-        return compose_oracles("free_product", parts)
-    if head == "prod":
-        parts = [oracle_from_spec(p) for p in rest.split("x")]
-        return compose_oracles("direct_product", parts)
-    raise ValueError(f"unknown oracle spec {spec!r}")
+        return compose_oracles("free_product" if head == "freeprod" else "direct_product", parts)
+    if head not in _SPEC_OF:
+        raise ValueError(f"unknown oracle spec {spec!r}")
+    try:
+        n = int(rest)
+    except ValueError:
+        raise ValueError(f"bad oracle spec {spec!r}: {rest!r} is not an integer") from None
+    try:
+        return _SPEC_OF[head](n)
+    except (ValueError, EndscopeError) as exc:
+        raise ValueError(f"bad oracle spec {spec!r}: {exc}") from None

@@ -238,14 +238,16 @@ def render_dot(graph) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(graph, BallGraph):
         names = graph.generator_names
-        row, target, label, layer = graph.row, graph.target, graph.label, graph.layer
+        neighbors, layer, n = graph.neighbors, graph.layer, len(names)
         ids = [f"n{u}" for u in range(len(graph.distance))]
         # each edge {u, v} once per label, under its smaller end u, sorted by
-        # (u, v, label); v -> u carries the inverse label of u -> v.  One
-        # generator leads from u to v (build_ball checks they are distinct),
-        # so sorting by (u, v, g) and writing g's labels in name order is
-        # that order.  first[g] and second[g] hold the label text of the
-        # names of g and its inverse; second[g] is None when they coincide.
+        # (u, v, label); v -> u carries the inverse label of u -> v.  The
+        # edge is slot g of u holding v > u (an empty slot holds -1, below
+        # every u).  One generator leads from u to v (build_ball checks they
+        # are distinct), so sorting by (u, v, g) and writing g's labels in
+        # name order is that order.  first[g] and second[g] hold the label
+        # text of the names of g and its inverse; second[g] is None when
+        # they coincide.
         pairs = [sorted({names[g], names[h]}) for g, h in enumerate(graph.inverse)]
         first = [f' [label="{pair[0]}"];' for pair in pairs]
         second = [f' [label="{pair[1]}"];' if len(pair) == 2 else None for pair in pairs]
@@ -253,8 +255,13 @@ def render_dot(graph) -> str:
         lines += [f'  {i} [label="d={d}"];' for i, d in zip(ids, graph.distance)]
         # one sort per sphere, not per ball, bounds the triples held at once
         for d in range(graph.radius + 1):
-            edges = sorted((u, v, label[e]) for u in range(layer[d], layer[d + 1])
-                           for e in range(row[u], row[u + 1]) if (v := target[e]) > u)
+            edges = []
+            for u in range(layer[d], layer[d + 1]):
+                base = u * n
+                for g in range(n):
+                    if (v := neighbors[base + g]) > u:
+                        edges.append((u, v, g))
+            edges.sort()
             for u, v, g in edges:
                 head = f"  {ids[u]} -- {ids[v]}"
                 lines.append(head + first[g])

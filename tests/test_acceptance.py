@@ -250,9 +250,10 @@ def test_criterion_8_cayley_invariant_suite():
     for spec in specs:
         ball = build_ball(oracle_from_spec(spec), 7)
         assert ball.distance == sorted(ball.distance), spec
-        for u in range(len(ball.order)):
-            for v in ball.target[ball.row[u]:ball.row[u + 1]]:
-                assert abs(ball.distance[u] - ball.distance[v]) <= 1, spec
+        n = len(ball.generator_names)
+        for i, v in enumerate(ball.neighbors):
+            if v >= 0:
+                assert abs(ball.distance[i // n] - ball.distance[v]) <= 1, spec
         estimate = estimate_ends(ball, 1, 5)
         counts = [c for _, c in estimate.per_radius]
         assert counts == sorted(counts), spec

@@ -80,8 +80,8 @@ def sweep_oracles():
 
 def reference_build_ball(oracle, radius, element_cap=2_000_000):
     """The breadth-first closure that multiplies every (element, generator)
-    pair, each edge from both ends and the outer sphere outward; `inverse`
-    is left None."""
+    pair, each edge from both ends and the outer sphere outward, and appends
+    each slot of the table as it goes; `inverse` is left None."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     multiply = oracle.multiply
@@ -89,38 +89,32 @@ def reference_build_ball(oracle, radius, element_cap=2_000_000):
     order = [oracle.identity]
     ids = {oracle.identity: 0}
     distance = [0]
-    parent = [None]
-    row, target, label = [0], [], []
+    neighbors = []
     escaped = False
     for u, key in enumerate(order):
         du = distance[u]
         for g in gens:
             w = multiply(key, g)
-            if w == key:
-                continue
             v = ids.get(w)
-            if v is None:
+            if w == key:
+                v = -1
+            elif v is None:
                 if du == radius:
                     escaped = True
-                    continue
-                v = len(order)
-                if v >= element_cap:
-                    raise MemoryCapExceededError(element_cap)
-                ids[w] = v
-                order.append(w)
-                distance.append(du + 1)
-                parent.append((u, g))
-            target.append(v)
-            label.append(g)
-        row.append(len(target))
+                    v = -1
+                else:
+                    v = len(order)
+                    if v >= element_cap:
+                        raise MemoryCapExceededError(element_cap)
+                    ids[w] = v
+                    order.append(w)
+                    distance.append(du + 1)
+            neighbors.append(v)
     return BallGraph(
         radius=radius,
         order=order,
         distance=distance,
-        parent=parent,
-        row=row,
-        target=target,
-        label=label,
+        neighbors=neighbors,
         layer=[bisect_left(distance, d) for d in range(radius + 2)],
         exhausted=not escaped,
         generator_names=tuple(oracle.generators),
@@ -131,18 +125,17 @@ def reference_build_ball(oracle, radius, element_cap=2_000_000):
 def reference_render_dot(ball):
     """The DOT text of `ball`, one vertex at a time: a set of (v, name) pairs
     per id u, sorted."""
-    names, inverse = ball.generator_names, ball.inverse
-    row, target, label = ball.row, ball.target, ball.label
+    names, inverse, neighbors = ball.generator_names, ball.inverse, ball.neighbors
+    n = len(names)
     lines = ["graph ball {"]
     lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(ball.distance)]
     # each edge {u, v} once per label, under its smaller end u, sorted by
     # (v, label); v -> u carries the inverse label of u -> v
     for u in range(len(ball.distance)):
         ends = set()
-        for e in range(row[u], row[u + 1]):
-            v = target[e]
+        for g in range(n):
+            v = neighbors[u * n + g]
             if v > u:
-                g = label[e]
                 ends.add((v, names[g]))
                 ends.add((v, names[inverse[g]]))
         lines += [f'  n{u} -- n{v} [label="{name}"];' for v, name in sorted(ends)]
@@ -156,8 +149,14 @@ def ball_fields(ball):
 
 
 def ball_rows(ball):
-    """Neighbor ids of each id."""
-    return [ball.target[ball.row[u]:ball.row[u + 1]] for u in range(len(ball.order))]
+    """Neighbor ids of each id: its filled slots, in generator order."""
+    n = len(ball.generator_names)
+    return [[v for v in ball.neighbors[u * n:u * n + n] if v >= 0] for u in range(len(ball.order))]
+
+
+def edge_count(ball):
+    """Undirected edges: each fills two slots, one at each end."""
+    return sum(v >= 0 for v in ball.neighbors) // 2
 
 
 def reference_per_radius(ball, r_min, r_max):
@@ -219,6 +218,19 @@ def test_element_cap_is_an_error():
         build_ball(oracle_from_spec("free:2"), 8, element_cap=100)
 
 
+@pytest.mark.parametrize("spec, radius, size", [
+    ("free:2", 4, 161),  # bipartite: the outer sphere is not multiplied
+    ("zmod:7", 2, 5),  # the outer sphere is multiplied outward and escapes
+    ("zmod:7", 3, 7),  # ... and finds the edge inside it
+])
+def test_element_cap_equal_to_the_ball_size_is_enough(spec, radius, size):
+    ball = build_ball(oracle_from_spec(spec), radius, element_cap=size)
+    assert len(ball.order) == size
+    assert ball.exhausted == (size == 7)
+    with pytest.raises(MemoryCapExceededError):
+        build_ball(oracle_from_spec(spec), radius, element_cap=size - 1)
+
+
 @st.composite
 def coxeter_oracles(draw):
     n = draw(st.integers(1, 4))
@@ -258,9 +270,31 @@ def test_build_ball_matches_the_reference(oracle, radius, cap):
     ball = build_ball(oracle, radius, element_cap=cap)
     assert ball_fields(ball) == ball_fields(expected)
     # the edge u -> v labeled g comes back as v -> u labeled inverse[g]
-    edges = set(zip((u for u, nbrs in enumerate(ball_rows(ball)) for _ in nbrs),
-                    ball.target, ball.label))
-    assert all((v, u, ball.inverse[g]) in edges for u, v, g in edges)
+    n = len(oracle.generators)
+    assert all(ball.neighbors[v * n + ball.inverse[i % n]] == i // n
+               for i, v in enumerate(ball.neighbors) if v >= 0)
+
+
+def test_neighbor_table_is_symmetric_and_empty_where_the_reference_is():
+    cases = [(spec, 5) for spec in CAYLEY_GRID_SPECS]
+    cases += [("zmod:5", 6), ("freeprod:zmod:2xzmod:3", 6)]  # not bipartite
+    cases += [("prod:zmod:1xz:1", 4), ("zmod:1", 2), ("z:0", 2)]  # identity generators
+    cases += [("zmod:7", 3), ("zmod:40", 24)]  # exhausted
+    for spec, radius in cases:
+        oracle = oracle_from_spec(spec)
+        ball = build_ball(oracle, radius)
+        expected = reference_build_ball(oracle, radius)
+        n = len(oracle.generators)
+        assert len(ball.neighbors) == len(ball.order) * n, spec
+        # -1 exactly where the reference finds no neighbor inside the ball
+        assert [v < 0 for v in ball.neighbors] == [v < 0 for v in expected.neighbors], spec
+        for i, v in enumerate(ball.neighbors):
+            u, g = divmod(i, n)
+            if v >= 0:
+                # slot g of u is v iff slot inverse[g] of v is u: the converse
+                # is this check at (v, inverse[g]), as inverse is an involution
+                assert ball.neighbors[v * n + ball.inverse[g]] == u, (spec, u, g)
+                assert oracle.multiply(ball.order[u], g) == ball.order[v], (spec, u, g)
 
 
 class CountingOracle(GroupOracle):
@@ -286,7 +320,7 @@ def test_a_bipartite_ball_multiplies_once_per_edge():
         ball = build_ball(oracle, radius)
         n = len(oracle.generators)
         # n + n^2 to derive the inverses, then one per undirected edge
-        assert oracle.calls == n + n * n + len(ball.target) // 2, inner.name
+        assert oracle.calls == n + n * n + edge_count(ball), inner.name
 
 
 def has_edge_inside_a_sphere(ball):
@@ -332,20 +366,21 @@ def test_generators_must_be_distinct_and_inverse_closed():
 
 
 def test_ball_distance_invariants():
-    specs = ["z:1", "z:2", "free:2", "i2:4", "freeprod:zmod:2xzmod:2"]
+    specs = ["z:1", "z:2", "free:2", "i2:4", "freeprod:zmod:2xzmod:2",
+             "freeprod:zmod:2xzmod:3", "prod:z:1xzmod:3"]  # the last two not bipartite
     for spec in specs:
         ball = build_ball(oracle_from_spec(spec), 5)
         assert ball.distance[0] == 0
         # BFS order is monotone in distance
         assert ball.distance == sorted(ball.distance)
         # adjacent elements differ in distance by at most 1
-        for u, nbrs in enumerate(ball_rows(ball)):
+        rows = ball_rows(ball)
+        for u, nbrs in enumerate(rows):
             for v in nbrs:
                 assert abs(ball.distance[u] - ball.distance[v]) <= 1
-        # every non-identity element has a parent one step closer
+        # every non-identity element has a neighbor one step closer
         for u in range(1, len(ball.order)):
-            p, _ = ball.parent[u]
-            assert ball.distance[p] == ball.distance[u] - 1
+            assert any(ball.distance[v] == ball.distance[u] - 1 for v in rows[u])
         # the estimate agrees with the per-radius reference search
         est = estimate_ends(ball, 0, 3)
         assert est.per_radius == reference_per_radius(ball, 0, 3), spec
@@ -355,6 +390,19 @@ def test_estimate_matches_reference_on_the_sweep_diagrams():
     for _, (n, edges) in distinct_small_diagrams():
         ball = build_ball(CoxeterOracle(CoxeterSystem(LabeledGraph.build(range(n), edges))), 6)
         assert estimate_ends(ball, 0, 4).per_radius == reference_per_radius(ball, 0, 4), edges
+
+
+def test_estimate_matches_reference_on_circulant_graphs():
+    """Z/m on two steps and their inverses: edges inside a sphere let an id's
+    root change before the peel reaches that id."""
+    for m in range(5, 21):
+        for a, b in itertools.combinations(range(1, m // 2 + 1), 2):
+            oracle = StepOracle(m, tuple(sorted({a, b, m - a, m - b})))
+            for radius in (4, 5):
+                ball = build_ball(oracle, radius)
+                window = (0, radius - 2)
+                assert estimate_ends(ball, *window).per_radius == reference_per_radius(
+                    ball, *window), (m, a, b, radius)
 
 
 def test_sweep_ball_dot_matches_pinned_digest():

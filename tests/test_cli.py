@@ -109,6 +109,17 @@ def test_budget_exhaustion_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("spec, radius, size", [("free:2", 4, 161), ("zmod:7", 2, 5)])
+def test_element_cap_equal_to_the_ball_size_exits_0(capsys, spec, radius, size):
+    argv = ["cayley", "--oracle", spec, "--radius", str(radius), "--element-cap"]
+    code, out, _ = run_capture(capsys, argv + [str(size)])
+    assert code == 0
+    assert json.loads(out)["sections"][0]["elements"] == size
+    code, out, err = run_capture(capsys, argv + [str(size - 1)])
+    assert (code, out) == (4, "")
+    assert err == f"error: ball construction exceeded element cap {size - 1}\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_element_cap_below_one_is_input_error(capsys, cap):
     code, _, err = run_capture(
@@ -123,6 +134,18 @@ def test_negative_rank_is_input_error(capsys, spec):
     code, _, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "3"])
     assert code == 2
     assert "rank must be >= 0" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("z:x", "bad oracle spec 'z:x': 'x' is not an integer"),
+    ("free:-1", "bad oracle spec 'free:-1': rank must be >= 0"),
+    ("i2:1", "bad oracle spec 'i2:1': edge label must be an integer >= 2, got 1"),
+    ("prod:z:1xzmod:y", "bad oracle spec 'zmod:y': 'y' is not an integer"),
+    ("nope:3", "unknown oracle spec 'nope:3'"),
+])
+def test_bad_oracle_spec_is_named_in_the_error(capsys, spec, message):
+    code, out, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "3"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def chain_document(length, in_order):
