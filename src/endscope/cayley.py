@@ -10,6 +10,7 @@ approximated by "touches the outer sphere", guarded by a stability window.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .atoms import EndCount
@@ -24,11 +25,12 @@ class GroupOracle:
     """Behavioral interface: identity, ordered generators, exact multiply.
 
     multiply(key, i) multiplies by generator i, an index into `generators`,
-    whose names serve only as edge labels.  Keys are equal exactly when the
-    elements are, so multiply is well defined on elements.  The generators
-    are distinct as elements and inverse-closed, so the Cayley graph can be
-    explored undirected and each edge read from either end; build_ball
-    checks this.
+    whose names serve only as edge labels.  A key is any hashable value (an
+    int for ZnOracle and CyclicOracle, a tuple for the others), and keys are
+    equal exactly when the elements are, so multiply is well defined on
+    elements.  The generators are distinct as elements and inverse-closed,
+    so the Cayley graph can be explored undirected and each edge read from
+    either end; build_ball checks this.
 
     `bipartite` is True only when every relator has even length, so the
     Cayley graph is bipartite and no edge joins two elements at equal
@@ -46,8 +48,26 @@ class GroupOracle:
 
 
 class ZnOracle(GroupOracle):
-    """Free abelian group of rank n with the standard generators."""
+    """Free abelian group of rank n with the standard generators.
 
+    The key of (x_0, ..., x_{n-1}) is the one integer sum of x_i * B^i, B =
+    `radix`, so the identity is 0 and multiplying by x_i^(+-1) adds +-B^i.
+    B exceeds 2^64 and the coordinates are the balanced base-B digits of the
+    key, so keys are equal exactly when the elements are while every |x_i| <
+    2^63.  A ball of radius R has at least 2R + 1 elements, so every ball
+    built under an element cap below 2^64 is exact.
+
+    Python hashes an int by its residue modulo a prime M (2^61 - 1 on 64-bit
+    builds), so a key hashes by the linear form sum of x_i * r^i mod M, r = B
+    mod M.  A power of two would pile a ball onto few hash values (B = 2^64
+    gives x_0 + 8 x_1 + 64 x_2 + ..., some 16R + 1 values for a z:2 ball of
+    radius R), and every dict probe would walk the pile.  B is the least
+    integer above 2^64 with r = floor(M / phi), phi the golden ratio: on the
+    balls of every rank tried, z:1 to z:130, its keys hash apart.
+    """
+
+    _M = sys.hash_info.modulus
+    radix = 2**64 + ((math.isqrt(5 * _M * _M) - _M) // 2 - 2**64) % _M
     bipartite = True
 
     def __init__(self, n):
@@ -55,13 +75,12 @@ class ZnOracle(GroupOracle):
             raise ValueError("rank must be >= 0")
         self.n = n
         self.name = f"z:{n}"
-        self.identity = (0,) * n
-        self._steps = tuple((i, d) for i in range(n) for d in (1, -1))
+        self.identity = 0
+        self._steps = tuple(d * self.radix**i for i in range(n) for d in (1, -1))
         self.generators = tuple(f"x{i}{sign}" for i in range(n) for sign in "+-")
 
     def multiply(self, key, gen):
-        i, d = self._steps[gen]
-        return key[:i] + (key[i] + d,) + key[i + 1:]
+        return key + self._steps[gen]
 
 
 class FreeOracle(GroupOracle):
@@ -130,14 +149,14 @@ class CoxeterOracle(GroupOracle):
 
 class _ProductOracle(GroupOracle):
     """Generators of all parts, labeled "<part>.<name>"; generator k is
-    generator _local[k][1] of part _local[k][0]."""
+    generator j of part i, where _local[k] is (i, part i's multiply, j)."""
 
     def __init__(self, parts):
         self.parts = tuple(parts)
         self._local = tuple(
-            (i, j) for i, p in enumerate(self.parts) for j in range(len(p.generators))
+            (i, p.multiply, j) for i, p in enumerate(self.parts) for j in range(len(p.generators))
         )
-        self.generators = tuple(f"{i}.{self.parts[i].generators[j]}" for i, j in self._local)
+        self.generators = tuple(f"{i}.{self.parts[i].generators[j]}" for i, _, j in self._local)
         # word-length parity is a homomorphism onto Z/2 on each bipartite
         # part, hence on their free or direct product
         self.bipartite = all(p.bipartite for p in self.parts)
@@ -150,8 +169,8 @@ class DirectProductOracle(_ProductOracle):
         self.identity = tuple(p.identity for p in self.parts)
 
     def multiply(self, key, gen):
-        i, g = self._local[gen]
-        return key[:i] + (self.parts[i].multiply(key[i], g),) + key[i + 1:]
+        i, mul, g = self._local[gen]
+        return key[:i] + (mul(key[i], g),) + key[i + 1:]
 
 
 class FreeProductOracle(_ProductOracle):
@@ -161,19 +180,23 @@ class FreeProductOracle(_ProductOracle):
         super().__init__(parts)
         self.name = "free_product"
         self.identity = ()
+        # generator k's part identity and its word of one syllable, () when
+        # it is the identity of its part
+        syllables = []
+        for i, mul, g in self._local:
+            unit = self.parts[i].identity
+            x = mul(unit, g)
+            syllables.append((unit, () if x == unit else ((i, x),)))
+        self._syllable = tuple(syllables)
 
     def multiply(self, key, gen):
-        i, g = self._local[gen]
-        part = self.parts[i]
-        if key and key[-1][0] == i:
-            merged = part.multiply(key[-1][1], g)
-            if merged == part.identity:
+        i, mul, g = self._local[gen]
+        if key and (last := key[-1])[0] == i:
+            merged = mul(last[1], g)
+            if merged == self._syllable[gen][0]:
                 return key[:-1]
             return key[:-1] + ((i, merged),)
-        new = part.multiply(part.identity, g)
-        if new == part.identity:
-            return key
-        return key + ((i, new),)
+        return key + self._syllable[gen][1]
 
 
 def compose_oracles(kind, parts):
@@ -245,34 +268,43 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
     steps = [(g, inverse[g]) for g, x in enumerate(elements) if x != identity]
     order = [identity]
     ids = {identity: 0}  # key -> id, needed only while building
+    setdefault = ids.setdefault
+    size = 1  # len(order)
     layer = [0]
     neighbors = [-1] * n
     blank = neighbors[:]
-    for d in range(radius + 1):
-        lo, hi = layer[d], len(order)
+    for d in range(radius):
+        lo, hi = layer[d], size
         layer.append(hi)  # expanding sphere d appends sphere d + 1
-        outer = d == radius
-        if outer and oracle.bipartite:
-            break
         for u, key in enumerate(order[lo:hi], lo):
             base = u * n
             for g, h in steps:
                 if neighbors[base + g] < 0:
                     w = multiply(key, g)
-                    v = ids.get(w)
-                    if v is None:
-                        if outer:
-                            continue
-                        v = len(order)
-                        if v >= element_cap:
+                    v = setdefault(w, size)  # one probe: w is new iff v == size
+                    if v == size:
+                        if size >= element_cap:
                             raise MemoryCapExceededError(element_cap)
-                        ids[w] = v
+                        size += 1
                         order.append(w)
                         neighbors += blank
                     neighbors[base + g] = v
                     neighbors[v * n + h] = u
     lo = layer[radius]
-    escaped = neighbors[lo * n:].count(-1) > (len(order) - lo) * (n - len(steps))
+    layer.append(size)
+    if not oracle.bipartite:
+        # the outer sphere, multiplied outward: a product outside the ball
+        # must not enter `ids`
+        get = ids.get
+        for u, key in enumerate(order[lo:], lo):
+            base = u * n
+            for g, h in steps:
+                if neighbors[base + g] < 0:
+                    v = get(multiply(key, g))
+                    if v is not None:
+                        neighbors[base + g] = v
+                        neighbors[v * n + h] = u
+    escaped = neighbors[lo * n:].count(-1) > (size - lo) * (n - len(steps))
     distance = []
     for d in range(radius + 1):
         distance += [d] * (layer[d + 1] - layer[d])
@@ -389,17 +421,26 @@ def _dihedral(m):
 
 # spec head -> oracle of the integer after the colon
 _SPEC_OF = {"z": ZnOracle, "free": FreeOracle, "zmod": CyclicOracle, "i2": _dihedral}
+# product spec head -> composition kind
+_PRODUCT_OF = {"freeprod": "free_product", "prod": "direct_product"}
 
 
 def oracle_from_spec(spec: str) -> GroupOracle:
     """Build a named oracle: z:<n>, free:<n>, zmod:<n>, i2:<m>,
-    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are specs).
-    A bad spec raises ValueError quoting the spec, or the part of a product
-    spec that is bad, as typed."""
+    freeprod:<part>x<part>..., prod:<part>x<part>... (parts are z, free,
+    zmod or i2 specs).  A bad spec raises ValueError quoting the spec, or
+    the part of a product spec that is bad, as typed."""
     head, _, rest = spec.partition(":")
-    if head in ("freeprod", "prod"):
-        parts = [oracle_from_spec(p) for p in rest.split("x")]
-        return compose_oracles("free_product" if head == "freeprod" else "direct_product", parts)
+    if head in _PRODUCT_OF:
+        parts = rest.split("x")
+        for part in parts:
+            if not part:
+                raise ValueError(f"bad oracle spec {spec!r}: a part is empty")
+            if part.partition(":")[0] in _PRODUCT_OF:
+                raise ValueError(
+                    f"bad oracle spec {spec!r}: part {part!r} is a product, and products do not nest"
+                )
+        return compose_oracles(_PRODUCT_OF[head], [oracle_from_spec(p) for p in parts])
     if head not in _SPEC_OF:
         raise ValueError(f"unknown oracle spec {spec!r}")
     try:

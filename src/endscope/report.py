@@ -252,7 +252,9 @@ def render_dot(graph) -> str:
         first = [f' [label="{pair[0]}"];' for pair in pairs]
         second = [f' [label="{pair[1]}"];' if len(pair) == 2 else None for pair in pairs]
         lines = ["graph ball {"]
-        lines += [f'  {i} [label="d={d}"];' for i, d in zip(ids, graph.distance)]
+        for d in range(graph.radius + 1):
+            suffix = f' [label="d={d}"];'
+            lines += [f"  {i}{suffix}" for i in ids[layer[d]:layer[d + 1]]]
         # one sort per sphere, not per ball, bounds the triples held at once
         for d in range(graph.radius + 1):
             edges = []
@@ -262,11 +264,13 @@ def render_dot(graph) -> str:
                     if (v := neighbors[base + g]) > u:
                         edges.append((u, v, g))
             edges.sort()
+            # one entry per edge, holding both of its lines when it has two
             for u, v, g in edges:
                 head = f"  {ids[u]} -- {ids[v]}"
-                lines.append(head + first[g])
-                if second[g]:
-                    lines.append(head + second[g])
+                if (two := second[g]) is None:
+                    lines.append(head + first[g])
+                else:
+                    lines.append(f"{head}{first[g]}\n{head}{two}")
         lines += ["}", ""]
         return "\n".join(lines)
     raise TypeError(f"cannot render {type(graph).__name__} as DOT")

@@ -15,6 +15,7 @@ from endscope.cayley import (
     BallGraph,
     CoxeterOracle,
     GroupOracle,
+    ZnOracle,
     build_ball,
     compose_oracles,
     estimate_ends,
@@ -545,6 +546,68 @@ def test_component_counts_monotone_in_r():
         est = estimate_ends(ball, 1, 7)
         counts = [c for _, c in est.per_radius]
         assert counts == sorted(counts), spec
+
+
+def zn_coordinates(key, n):
+    """The coordinates of a z:n key: its n balanced base-B digits."""
+    base = ZnOracle.radix
+    coords = []
+    for _ in range(n):
+        x = (key + base // 2) % base - base // 2
+        coords.append(x)
+        key = (key - x) // base
+    assert key == 0, "more than n digits"
+    return tuple(coords)
+
+
+def zn_key(coords):
+    return sum(x * ZnOracle.radix**i for i, x in enumerate(coords))
+
+
+def tuple_multiply(coords, gen):
+    """The tuple reference: generator 2i adds 1 to x_i, 2i + 1 subtracts 1."""
+    i, sign = divmod(gen, 2)
+    return coords[:i] + (coords[i] + (-1 if sign else 1),) + coords[i + 1:]
+
+
+def test_zn_keys_decode_to_the_tuple_reference():
+    rng = random.Random(43)
+    for n in range(5):
+        oracle = oracle_from_spec(f"z:{n}")
+        assert oracle.identity == 0 and zn_coordinates(0, n) == (0,) * n
+        for _ in range(300):
+            word = [rng.randrange(2 * n) for _ in range(rng.randint(0, 16))] if n else []
+            coords = (0,) * n
+            for g in word:
+                coords = tuple_multiply(coords, g)
+            assert zn_coordinates(normalize(oracle, word), n) == coords, (n, word)
+        # near the bound |x_i| < 2^63, where a carry would corrupt a neighbour
+        big = 2**63 - 2
+        for _ in range(100):
+            coords = tuple(rng.choice((-big, big, rng.randint(-big, big))) for _ in range(n))
+            key = zn_key(coords)
+            assert zn_coordinates(key, n) == coords
+            for g in range(2 * n):
+                assert zn_coordinates(oracle.multiply(key, g), n) == tuple_multiply(coords, g)
+
+
+def test_zn_ball_keys_are_coordinates_at_l1_distance():
+    for n, radius in [(0, 3), (1, 8), (2, 6), (3, 5), (4, 4)]:
+        ball = build_ball(oracle_from_spec(f"z:{n}"), radius)
+        points = [zn_coordinates(key, n) for key in ball.order]
+        assert len(set(points)) == len(points)
+        assert [sum(map(abs, p)) for p in points] == ball.distance, n
+
+
+def test_zn_ball_keys_hash_apart():
+    # a dict probe walks every key that shares its hash, so keys piled onto
+    # few hash values would make each lookup linear in the radius; -1 and -2
+    # are the one pair of ints that hash alike
+    for spec, radius in [("z:1", 1000), ("z:2", 100), ("z:3", 20), ("z:4", 10), ("z:6", 5),
+                         ("prod:z:2xzmod:3", 60)]:
+        keys = build_ball(oracle_from_spec(spec), radius).order
+        shared = len(keys) - len(set(map(hash, keys)))
+        assert shared <= (1 if spec.startswith("z:") else len(keys) // 100), (spec, shared)
 
 
 def test_oracle_congruence_on_random_words():

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +13,7 @@ from endscope import coxeter, graph_products
 from endscope.cli import run
 from endscope.inference import infer
 from endscope.model import parse_document
+from test_cayley import CAYLEY_GRID_SPECS
 from test_report import as_v1
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -34,6 +37,34 @@ PINNED_BALLS = {
     ("free:2", 6): "9537d95afb2a1d26c776fd2f53ccfb42c7a1af2519c0aaa1c0ff6f7c371b791b",
     ("prod:free:2xzmod:2", 5): "8af5f2c82fcaf5ab4a83de7095edf79215b232b19f8e32ee8a98697c0a51dc48",
     ("freeprod:i2:4xzmod:2", 8): "7a1d521f8cc9b500b23111f1b42e9cda3b2065ded05867b95817810fc66906d8",
+}
+
+
+# The same digest for every oracle spec of the benchmark's cayley_cli grid at
+# radius 5 (window 2..3), recorded while Z^n keys were coordinate tuples.
+PINNED_GRID_BALLS = {
+    "free:2": "53a145219ff2eda698700f3e5ce5a8ba85826b73e055921835d5fa4c497c1419",
+    "free:3": "53de3922b2aeed0d6e597136cfbf9b5dcb1807f3514df27eed12ccfb68604ff7",
+    "z:1": "e6e95343753ce23b6ccd295f001c9aec96edc81fe419497c476e25da3f0c4be8",
+    "z:2": "9256fa3eda6b8d47a0c0c6ebd25edf69405e4c7ddfcde3b418698ef6691041ab",
+    "z:3": "9ecb490c7916884b8322f1a82f42dc163b0ccb4bfa124a96909ad2c26d6d1794",
+    "z:4": "0cd402356e1f292958731178c5aed3f3e8bca17c18302e758a3a6c40d6baac4a",
+    "zmod:40": "0baf300153ea0d34f7cbe319171059584f9b0e7b3a70d6c6451c137bd979b835",
+    "i2:4": "b99169a158eaca73c2cea1e49f5cb0e1826dfdfd8ef0f3e62e8e1a10b50aeede",
+    "i2:6": "80f1db674a6c4f8156e008d35eb4704c2f631f9cee5437f8ea8a25acc9aa644a",
+    "freeprod:zmod:2xzmod:2": "5a1d319b03dbb514ac6d70dba4af0d8b980fb1d8df30449161db45b071c0efc7",
+    "freeprod:zmod:2xzmod:2xzmod:2": "461e91b7c4978fbffcd48e35dae89b8213b5ae7f4d2545327752417766fd4964",
+    "freeprod:zmod:2xzmod:3": "eeea161a49617941588095321c0bb0d1b68c968a84c9070bbc805d70299ac41f",
+    "freeprod:zmod:3xzmod:3": "2c0fa8109ac4895d0f346416c5f165b3121ade66587d7b43d90a2937cde63a34",
+    "freeprod:z:2xfree:1": "228804b41f333f632e667940f597e5c78067ab8c94e6acf1dc6d948f49b84fe2",
+    "freeprod:i2:4xzmod:2": "44373993fc4ef9cfd43b451665869dba8282b4199f4d982d0dbf4abd00d033f9",
+    "freeprod:i2:6xz:1": "2135ee2584d19b50eb768308b6d3eb22ddd78cfd626fb868b3bdf02101b55c6e",
+    "prod:free:2xz:1": "437b80070250e8e780346e245b6c3c281ad314fbf42cbf442fada4daf9d2ca82",
+    "prod:free:2xzmod:2": "8af5f2c82fcaf5ab4a83de7095edf79215b232b19f8e32ee8a98697c0a51dc48",
+    "prod:z:1xzmod:3": "3e075da253705b3c096d7dd4ed8ad1fb1867835285acaba66d94e5259cf96a44",
+    "prod:z:1xz:1xz:1": "3e4a3afa3e9eb99ad35938ae6ed3b8105d16a4b15873d470fbcf50d6e3cd1b9d",
+    "prod:i2:4xz:1": "c2f48787b640854fe04c3d5f528adbf31ca3f46ae0b30812415c68f8307aadbd",
+    "prod:free:2xfree:2": "1bc485fd012720279df523dc36adfbfa69615af7dfdf43a9f15245013efeddea",
 }
 
 
@@ -142,10 +173,33 @@ def test_negative_rank_is_input_error(capsys, spec):
     ("i2:1", "bad oracle spec 'i2:1': edge label must be an integer >= 2, got 1"),
     ("prod:z:1xzmod:y", "bad oracle spec 'zmod:y': 'y' is not an integer"),
     ("nope:3", "unknown oracle spec 'nope:3'"),
+    ("prod:", "bad oracle spec 'prod:': a part is empty"),
+    ("prod:z:1x", "bad oracle spec 'prod:z:1x': a part is empty"),
+    ("freeprod:xzmod:2", "bad oracle spec 'freeprod:xzmod:2': a part is empty"),
+    ("prod:freeprod:zmod:2xzmod:2xz:1",
+     "bad oracle spec 'prod:freeprod:zmod:2xzmod:2xz:1': part 'freeprod:zmod:2' is a product,"
+     " and products do not nest"),
+    ("freeprod:z:1xprod:z:1", "bad oracle spec 'freeprod:z:1xprod:z:1': part 'prod:z:1' is a"
+     " product, and products do not nest"),
 ])
 def test_bad_oracle_spec_is_named_in_the_error(capsys, spec, message):
     code, out, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "3"])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_python_dash_m_endscope_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+
+    def endscope(*argv):
+        return subprocess.run([sys.executable, "-m", "endscope", *argv],
+                              env=env, capture_output=True, text=True)
+
+    ok = endscope("cayley", "--oracle", "z:1", "--radius", "3")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["sections"][0]["elements"] == 7
+    bad = endscope("cayley", "--oracle", "prod:z:1x", "--radius", "3")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "error: bad oracle spec 'prod:z:1x': a part is empty\n"
 
 
 def chain_document(length, in_order):
@@ -203,8 +257,8 @@ def test_malformed_description_names_its_fault(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("spec,radius", sorted(PINNED_BALLS))
-def test_cayley_ball_matches_pinned_digest(tmp_path, capsys, spec, radius):
+def cayley_digest(tmp_path, capsys, spec, radius):
+    """SHA-256 of the `cayley --window 2 R-2 --dot` report followed by its DOT."""
     dot_path = tmp_path / "ball.dot"
     code, out, _ = run_capture(
         capsys,
@@ -212,8 +266,21 @@ def test_cayley_ball_matches_pinned_digest(tmp_path, capsys, spec, radius):
          "--window", "2", str(radius - 2), "--dot", str(dot_path)],
     )
     assert code == 0
-    digest = hashlib.sha256(out.encode("utf-8") + dot_path.read_bytes()).hexdigest()
-    assert digest == PINNED_BALLS[(spec, radius)]
+    return hashlib.sha256(out.encode("utf-8") + dot_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,radius", sorted(PINNED_BALLS))
+def test_cayley_ball_matches_pinned_digest(tmp_path, capsys, spec, radius):
+    assert cayley_digest(tmp_path, capsys, spec, radius) == PINNED_BALLS[(spec, radius)]
+
+
+def test_pinned_grid_covers_the_benchmark_grid():
+    assert sorted(PINNED_GRID_BALLS) == sorted(CAYLEY_GRID_SPECS)
+
+
+@pytest.mark.parametrize("spec", CAYLEY_GRID_SPECS)
+def test_cayley_grid_ball_matches_pinned_digest(tmp_path, capsys, spec):
+    assert cayley_digest(tmp_path, capsys, spec, 5) == PINNED_GRID_BALLS[spec]
 
 
 def test_coxeter_subcommand(capsys):
