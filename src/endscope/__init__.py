@@ -7,7 +7,6 @@ from .cayley import (
     EndEstimate,
     GroupOracle,
     build_ball,
-    compose_oracles,
     estimate_ends,
     oracle_from_spec,
 )

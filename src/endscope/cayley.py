@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .atoms import EndCount
 from .coxeter import CoxeterSystem, tits_cone_action
-from .errors import EndscopeError, MemoryCapExceededError, WindowTooSmallError
+from .errors import EndscopeError, MemoryCapExceededError
 from .graphs import LabeledGraph
+from .model import read_int
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 
@@ -72,7 +73,7 @@ class ZnOracle(GroupOracle):
 
     def __init__(self, n):
         if n < 0:
-            raise ValueError("rank must be >= 0")
+            raise EndscopeError("rank must be >= 0")
         self.n = n
         self.name = f"z:{n}"
         self.identity = 0
@@ -90,7 +91,7 @@ class FreeOracle(GroupOracle):
 
     def __init__(self, n):
         if n < 0:
-            raise ValueError("rank must be >= 0")
+            raise EndscopeError("rank must be >= 0")
         self.n = n
         self.name = f"free:{n}"
         self.identity = ()
@@ -109,7 +110,7 @@ class CyclicOracle(GroupOracle):
 
     def __init__(self, n):
         if n < 1:
-            raise ValueError("order must be >= 1")
+            raise EndscopeError("order must be >= 1")
         self.n = n
         self.name = f"zmod:{n}"
         self.identity = 0
@@ -199,16 +200,6 @@ class FreeProductOracle(_ProductOracle):
         return key + self._syllable[gen][1]
 
 
-def compose_oracles(kind, parts):
-    if not parts:
-        raise ValueError("parts must be nonempty")
-    if kind == "direct_product":
-        return DirectProductOracle(parts)
-    if kind == "free_product":
-        return FreeProductOracle(parts)
-    raise ValueError(f"unknown composition kind {kind!r}")
-
-
 # --- Ball construction ---------------------------------------------------------
 
 @dataclass
@@ -247,11 +238,15 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
     outside the ball leaves its slot at -1.  `exhausted` is set when no
     element of the outer sphere has a neighbor outside the ball, that is,
     when its only empty slots are those of identity generators.
+
+    A negative radius, a cap below 1 and generators that are not distinct
+    and inverse-closed raise EndscopeError; a ball that would hold more than
+    `element_cap` elements raises MemoryCapExceededError.
     """
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise EndscopeError("radius must be >= 0")
     if element_cap < 1:
-        raise ValueError("element cap must be >= 1")
+        raise EndscopeError("element cap must be >= 1")
     multiply, identity = oracle.multiply, oracle.identity
     # inverse[g] is the generator h with g*h = identity (n + n^2 multiplies);
     # it is a permutation iff the generators are distinct and inverse-closed
@@ -262,7 +257,7 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
         solutions = [h for h in range(n) if multiply(x, h) == identity]
         inverse.append(solutions[0] if len(solutions) == 1 else None)
     if None in inverse or len(set(inverse)) < n:
-        raise ValueError(f"the generators of {oracle.name} must be distinct and inverse-closed")
+        raise EndscopeError(f"the generators of {oracle.name} must be distinct and inverse-closed")
     # a generator equal to the identity labels only self-loops, which the
     # ball leaves out: its slots stay -1
     steps = [(g, inverse[g]) for g, x in enumerate(elements) if x != identity]
@@ -386,9 +381,9 @@ def estimate_ends(ball: BallGraph, r_min: int, r_max: int) -> EndEstimate:
     half of the window; strictly increasing counts mean growing-to-infinity.
     """
     if r_min < 0 or r_max < r_min:
-        raise WindowTooSmallError(f"bad window [{r_min}, {r_max}]")
+        raise EndscopeError(f"bad window [{r_min}, {r_max}]")
     if r_max > ball.radius - 2:
-        raise WindowTooSmallError(
+        raise EndscopeError(
             f"r_max {r_max} leaves no margin below radius {ball.radius}"
         )
     if ball.exhausted:
@@ -421,33 +416,33 @@ def _dihedral(m):
 
 # spec head -> oracle of the integer after the colon
 _SPEC_OF = {"z": ZnOracle, "free": FreeOracle, "zmod": CyclicOracle, "i2": _dihedral}
-# product spec head -> composition kind
-_PRODUCT_OF = {"freeprod": "free_product", "prod": "direct_product"}
+# product spec head -> oracle of its parts
+_PRODUCT_OF = {"freeprod": FreeProductOracle, "prod": DirectProductOracle}
 
 
 def oracle_from_spec(spec: str) -> GroupOracle:
     """Build a named oracle: z:<n>, free:<n>, zmod:<n>, i2:<m>,
     freeprod:<part>x<part>..., prod:<part>x<part>... (parts are z, free,
-    zmod or i2 specs).  A bad spec raises ValueError quoting the spec, or
-    the part of a product spec that is bad, as typed."""
+    zmod or i2 specs; <n> and <m> are ASCII digits after an optional '-').
+    A bad spec raises EndscopeError quoting the spec, or the part of a
+    product spec that is bad, as typed."""
     head, _, rest = spec.partition(":")
     if head in _PRODUCT_OF:
         parts = rest.split("x")
         for part in parts:
             if not part:
-                raise ValueError(f"bad oracle spec {spec!r}: a part is empty")
+                raise EndscopeError(f"bad oracle spec {spec!r}: a part is empty")
             if part.partition(":")[0] in _PRODUCT_OF:
-                raise ValueError(
+                raise EndscopeError(
                     f"bad oracle spec {spec!r}: part {part!r} is a product, and products do not nest"
                 )
-        return compose_oracles(_PRODUCT_OF[head], [oracle_from_spec(p) for p in parts])
+        return _PRODUCT_OF[head]([oracle_from_spec(p) for p in parts])
     if head not in _SPEC_OF:
-        raise ValueError(f"unknown oracle spec {spec!r}")
-    try:
-        n = int(rest)
-    except ValueError:
-        raise ValueError(f"bad oracle spec {spec!r}: {rest!r} is not an integer") from None
+        raise EndscopeError(f"unknown oracle spec {spec!r}")
+    n = read_int(rest)
+    if n is None:
+        raise EndscopeError(f"bad oracle spec {spec!r}: {rest!r} is not an integer")
     try:
         return _SPEC_OF[head](n)
-    except (ValueError, EndscopeError) as exc:
-        raise ValueError(f"bad oracle spec {spec!r}: {exc}") from None
+    except EndscopeError as exc:
+        raise EndscopeError(f"bad oracle spec {spec!r}: {exc}") from None

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
-Exit codes: 0 success, 2 input error, 3 contradiction detected, 4 element
-cap exceeded.
+Exit codes: 0 success, 2 input error (EndscopeError), 3 contradiction
+detected (ContradictionError), 4 element cap exceeded
+(MemoryCapExceededError).  Any other exception is a fault in endscope: it
+propagates, and the interpreter exits 1 with its traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise EndscopeError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise EndscopeError(str(exc)) from None
 
 
 def _write(path, text):
@@ -229,7 +233,7 @@ def run(argv=None) -> int:
     except MemoryCapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (EndscopeError, ValueError) as exc:
+    except EndscopeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import combinations
 
 from .atoms import EndCount
-from .errors import EmptyDiagramError
+from .errors import EndscopeError
 from .graphs import LabeledGraph, enumerate_clique_separators, induced_subgraph
 
 
@@ -236,7 +236,7 @@ def artin_one_ended(diagram: LabeledGraph) -> ArtinEndsReport:
     infinite groups (infinitely many ends).
     """
     if not diagram.vertices:
-        raise EmptyDiagramError("Artin diagram must be nonempty")
+        raise EndscopeError("Artin diagram must be nonempty")
     if len(diagram.vertices) == 1:
         return ArtinEndsReport(False, EndCount.TWO)
     if not diagram.is_connected():

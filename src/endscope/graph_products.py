@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .atoms import EndCount
-from .errors import (
-    DisconnectedGraphError,
-    ExcludedComplexError,
-    NotFlagError,
-    UnknownProfileError,
-)
+from .errors import EndscopeError
 from .graphs import (
     LabeledGraph,
     SimplicialComplex2,
@@ -55,7 +50,7 @@ def _require_ends_profiles(spec: GraphProductSpec):
     for v in spec.graph.vertices:
         p = spec.profiles.get(v)
         if p is None or p.finite is None or p.ends is None:
-            raise UnknownProfileError(v)
+            raise EndscopeError(f"vertex {v!r} has an incomplete profile")
 
 
 def _all_finite(spec, vs):
@@ -155,12 +150,12 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
     """
     graph = spec.graph
     if not graph.is_connected():
-        raise DisconnectedGraphError("graph product criterion needs a connected graph")
+        raise EndscopeError("graph product criterion needs a connected graph")
     unknown_reason = None
     for v in graph.vertices:
         p = spec.profiles.get(v)
         if p is None:
-            raise UnknownProfileError(v)
+            raise EndscopeError(f"vertex {v!r} has an incomplete profile")
         if p.finitely_presented is None or not p.finitely_presented:
             if not p.finite:  # finite groups are finitely presented
                 unknown_reason = {"kind": "vertex_not_known_fp", "vertex": v}
@@ -205,11 +200,11 @@ def raag_simply_connected_at_infinity(L: SimplicialComplex2) -> SCInfReport:
     is trivial.  The moves can answer yes or unknown, never a false yes.
     """
     if not is_flag(L):
-        raise NotFlagError("complex is not flag")
+        raise EndscopeError("complex is not flag")
     skeleton = L.one_skeleton()
     nverts = len(L.vertices)
     if nverts == 1 or (nverts == 2 and len(L.edges) == 1):
-        raise ExcludedComplexError("criterion excludes the 0- and 1-simplex")
+        raise EndscopeError("criterion excludes the 0- and 1-simplex")
     if not skeleton.is_connected():
         return SCInfReport("no", "L is disconnected")
     cuts = skeleton.cut_vertices()

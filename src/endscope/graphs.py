@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InvalidEdgeLabelError, UnknownVertexError
+from .errors import EndscopeError
 
 
 def _edge_key(u, v):
@@ -35,20 +35,20 @@ class LabeledGraph:
         position = {}
         for v in self.vertices:
             if v in position:
-                raise InvalidEdgeLabelError(f"duplicate vertex {v!r}")
+                raise EndscopeError(f"duplicate vertex {v!r}")
             position[v] = len(position)
         normalized = {}
         adjacency = {v: [] for v in self.vertices}
         for (u, v), m in self.edges.items():
             if u == v:
-                raise InvalidEdgeLabelError(f"self-loop at {u!r}")
+                raise EndscopeError(f"self-loop at {u!r}")
             if u not in position or v not in position:
-                raise UnknownVertexError(u if u not in position else v)
+                raise EndscopeError(f"unknown vertex {(u if u not in position else v)!r}")
             if not isinstance(m, int) or m < 2:
-                raise InvalidEdgeLabelError.for_label(m)
+                raise EndscopeError(f"edge label must be an integer >= 2, got {m!r}")
             key = _edge_key(u, v)
             if key in normalized:
-                raise InvalidEdgeLabelError(f"duplicate edge {key}")
+                raise EndscopeError(f"duplicate edge {key}")
             normalized[key] = m
             adjacency[u].append(v)
             adjacency[v].append(u)
@@ -63,7 +63,7 @@ class LabeledGraph:
         for u, v, m in edges:
             # the graph normalises each pair and rejects (v, u) after (u, v)
             if (u, v) in labels:
-                raise InvalidEdgeLabelError(f"duplicate edge {_edge_key(u, v)}")
+                raise EndscopeError(f"duplicate edge {_edge_key(u, v)}")
             labels[u, v] = m
         return LabeledGraph(tuple(vertices), labels)
 
@@ -79,7 +79,7 @@ class LabeledGraph:
 
     def neighbors(self, v):
         if v not in self.adjacency:
-            raise UnknownVertexError(v)
+            raise EndscopeError(f"unknown vertex {v!r}")
         return self.adjacency[v]
 
     def degree(self, v):
@@ -161,7 +161,7 @@ def induced_subgraph(g: LabeledGraph, vs) -> LabeledGraph:
     keep = set(vs)
     for v in keep:
         if v not in g.vertices:
-            raise UnknownVertexError(v)
+            raise EndscopeError(f"unknown vertex {v!r}")
     verts = tuple(v for v in g.vertices if v in keep)
     edges = {e: m for e, m in g.edges.items() if e[0] in keep and e[1] in keep}
     return LabeledGraph(verts, edges)
@@ -243,13 +243,13 @@ class SimplicialComplex2:
         ts = frozenset(frozenset(t) for t in triangles)
         for e in es:
             if len(e) != 2 or not e <= vset:
-                raise UnknownVertexError(tuple(e))
+                raise EndscopeError(f"unknown vertex {tuple(e)!r}")
         for t in ts:
             if len(t) != 3 or not t <= vset:
-                raise UnknownVertexError(tuple(t))
+                raise EndscopeError(f"unknown vertex {tuple(t)!r}")
             for pair in combinations(sorted(t, key=vs.index), 2):
                 if frozenset(pair) not in es:
-                    raise UnknownVertexError(pair)
+                    raise EndscopeError(f"unknown vertex {pair!r}")
         return SimplicialComplex2(vs, es, ts)
 
     def one_skeleton(self) -> LabeledGraph:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .atoms import ENDS_ATOMS, PropertyAtom
 from .coxeter import CoxeterSystem, artin_one_ended, coxeter_ends
-from .errors import ContradictionError, FactNotDerivedError
+from .errors import ContradictionError, EndscopeError
 from .graph_products import (
     GraphProductSpec,
     VertexProfile,
@@ -787,7 +787,7 @@ def explain(facts: FactSet, group, atom, holds=True) -> str:
     it first appears and by its head line and `[see above]` after that."""
     cert = facts.get(group, atom, holds)
     if cert is None:
-        raise FactNotDerivedError(group, atom)
+        raise EndscopeError(f"fact ({group}, {atom}) was not derived")
     lines, seen = [], set()
     stack = [(cert, "")]
     while stack:

@@ -24,13 +24,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .atoms import PropertyAtom, atom_from_name
-from .errors import (
-    DanglingReferenceError,
-    DiagramParseError,
-    DuplicateNameError,
-    InvalidEdgeLabelError,
-    ParseError,
-)
+from .errors import EndscopeError, ParseError
 from .graphs import LabeledGraph, _edge_key
 
 
@@ -47,7 +41,7 @@ class Finite:
 
     def __post_init__(self):
         if self.order < 1:
-            raise InvalidEdgeLabelError(f"finite order must be >= 1, got {self.order}")
+            raise EndscopeError(f"finite order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class FreeAbelian:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise InvalidEdgeLabelError(f"rank must be >= 0, got {self.rank}")
+            raise EndscopeError(f"rank must be >= 0, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class Free:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise InvalidEdgeLabelError(f"rank must be >= 0, got {self.rank}")
+            raise EndscopeError(f"rank must be >= 0, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -177,16 +171,16 @@ class GroupRegistry:
     def add(self, name, expr):
         """Declare `name`; each group it refers to must be declared above it."""
         if name in self.groups:
-            raise DuplicateNameError(name)
+            raise EndscopeError(f"duplicate group name '{name}'")
         for ref in expr_references(expr):
             if ref not in self.groups:
-                raise DanglingReferenceError(ref)
+                raise EndscopeError(f"reference to undeclared group '{ref}'")
         self.groups[name] = expr
         self.assertions.setdefault(name, [])
 
     def assert_attr(self, assertion: AttributeAssertion):
         if assertion.target not in self.groups:
-            raise DanglingReferenceError(assertion.target)
+            raise EndscopeError(f"reference to undeclared group '{assertion.target}'")
         self.assertions[assertion.target].append(assertion)
 
 
@@ -237,12 +231,26 @@ def _parse_name(tokens):
     return tok
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def read_int(text):
+    """The integer `text` spells in ASCII digits after an optional '-', else
+    None: `int()` would also take '+3', '1_0', ' 2' and other scripts' digits."""
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _parse_int(tokens, what):
-    tok, line, col = tokens.next(expected=None)
-    try:
-        return int(tok)
-    except ValueError:
+    tok, line, col = tokens.next()
+    value = read_int(tok)
+    if value is None:
         raise ParseError(f"expected {what}, got {tok!r}", line, col)
+    return value
 
 
 def _parse_diagram(tokens, labeled):
@@ -263,7 +271,7 @@ def _parse_diagram(tokens, labeled):
                 if name in ("edge", "verts") or name in _PUNCTUATION:
                     raise ParseError(f"bad vertex name {name!r}", line, col)
                 if name in declared:
-                    raise DiagramParseError(f"duplicate vertex {name!r}", line, col)
+                    raise ParseError(f"duplicate vertex {name!r}", line, col)
                 if labeled == "graph_product":
                     tokens.next(":")
                     vertex_groups.append((name, _parse_name(tokens)))
@@ -275,10 +283,10 @@ def _parse_diagram(tokens, labeled):
             u, v = _parse_name(tokens), _parse_name(tokens)
             first, second = tokens.items[tokens.pos - 2:tokens.pos]  # (name, line, col)
             if u == v:
-                raise DiagramParseError(f"self-loop at {u!r}", *second[1:])
+                raise ParseError(f"self-loop at {u!r}", *second[1:])
             key = _edge_key(u, v)
             if key in edges:
-                raise DiagramParseError(f"duplicate edge {key}", *first[1:])
+                raise ParseError(f"duplicate edge {key}", *first[1:])
             endpoints += (first, second)
             if labeled == "graph_product":
                 label = 2
@@ -286,7 +294,7 @@ def _parse_diagram(tokens, labeled):
                 label = _parse_int(tokens, "edge label")
                 if label < 2:
                     _, line, col = tokens.items[tokens.pos - 1]
-                    raise DiagramParseError.for_label(label, line, col)
+                    raise ParseError(f"edge label must be an integer >= 2, got {label}", line, col)
             tokens.next(";")
             edges[key] = label
         else:
@@ -347,8 +355,12 @@ def parse_document(text: str) -> GroupRegistry:
             elif cls in _INTEGER:
                 tokens.next("(")
                 value = _parse_int(tokens, _INTEGER[cls])
+                _, il, ic = tokens.items[tokens.pos - 1]
                 tokens.next(")")
-                expr = cls(value)
+                try:
+                    expr = cls(value)  # the bound lives in the class
+                except EndscopeError as exc:
+                    raise ParseError(str(exc), il, ic) from None
             else:
                 args = _parse_refs(tokens, len(_ARGS[cls]))
                 flags = _parse_flags(tokens, _FLAG_FIELDS[cls])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import IndexOutOfRangeError, ParseError
+from .errors import EndscopeError, ParseError
 from .model import _parse_int, _Tokens
 
 
@@ -137,10 +137,10 @@ class AbelianTower:
         ranks = tuple(int(r) for r in ranks)
         bondings = tuple(tuple(tuple(int(x) for x in row) for row in b) for b in bondings)
         if len(bondings) != len(ranks) - 1:
-            raise ValueError("need one bonding per consecutive rank pair")
+            raise EndscopeError("need one bonding per consecutive rank pair")
         for i, b in enumerate(bondings):
             if len(b) != ranks[i] or any(len(row) != ranks[i + 1] for row in b):
-                raise ValueError(f"bonding {i + 1} must have shape {ranks[i]} x {ranks[i + 1]}")
+                raise EndscopeError(f"bonding {i + 1} must have shape {ranks[i]} x {ranks[i + 1]}")
         return AbelianTower(ranks, bondings, constant=False)
 
     @staticmethod
@@ -148,7 +148,7 @@ class AbelianTower:
         rank = int(rank)
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
         if len(matrix) != rank or any(len(row) != rank for row in matrix):
-            raise ValueError(f"matrix must be {rank} x {rank}")
+            raise EndscopeError(f"matrix must be {rank} x {rank}")
         return AbelianTower((rank,), (matrix,), constant=True)
 
     def rank_at(self, i):
@@ -156,7 +156,7 @@ class AbelianTower:
         if self.constant:
             return self.ranks[0]
         if not 1 <= i <= len(self.ranks):
-            raise IndexOutOfRangeError(f"tower has {len(self.ranks)} stages, asked for {i}")
+            raise EndscopeError(f"tower has {len(self.ranks)} stages, asked for {i}")
         return self.ranks[i - 1]
 
     def bonding(self, i):
@@ -164,7 +164,7 @@ class AbelianTower:
         if self.constant:
             return self.bondings[0]
         if not 1 <= i <= len(self.bondings):
-            raise IndexOutOfRangeError(
+            raise EndscopeError(
                 f"tower defines bondings p_1..p_{len(self.bondings)}, asked for p_{i}"
             )
         return self.bondings[i - 1]
@@ -198,7 +198,7 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
     consecutive inclusion is proper.
     """
     if m < 1 or N < 1:
-        raise IndexOutOfRangeError("need m >= 1 and N >= 1")
+        raise EndscopeError("need m >= 1 and N >= 1")
     n_m = tower.rank_at(m)
     lattices = [hermite_normal_form(mat_identity(n_m))]
     composite = mat_identity(n_m)
@@ -317,13 +317,18 @@ def parse_tower(text: str) -> AbelianTower:
     if constant:
         if "rank" not in seen or "matrix" not in seen:
             raise ParseError("constant tower needs 'rank' and 'matrix'", line, col)
-        return AbelianTower.constant_tower(seen["rank"], seen["matrix"])
-    ranks = seen.pop("ranks", None)
-    if ranks is None:
-        raise ParseError("explicit tower needs 'ranks:'", line, col)
-    if len(ranks) < 2:
-        raise ParseError("explicit tower needs at least two ranks", line, col)
-    bonds = [f"bond {k}" for k in range(1, len(ranks))]
-    if set(seen) != set(bonds):
-        raise ParseError("bond indices must be 1..len(ranks)-1", line, col)
-    return AbelianTower.explicit(ranks, [seen[k] for k in bonds])
+        build, args = AbelianTower.constant_tower, (seen["rank"], seen["matrix"])
+    else:
+        ranks = seen.pop("ranks", None)
+        if ranks is None:
+            raise ParseError("explicit tower needs 'ranks:'", line, col)
+        if len(ranks) < 2:
+            raise ParseError("explicit tower needs at least two ranks", line, col)
+        bonds = [f"bond {k}" for k in range(1, len(ranks))]
+        if set(seen) != set(bonds):
+            raise ParseError("bond indices must be 1..len(ranks)-1", line, col)
+        build, args = AbelianTower.explicit, (ranks, [seen[k] for k in bonds])
+    try:  # a matrix of the wrong shape, at the `tower` keyword
+        return build(*args)
+    except EndscopeError as exc:
+        raise ParseError(str(exc), line, col) from None

@@ -2,7 +2,6 @@
 pass/fail line) per criterion."""
 
 import itertools
-import json
 import pathlib
 import random
 import sys

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from endscope import coxeter, graph_products
+from endscope import cli, coxeter, graph_products
 from endscope.cli import run
 from endscope.inference import infer
 from endscope.model import parse_document
@@ -117,6 +117,14 @@ def test_analyze_parse_error_is_input_error(tmp_path, capsys):
     assert "wedge" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "tower"])
+def test_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\n")
+    assert run_capture(capsys, [command, str(bad)]) == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
 def test_contradiction_exits_3_with_both_certificates(capsys):
     code, out, err = run_capture(
         capsys, ["analyze", str(FIXTURES / "contradiction.ggt")]
@@ -169,6 +177,11 @@ def test_negative_rank_is_input_error(capsys, spec):
 
 @pytest.mark.parametrize("spec, message", [
     ("z:x", "bad oracle spec 'z:x': 'x' is not an integer"),
+    ("z:1_0", "bad oracle spec 'z:1_0': '1_0' is not an integer"),
+    ("z: 2", "bad oracle spec 'z: 2': ' 2' is not an integer"),
+    ("zmod:+3", "bad oracle spec 'zmod:+3': '+3' is not an integer"),
+    ("free:\u0663", "bad oracle spec 'free:\u0663': '\u0663' is not an integer"),
+    ("z:-2", "bad oracle spec 'z:-2': rank must be >= 0"),
     ("free:-1", "bad oracle spec 'free:-1': rank must be >= 0"),
     ("i2:1", "bad oracle spec 'i2:1': edge label must be an integer >= 2, got 1"),
     ("prod:z:1xzmod:y", "bad oracle spec 'zmod:y': 'y' is not an integer"),
@@ -211,8 +224,12 @@ def chain_document(length, in_order):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("group F = finite(0)\n", "finite order must be >= 1, got 0"),
-    ("group F = free(-1)\n", "rank must be >= 0, got -1"),
+    ("group F = finite(0)\n", "line 1, col 18: finite order must be >= 1, got 0"),
+    ("group F = free(-1)\n", "line 1, col 16: rank must be >= 0, got -1"),
+    ("group A = finite(1_0)\n", "line 1, col 18: expected order, got '1_0'"),
+    ("group A = free(\u0663)\n", "line 1, col 16: expected rank, got '\u0663'"),
+    ("group W = coxeter { verts a b ; edge a b +3 ; }\n",
+     "line 1, col 42: expected edge label, got '+3'"),
     ("group W = coxeter { verts a a ; }\n", "line 1, col 29: duplicate vertex 'a'"),
     ("group W = coxeter { verts a b ; edge a a 3 ; }\n", "line 1, col 40: self-loop at 'a'"),
     ("group W = coxeter { verts a b ; edge a b 1 ; }\n",
@@ -405,6 +422,18 @@ def test_tower_read_across_lines(tmp_path, capsys):
         assert run_capture(capsys, ["tower", str(path)]) == (2, "", f"error: {message}\n")
 
 
+def test_a_fault_inside_a_command_is_not_an_input_error(monkeypatch, capsys):
+    """Only EndscopeError and its subclasses map to exit codes: a ValueError
+    raised inside a command is a fault, and it propagates."""
+    def broken(rank, matrix):
+        raise ValueError("a fault inside the decider")
+
+    monkeypatch.setattr(cli, "ml_decide_constant", broken)
+    with pytest.raises(ValueError, match="a fault inside the decider"):
+        run(["tower", str(FIXTURES / "tower_x2.twr")])
+    assert capsys.readouterr().err == ""
+
+
 def test_explain_subcommand(capsys):
     code, out, _ = run_capture(
         capsys,
@@ -528,8 +557,9 @@ def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):
     ("tower { ranks: 1 1 ; matrix 2 ; }", "line 1, col 22: unknown tower statement 'matrix'"),
     ("tower { bond 1: 2 ; }", "line 1, col 1: explicit tower needs 'ranks:'"),
     ("tower { ranks: 1 1 1 ; bond 1: 2 ; }", "line 1, col 1: bond indices must be 1..len(ranks)-1"),
-    ("tower { ranks: 2 1 ; bond 1: 1 0 ; }", "bonding 1 must have shape 2 x 1"),
-    ("tower constant { rank 2 ; matrix 1 0 ; }", "matrix must be 2 x 2"),
+    ("tower { ranks: 2 1 ; bond 1: 1 0 ; }", "line 1, col 1: bonding 1 must have shape 2 x 1"),
+    ("tower constant { rank 2 ; matrix 1 0 ; }", "line 1, col 1: matrix must be 2 x 2"),
+    ("tower constant { rank 1_0 ; matrix 1 ; }", "line 1, col 23: expected rank, got '1_0'"),
     ("tower { ranks: 2 2 ; bond 1: 1 0 , 0 1 ; bond 1: 2 0 , 0 2 ; }",
      "line 1, col 42: repeated tower statement 'bond 1'"),
     ("tower { ranks: 1 1 ; bond 1: 1 ; bond 01: 2 ; }",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endscope.errors import InvalidEdgeLabelError, UnknownVertexError
+from endscope.errors import EndscopeError
 from endscope.graphs import (
     LabeledGraph,
     SimplicialComplex2,
@@ -35,24 +35,24 @@ def test_build_and_accessors():
     assert g.label("a", "c") is None
     assert g.neighbors("b") == ("a", "c")
     assert g.degree("b") == 2
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(EndscopeError, match="unknown vertex 'z'"):
         g.neighbors("z")
     assert not g.is_complete()
     assert g.sorted_edges() == [("a", "b", 3), ("b", "c", 2)]
 
 
 def test_build_rejects_bad_input():
-    with pytest.raises(InvalidEdgeLabelError):
+    with pytest.raises(EndscopeError, match="edge label must be an integer >= 2, got 1"):
         LabeledGraph.build("ab", [("a", "b", 1)])
-    with pytest.raises(InvalidEdgeLabelError):
+    with pytest.raises(EndscopeError, match="self-loop at 'a'"):
         LabeledGraph.build("ab", [("a", "a", 2)])
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(EndscopeError, match="unknown vertex 'c'"):
         LabeledGraph.build("ab", [("a", "c", 2)])
-    with pytest.raises(InvalidEdgeLabelError):
+    with pytest.raises(EndscopeError, match="duplicate vertex 'a'"):
         LabeledGraph.build("aa")
-    with pytest.raises(InvalidEdgeLabelError, match="duplicate edge"):
+    with pytest.raises(EndscopeError, match=r"duplicate edge \('a', 'b'\)"):
         LabeledGraph.build("ab", [("a", "b", 3), ("b", "a", 2)])
-    with pytest.raises(InvalidEdgeLabelError, match="duplicate edge"):
+    with pytest.raises(EndscopeError, match=r"duplicate edge \('a', 'b'\)"):
         LabeledGraph.build("ab", [("b", "a", 3), ("b", "a", 3)])
 
 
@@ -199,7 +199,7 @@ def test_separator_output_is_sorted_and_valid(n, rng):
 
 
 def test_simplicial_complex_build_checks_faces():
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(EndscopeError, match=r"unknown vertex \('a', 'c'\)"):
         SimplicialComplex2.build("abc", [("a", "b")], [("a", "b", "c")])
     L = SimplicialComplex2.build(
         "abc", [("a", "b"), ("b", "c"), ("a", "c")], [("a", "b", "c")]

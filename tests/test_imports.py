@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, every
-module-level function and class is used somewhere in the package, and every
-name the package exports is reached by its code or documented."""
+"""Every name a module of the package or of the tests imports is used in that
+module, every module-level function and class is used somewhere in the
+package, and every name the package exports is reached by its code or
+documented."""
 
 import ast
 import pathlib
@@ -32,15 +33,22 @@ def test_unused_import_detector():
     ]
 
 
-def test_no_unused_imports_in_package():
+def unused_imports_in(paths):
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports
-            continue
+    for path in paths:
         unused = unused_imports(path.read_text(encoding="utf-8"))
         if unused:
             found[path.name] = unused
-    assert found == {}
+    return found
+
+
+def test_no_unused_imports_in_package():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]  # re-exports
+    assert unused_imports_in(modules) == {}
+
+
+def test_no_unused_imports_in_tests():
+    assert unused_imports_in(sorted(pathlib.Path(__file__).parent.glob("*.py"))) == {}
 
 
 def module_definitions(source):

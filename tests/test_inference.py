@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from endscope.atoms import PropertyAtom as A
-from endscope.errors import ContradictionError, FactNotDerivedError
+from endscope.errors import ContradictionError, EndscopeError
 from endscope.graphs import LabeledGraph
 from endscope.inference import (
     Certificate,
@@ -225,7 +225,7 @@ def test_explain_renders_rule_tag_and_quote():
 
 def test_explain_underived_fact_is_an_error():
     facts = infer(parse_document(THOMPSON_DOC))
-    with pytest.raises(FactNotDerivedError):
+    with pytest.raises(EndscopeError, match=r"fact \(F, word_hyperbolic\) was not derived"):
         explain(facts, "F", A.WORD_HYPERBOLIC)
 
 

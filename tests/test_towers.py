@@ -6,7 +6,7 @@ import random
 import pytest
 
 from endscope import towers
-from endscope.errors import IndexOutOfRangeError
+from endscope.errors import EndscopeError
 from endscope.graph_products import _smith_diagonal
 from endscope.towers import (
     AbelianTower,
@@ -356,9 +356,9 @@ def test_constant_agrees_with_long_window():
 
 def test_tower_index_validation():
     tower = AbelianTower.explicit((1, 1), (((1,),),))
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(EndscopeError, match="tower defines bondings p_1..p_1, asked for p_2"):
         tower.bonding(2)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(EndscopeError, match="need m >= 1 and N >= 1"):
         ml_check_window(tower, 0, 1)
 
 
