@@ -4,13 +4,16 @@ Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
 Exit codes: 0 success, 2 input error (EndscopeError), 3 contradiction
 detected (ContradictionError), 4 element cap exceeded
 (MemoryCapExceededError).  Any other exception is a fault in endscope: it
-propagates, and the interpreter exits 1 with its traceback.
+propagates, and the interpreter exits 1 with its traceback.  A reader that
+closes standard output before the output is written (`endscope ... | head -c
+0`) makes `main` exit 1 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .atoms import atom_from_name
@@ -239,7 +242,14 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

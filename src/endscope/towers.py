@@ -6,6 +6,13 @@ Hermite normal form, so chain comparisons are exact.  All arithmetic is
 arbitrary precision.  The HNF makes one pass per row: the first column nonzero
 there is the pivot, and each other column nonzero there is folded into it by
 a unimodular 2x2 column step from the extended gcd of the two row entries.
+
+A constant tower's image chain L_k = im(A^k) is stepped from the current
+basis, L_{k+1} = HNF(A * H_k) with H_k the n x rank HNF basis of L_k, since
+A^{k+1} Z^n = A (A^k Z^n); once L_k = L_{k-1}, every later image equals L_k
+too.  The HNF is unique per lattice, so each basis is the one the composite
+A^k would give.  Explicit towers still compose C_k = p_m ... p_{k-1} and take
+the HNF of C_k, because im(C_k p_k) is not determined by im(C_k).
 """
 
 from __future__ import annotations
@@ -122,6 +129,24 @@ def mat_identity(n):
 
 # --- Towers --------------------------------------------------------------------
 
+def _rank(value):
+    if not isinstance(value, int):
+        raise EndscopeError(f"rank must be an integer, got {value!r}")
+    if value < 0:
+        raise EndscopeError(f"rank must be >= 0, got {value}")
+    return value
+
+
+def _matrix(rows):
+    """`rows` as a tuple of row tuples, each entry an int."""
+    matrix = tuple(tuple(row) for row in rows)
+    for row in matrix:
+        for x in row:
+            if not isinstance(x, int):
+                raise EndscopeError(f"matrix entry must be an integer, got {x!r}")
+    return matrix
+
+
 @dataclass(frozen=True)
 class AbelianTower:
     """Explicit tower: ranks n_1, n_2, ... and bondings p_i : Z^{n_{i+1}} -> Z^{n_i}
@@ -134,8 +159,8 @@ class AbelianTower:
 
     @staticmethod
     def explicit(ranks, bondings):
-        ranks = tuple(int(r) for r in ranks)
-        bondings = tuple(tuple(tuple(int(x) for x in row) for row in b) for b in bondings)
+        ranks = tuple(_rank(r) for r in ranks)
+        bondings = tuple(_matrix(b) for b in bondings)
         if len(bondings) != len(ranks) - 1:
             raise EndscopeError("need one bonding per consecutive rank pair")
         for i, b in enumerate(bondings):
@@ -145,8 +170,8 @@ class AbelianTower:
 
     @staticmethod
     def constant_tower(rank, matrix):
-        rank = int(rank)
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        rank = _rank(rank)
+        matrix = _matrix(matrix)
         if len(matrix) != rank or any(len(row) != rank for row in matrix):
             raise EndscopeError(f"matrix must be {rank} x {rank}")
         return AbelianTower((rank,), (matrix,), constant=True)
@@ -189,6 +214,17 @@ class MLVerdict:
 MIN_CONFIRMING_STEPS = 3
 
 
+def _image_step(A, basis, previous=None):
+    """HNF basis of A * L for the lattice L with HNF basis `basis` (a tuple of
+    columns).  `previous` is the basis of the lattice L' with L = A * L'; when
+    the two are equal, A * L = A * L' = L, and `basis` itself is returned."""
+    if basis == previous:
+        return basis
+    return hermite_normal_form(
+        tuple(tuple([sum(map(mul, row, col)) for col in basis]) for row in A)
+    )
+
+
 def ml_check_window(tower: AbelianTower, m: int, N: int):
     """Image chain L_m >= L_{m+1} >= ... >= L_{m+N} inside G_m, as a tuple of
     HNF bases of image(G_k -> G_m) for k = m .. m+N, and a verdict.
@@ -201,19 +237,26 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
         raise EndscopeError("need m >= 1 and N >= 1")
     n_m = tower.rank_at(m)
     lattices = [hermite_normal_form(mat_identity(n_m))]
-    composite = mat_identity(n_m)
-    for k in range(m, m + N):
-        composite = mat_product(composite, tower.bonding(k))
-        lattices.append(hermite_normal_form(composite))
+    if tower.constant:
+        A, previous = tower.bondings[0], None
+        for _ in range(N):
+            basis = lattices[-1]
+            lattices.append(_image_step(A, basis, previous))
+            previous = basis
+    else:
+        composite = mat_identity(n_m)
+        for k in range(m, m + N):
+            composite = mat_product(composite, tower.bonding(k))
+            lattices.append(hermite_normal_form(composite))
     lattices = tuple(lattices)
-    # sanity: the chain must be descending
-    for k, (a, b) in enumerate(zip(lattices, lattices[1:]), start=m):
-        if not lattice_includes(a, b):
+    equal_next = [a == b for a, b in zip(lattices, lattices[1:])]
+    # sanity: the chain must be descending (equal bases are the same lattice)
+    for k, (a, b, equal) in enumerate(zip(lattices, lattices[1:], equal_next), start=m):
+        if not equal and not lattice_includes(a, b):
             raise AssertionError(
                 f"image chain not descending: L_{k + 1} is not inside L_{k} in G_{m}"
             )
 
-    equal_next = [lattices[i] == lattices[i + 1] for i in range(len(lattices) - 1)]
     if not any(equal_next):
         return lattices, MLVerdict("strictly_descending", first_witness=m, window=N)
     # smallest j with L_j = L_{j+1} = ... = L_{m+N}
@@ -231,15 +274,14 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
 
     The image chain im(A^k) stabilizes in rank by k = n; once the rational
     span is stable the per-step index is constant, so a single lattice
-    comparison decides the whole tower.
+    comparison decides the whole tower.  Each image is stepped from the
+    previous one's HNF basis, im(A^{k+1}) = A im(A^k), with no power of A.
     """
     tower = AbelianTower.constant_tower(rank, matrix)
     A = tower.bondings[0]
-    power = mat_identity(rank)
-    lattice, k_star = hermite_normal_form(power), 0
+    lattice, k_star = hermite_normal_form(mat_identity(rank)), 0
     while True:  # the rank of im(A^k) stops dropping by k = n
-        power = mat_product(power, A)
-        following = hermite_normal_form(power)
+        following = _image_step(A, lattice)
         if len(following) == len(lattice):
             break
         lattice, k_star = following, k_star + 1

@@ -215,6 +215,20 @@ def test_python_dash_m_endscope_runs_the_cli():
     assert bad.stderr == "error: bad oracle spec 'prod:z:1x': a part is empty\n"
 
 
+def test_closed_stdout_exits_1_quietly():
+    # a reader that closed its end of the pipe, like `endscope ... | head -c 0`
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "endscope", "cayley", "--oracle", "z:1", "--radius", "1"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def chain_document(length, in_order):
     """`group G{k} = direct_product(G{k+1})` for k < length, ending in a free
     group; declared bottom-up when `in_order`, else top-down."""
@@ -559,6 +573,8 @@ def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):
     ("tower { ranks: 1 1 1 ; bond 1: 2 ; }", "line 1, col 1: bond indices must be 1..len(ranks)-1"),
     ("tower { ranks: 2 1 ; bond 1: 1 0 ; }", "line 1, col 1: bonding 1 must have shape 2 x 1"),
     ("tower constant { rank 2 ; matrix 1 0 ; }", "line 1, col 1: matrix must be 2 x 2"),
+    ("tower constant { rank -1 ; matrix 1 ; }", "line 1, col 1: rank must be >= 0, got -1"),
+    ("tower { ranks: -1 1 ; bond 1: 1 ; }", "line 1, col 1: rank must be >= 0, got -1"),
     ("tower constant { rank 1_0 ; matrix 1 ; }", "line 1, col 23: expected rank, got '1_0'"),
     ("tower { ranks: 2 2 ; bond 1: 1 0 , 0 1 ; bond 1: 2 0 , 0 2 ; }",
      "line 1, col 42: repeated tower statement 'bond 1'"),

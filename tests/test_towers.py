@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from endscope.errors import EndscopeError
 from endscope.graph_products import _smith_diagonal
 from endscope.towers import (
     AbelianTower,
+    MLVerdict,
     hermite_normal_form,
     lattice_contains,
     lattice_includes,
@@ -224,6 +226,85 @@ def test_window_matches_the_reference_kernels(monkeypatch):
         assert (chain, verdict) == window_with_reference_kernels(monkeypatch, tower, m, 8 - m + 1)
 
 
+CHAIN_KINDS = ("random", "singular", "nilpotent", "unimodular")
+
+
+def chain_test_matrix(rng, n, kind):
+    """An n x n matrix with entries in +-3: random, singular (a zero column, or
+    a copy of another column up to sign), nilpotent (strictly upper
+    triangular, rows and columns permuted alike) or unimodular (1-3
+    elementary moves)."""
+    if kind == "unimodular":
+        return random_unimodular(rng, n, rng.randint(1, 3), 1)
+    mat = [list(row) for row in random_matrix(rng, n, n, 3, rng.choice((0, 0.5)))]
+    if kind == "nilpotent":
+        perm = rng.sample(range(n), n)
+        return tuple(tuple(mat[perm[i]][perm[j]] if perm[j] > perm[i] else 0 for j in range(n))
+                     for i in range(n))
+    if kind == "singular":
+        j, i = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        c = rng.choice((0, 1, -1)) if n > 1 else 0
+        for row in mat:
+            row[j] = c * row[i]
+    return tuple(tuple(row) for row in mat)
+
+
+def test_constant_chain_equals_the_composite_chain(monkeypatch):
+    # the constant path steps L_{k+1} = HNF(A * H_k); the explicit path with
+    # the reference kernels takes the HNF of the composite A^k every step
+    rng = random.Random(41)
+    for t in range(400):
+        n = rng.randint(1, 5)
+        mat = chain_test_matrix(rng, n, CHAIN_KINDS[t % len(CHAIN_KINDS)])
+        m, n_steps = rng.randint(1, 3), rng.randint(1, 20)
+        chain, verdict = ml_check_window(AbelianTower.constant_tower(n, mat), m, n_steps)
+        composite = AbelianTower.explicit((n,) * (m + n_steps), (mat,) * (m + n_steps - 1))
+        ref_chain, ref_verdict = window_with_reference_kernels(monkeypatch, composite, m, n_steps)
+        assert chain == ref_chain and verdict == ref_verdict, (mat, m, n_steps)
+
+
+def test_constant_window_takes_no_hnf_once_the_chain_is_stable(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return hermite_normal_form(matrix)
+
+    monkeypatch.setattr(towers, "hermite_normal_form", counting)
+    # L_0 = L_1 for a unimodular A; L_1 = L_2 for a projection
+    for mat, taken in ((((1, 1), (0, 1)), 2), (((0, 1), (0, 1)), 3)):
+        calls.clear()
+        chain, verdict = ml_check_window(AbelianTower.constant_tower(2, mat), 1, 50)
+        assert len(calls) == taken and len(set(chain)) == taken - 1, mat
+        assert verdict.kind == "semistable"
+
+
+def reference_ml_decide_constant(rank, matrix):
+    """The verdict from the powers of A: the HNF of A^k, with the reference
+    kernels, until the rank of the image stops dropping."""
+    A = AbelianTower.constant_tower(rank, matrix).bondings[0]
+    power = mat_identity(rank)
+    lattice, k_star = reference_hermite_normal_form(power), 0
+    while True:
+        power = reference_mat_product(power, A)
+        following = reference_hermite_normal_form(power)
+        if len(following) == len(lattice):
+            break
+        lattice, k_star = following, k_star + 1
+    if following == lattice:
+        return MLVerdict("semistable", stabilization_index=k_star + 1)
+    return MLVerdict("strictly_descending", first_witness=k_star + 1)
+
+
+def test_decide_constant_matches_the_power_loop():
+    rng = random.Random(43)
+    assert ml_decide_constant(0, ()) == reference_ml_decide_constant(0, ())
+    for t in range(1500):
+        n = rng.randint(1, 5)
+        mat = chain_test_matrix(rng, n, CHAIN_KINDS[t % len(CHAIN_KINDS)])
+        assert ml_decide_constant(n, mat) == reference_ml_decide_constant(n, mat), mat
+
+
 def test_window_raises_when_the_chain_is_not_descending(monkeypatch):
     # a kernel that returned 2Z, then 3Z, would claim L_2 = 3Z inside L_1 = 2Z
     answers = iter((((2,),), ((3,),)))
@@ -352,6 +433,23 @@ def test_constant_agrees_with_long_window():
         tower = AbelianTower.constant_tower(n, mat)
         _, windowed = ml_check_window(tower, 1, 50)
         assert windowed.kind == exact.kind, mat
+
+
+@pytest.mark.parametrize("build,args,message", [
+    ("constant", (1, ((2.5,),)), "matrix entry must be an integer, got 2.5"),
+    ("constant", (1.0, ((2,),)), "rank must be an integer, got 1.0"),
+    ("constant", ("1", ((2,),)), "rank must be an integer, got '1'"),
+    ("constant", (-1, ()), "rank must be >= 0, got -1"),
+    ("explicit", ((2.9, 1), (((1,), (0,)),)), "rank must be an integer, got 2.9"),
+    ("explicit", ((-1, 1), (((1,),),)), "rank must be >= 0, got -1"),
+    ("explicit", ((1, 1), ((("1",),),)), "matrix entry must be an integer, got '1'"),
+    ("decide", (1, ((None,),)), "matrix entry must be an integer, got None"),
+])
+def test_tower_constructors_reject_non_integers_and_negative_ranks(build, args, message):
+    build = {"constant": AbelianTower.constant_tower, "explicit": AbelianTower.explicit,
+             "decide": ml_decide_constant}[build]
+    with pytest.raises(EndscopeError, match=f"^{re.escape(message)}$"):
+        build(*args)
 
 
 def test_tower_index_validation():
