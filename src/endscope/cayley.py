@@ -27,11 +27,11 @@ class GroupOracle:
 
     multiply(key, i) multiplies by generator i, an index into `generators`,
     whose names serve only as edge labels.  A key is any hashable value (an
-    int for ZnOracle and CyclicOracle, a tuple for the others), and keys are
-    equal exactly when the elements are, so multiply is well defined on
-    elements.  The generators are distinct as elements and inverse-closed,
-    so the Cayley graph can be explored undirected and each edge read from
-    either end; build_ball checks this.
+    int for ZnOracle, FreeOracle and CyclicOracle, a tuple for the others),
+    and keys are equal exactly when the elements are, so multiply is well
+    defined on elements.  The generators are distinct as elements and
+    inverse-closed, so the Cayley graph can be explored undirected and each
+    edge read from either end; build_ball checks this.
 
     `bipartite` is True only when every relator has even length, so the
     Cayley graph is bipartite and no edge joins two elements at equal
@@ -85,7 +85,13 @@ class ZnOracle(GroupOracle):
 
 
 class FreeOracle(GroupOracle):
-    """Free group of rank n; keys are freely reduced words over +-(i+1)."""
+    """Free group of rank n.  A freely reduced word is keyed by one int whose
+    base-(2n + 1) digits, most significant first, are its letters: generator
+    g is the digit g + 1, so no digit is 0 and the identity, the empty word,
+    is 0.  Distinct words get distinct ints, and ints below 2^61 - 1 hash to
+    themselves, so a ball's keys hash apart (tuples of signed letters
+    +-(i + 1) would not: hash(-1) == hash(-2)).
+    """
 
     bipartite = True
 
@@ -94,15 +100,17 @@ class FreeOracle(GroupOracle):
             raise EndscopeError("rank must be >= 0")
         self.n = n
         self.name = f"free:{n}"
-        self.identity = ()
-        self._letters = tuple(d * (i + 1) for i in range(n) for d in (1, -1))
+        self.identity = 0
+        self._base = 2 * n + 1
+        # the digit of generator g's inverse, g ^ 1 (generators come in +- pairs)
+        self._cancels = tuple((g ^ 1) + 1 for g in range(2 * n))
         self.generators = tuple(f"g{i}{sign}" for i in range(n) for sign in "+-")
 
     def multiply(self, key, gen):
-        letter = self._letters[gen]
-        if key and key[-1] == -letter:
-            return key[:-1]
-        return key + (letter,)
+        word, last = divmod(key, self._base)
+        if last == self._cancels[gen]:
+            return word
+        return key * self._base + gen + 1
 
 
 class CyclicOracle(GroupOracle):

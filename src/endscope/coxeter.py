@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .atoms import EndCount
 from .errors import EndscopeError
@@ -73,15 +72,9 @@ def _classify_path(labels):
 
 
 def _classify_component(sys: CoxeterSystem, comp, adj):
-    """Family tag of a Dynkin component; adj is the Dynkin adjacency, so the
-    neighbours of a vertex of comp lie in comp."""
-    if len(comp) == 1:
-        return "A1"
-    # any unrelated pair inside a Dynkin component makes it infinite
-    for i, u in enumerate(comp):
-        for v in comp[i + 1:]:
-            if sys.m(u, v) == math.inf:
-                return "affine/indefinite"
+    """Family tag of a Dynkin component of two or more vertices whose pairs
+    are all related; adj is the Dynkin adjacency, so the neighbours of a
+    vertex of comp lie in comp."""
     degs = {v: len(adj[v]) for v in comp}
     edge_count = sum(degs.values()) // 2
     if edge_count >= len(comp):  # contains a cycle
@@ -142,13 +135,49 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
 def is_finite_type(sys: CoxeterSystem) -> FiniteTypeReport:
     """Classifies each component of the Dynkin diagram, which joins the
     generators with m >= 3 (unrelated pairs, m = inf, included) and leaves
-    commuting pairs (m = 2) apart.  Its edge labels are placeholders: the
-    classifier reads m from sys."""
-    gens = sys.generators
-    dynkin = LabeledGraph.build(
-        gens, [(u, v, 3) for u, v in combinations(gens, 2) if sys.m(u, v) >= 3])
-    types = tuple((comp, _classify_component(sys, comp, dynkin.adjacency))
-                  for comp in dynkin.components())
+    commuting pairs (m = 2) apart.
+
+    The components are those of the complement of the label-2 edges.  The
+    search keeps the vertices no component holds yet, and from a vertex u it
+    takes all of them but u's label-2 neighbours: each vertex it does not
+    take is one of those neighbours, so its work grows with the vertices and
+    label-2 edges, not with the pairs of generators.  A component with an
+    unrelated pair is affine/indefinite (its Coxeter group is infinite); the
+    others are cliques of the diagram, so their Dynkin edges are read from
+    its adjacency."""
+    diagram = sys.diagram
+    gens, adjacency = diagram.vertices, diagram.adjacency
+    position = {v: i for i, v in enumerate(gens)}
+    commuting = {v: set() for v in gens}
+    for (u, v), m in diagram.edges.items():
+        if m == 2:
+            commuting[u].add(v)
+            commuting[v].add(u)
+    remaining = set(gens)
+    types = []
+    for v in gens:
+        if v not in remaining:
+            continue
+        remaining.discard(v)
+        comp, stack = [v], [v]
+        while stack:
+            u = stack.pop()
+            found = remaining - commuting[u]
+            remaining &= commuting[u]
+            comp += found
+            stack += found
+        comp = tuple(sorted(comp, key=position.__getitem__))
+        inside = set(comp)
+        if len(comp) == 1:
+            tag = "A1"
+        elif any(len(inside.intersection(adjacency[u])) < len(comp) - 1 for u in comp):
+            tag = "affine/indefinite"  # some u has no edge to another vertex of comp
+        else:
+            dynkin = {u: tuple(w for w in adjacency[u] if w in inside and w not in commuting[u])
+                      for u in comp}
+            tag = _classify_component(sys, comp, dynkin)
+        types.append((comp, tag))
+    types = tuple(types)
     return FiniteTypeReport(all(tag != "affine/indefinite" for _, tag in types), types)
 
 

@@ -38,7 +38,7 @@ class LabeledGraph:
                 raise EndscopeError(f"duplicate vertex {v!r}")
             position[v] = len(position)
         normalized = {}
-        adjacency = {v: [] for v in self.vertices}
+        unordered = {v: [] for v in self.vertices}
         for (u, v), m in self.edges.items():
             if u == v:
                 raise EndscopeError(f"self-loop at {u!r}")
@@ -50,11 +50,15 @@ class LabeledGraph:
             if key in normalized:
                 raise EndscopeError(f"duplicate edge {key}")
             normalized[key] = m
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+            unordered[u].append(v)
+            unordered[v].append(u)
+        # each vertex, in vertex order, joins its neighbours' lists
+        adjacency = {v: [] for v in self.vertices}
+        for v, ws in unordered.items():
+            for w in ws:
+                adjacency[w].append(v)
         object.__setattr__(self, "edges", normalized)
-        object.__setattr__(self, "adjacency", {
-            v: tuple(sorted(ws, key=position.__getitem__)) for v, ws in adjacency.items()})
+        object.__setattr__(self, "adjacency", {v: tuple(ws) for v, ws in adjacency.items()})
 
     @staticmethod
     def build(vertices, edges=()):
@@ -190,21 +194,24 @@ def enumerate_clique_separators(g: LabeledGraph, admissible=None):
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
     adj = [[index[w] for w in g.adjacency[v]] for v in verts]
-    madj = [[] for _ in range(n)]  # earlier picks adjacent in H; weight = len
+    madj = [[] for _ in range(n)]  # earlier picks adjacent in H
+    weights = [0] * n  # len(madj[y]) while y is unpicked, then -1
     alive = [True] * n  # not yet picked
     generated = set()
     previous = -1
     for _ in range(n):
-        x = max((y for y in range(n) if alive[y]), key=lambda y: len(madj[y]))
+        x = max(range(n), key=weights.__getitem__)  # the first unpicked of most weight
+        weight = weights[x]
+        weights[x] = -1
         alive[x] = False
-        weight = len(madj[x])
         if weight <= previous:
             generated.add(tuple(sorted(madj[x])))
         previous = weight
         # z joins x in H when an x..z path through unpicked vertices has all
-        # inner weights below z's; bucket b holds paths of largest inner weight b - 1
+        # inner weights below z's; bucket b holds paths of largest inner weight
+        # b - 1, and no unpicked weight exceeds x's
         fresh = alive[:]
-        buckets = [[x]] + [[] for _ in range(n)]
+        buckets = [[x]] + [[] for _ in range(weight + 1)]
         raised = []
         for b, bucket in enumerate(buckets):
             while bucket:
@@ -219,6 +226,7 @@ def enumerate_clique_separators(g: LabeledGraph, admissible=None):
                             bucket.append(z)
         for y in raised:
             madj[y].append(x)
+            weights[y] += 1
     out = []
     for sep in sorted(generated, key=lambda s: (len(s), s)):
         vs = tuple(verts[i] for i in sep)

@@ -21,7 +21,9 @@ The text format is line-oriented with ``#`` comments:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 from .atoms import PropertyAtom, atom_from_name
 from .errors import EndscopeError, ParseError
@@ -191,43 +193,55 @@ _TOKEN_RE = re.compile(r"[(){};:,=]|[^\s(){};:,=]+")
 
 
 class _Tokens:
+    """The tokens of a text, read one at a time.  Each token keeps only its
+    row: its line and column are worked out again when an error names it."""
+
     def __init__(self, text):
-        self.items = []  # (token, line, col)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0]
-            for m in _TOKEN_RE.finditer(line):
-                self.items.append((m.group(0), lineno, m.start() + 1))
+        self.lines = text.splitlines()
+        self.tokens = []
+        self.rows = []  # the index in `lines` of each token's line
+        for row, line in enumerate(self.lines):
+            found = _TOKEN_RE.findall(line.split("#", 1)[0])
+            if found:
+                self.tokens += found
+                self.rows += [row] * len(found)
         self.pos = 0
 
     def peek(self):
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self, expected=None):
-        if self.pos >= len(self.items):
-            last = self.items[-1] if self.items else ("", 1, 1)
+        if self.pos >= len(self.tokens):
             wanted = "more input" if expected is None else repr(expected)
-            raise ParseError(f"unexpected end of input (expected {wanted})", last[1], last[2])
-        tok, line, col = self.items[self.pos]
+            self.error(f"unexpected end of input (expected {wanted})", self.pos)
+        tok = self.tokens[self.pos]
         self.pos += 1
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, got {tok!r}", line, col)
-        return tok, line, col
+            self.error(f"expected {expected!r}, got {tok!r}")
+        return tok
 
-    def error(self, message):
-        if self.pos < len(self.items):
-            _, line, col = self.items[self.pos]
-        elif self.items:
-            _, line, col = self.items[-1]
-        else:
-            line, col = 1, 1
-        raise ParseError(message, line, col)
+    def where(self, i):
+        """(line, col) of token i; past the end, of the last token; (1, 1)
+        when there is none."""
+        i = min(i, len(self.tokens) - 1)
+        if i < 0:
+            return 1, 1
+        row = self.rows[i]
+        line = self.lines[row].split("#", 1)[0]
+        k = i - bisect_left(self.rows, row)  # token i is match k of its line
+        match = next(islice(_TOKEN_RE.finditer(line), k, None))
+        return row + 1, match.start() + 1
+
+    def error(self, message, i=None):
+        """Raise a ParseError at token i, by default the one read last."""
+        raise ParseError(message, *self.where(self.pos - 1 if i is None else i))
 
 
 def _parse_name(tokens):
     """A group name, a reference or a catalog name: any token but punctuation."""
-    tok, line, col = tokens.next()
+    tok = tokens.next()
     if tok in _PUNCTUATION:
-        raise ParseError(f"expected a name, got {tok!r}", line, col)
+        tokens.error(f"expected a name, got {tok!r}")
     return tok
 
 
@@ -246,10 +260,10 @@ def read_int(text):
 
 
 def _parse_int(tokens, what):
-    tok, line, col = tokens.next()
+    tok = tokens.next()
     value = read_int(tok)
     if value is None:
-        raise ParseError(f"expected {what}, got {tok!r}", line, col)
+        tokens.error(f"expected {what}, got {tok!r}")
     return value
 
 
@@ -258,7 +272,7 @@ def _parse_diagram(tokens, labeled):
     verts, declared = [], set()
     vertex_groups = []
     edges = {}  # (u, v) with u <= v -> label, as LabeledGraph keeps them
-    endpoints = []  # (vertex, line, col) of each edge end
+    endpoints = []  # the token index of each edge end
     while True:
         tok = tokens.peek()
         if tok == "}":
@@ -267,11 +281,11 @@ def _parse_diagram(tokens, labeled):
         if tok == "verts":
             tokens.next("verts")
             while tokens.peek() not in (";", None):
-                name, line, col = tokens.next()
+                name = tokens.next()
                 if name in ("edge", "verts") or name in _PUNCTUATION:
-                    raise ParseError(f"bad vertex name {name!r}", line, col)
+                    tokens.error(f"bad vertex name {name!r}")
                 if name in declared:
-                    raise ParseError(f"duplicate vertex {name!r}", line, col)
+                    tokens.error(f"duplicate vertex {name!r}")
                 if labeled == "graph_product":
                     tokens.next(":")
                     vertex_groups.append((name, _parse_name(tokens)))
@@ -281,28 +295,27 @@ def _parse_diagram(tokens, labeled):
         elif tok == "edge":
             tokens.next("edge")
             u, v = _parse_name(tokens), _parse_name(tokens)
-            first, second = tokens.items[tokens.pos - 2:tokens.pos]  # (name, line, col)
+            first = tokens.pos - 2
             if u == v:
-                raise ParseError(f"self-loop at {u!r}", *second[1:])
+                tokens.error(f"self-loop at {u!r}")
             key = _edge_key(u, v)
             if key in edges:
-                raise ParseError(f"duplicate edge {key}", *first[1:])
-            endpoints += (first, second)
+                tokens.error(f"duplicate edge {key}", first)
+            endpoints += (first, first + 1)
             if labeled == "graph_product":
                 label = 2
             else:
                 label = _parse_int(tokens, "edge label")
                 if label < 2:
-                    _, line, col = tokens.items[tokens.pos - 1]
-                    raise ParseError(f"edge label must be an integer >= 2, got {label}", line, col)
+                    tokens.error(f"edge label must be an integer >= 2, got {label}")
             tokens.next(";")
             edges[key] = label
         else:
-            tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}")
+            tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}", tokens.pos)
     # an edge may come before the verts that declare its ends
-    for name, line, col in endpoints:
-        if name not in declared:
-            raise ParseError(f"unknown vertex {name!r}", line, col)
+    for i in endpoints:
+        if tokens.tokens[i] not in declared:
+            tokens.error(f"unknown vertex {tokens.tokens[i]!r}", i)
     graph = LabeledGraph(tuple(verts), edges)
     if labeled == "graph_product":
         return graph, tuple(vertex_groups)
@@ -314,21 +327,20 @@ def _parse_refs(tokens, count=None):
     refs = []
     while True:
         refs.append(_parse_name(tokens))
-        nxt, line, col = tokens.next()
+        nxt = tokens.next()
         if nxt == ")":
             break
         if nxt != ",":
-            raise ParseError(f"expected ',' or ')', got {nxt!r}", line, col)
+            tokens.error(f"expected ',' or ')', got {nxt!r}")
     if count is not None and len(refs) != count:
-        raise ParseError(f"expected {count} references, got {len(refs)}", line, col)
+        tokens.error(f"expected {count} references, got {len(refs)}")
     return refs
 
 
 def _parse_flags(tokens, allowed):
     flags = set()
     while tokens.peek() in allowed:
-        tok, _, _ = tokens.next()
-        flags.add(tok)
+        flags.add(tokens.next())
     return flags
 
 
@@ -338,14 +350,14 @@ def parse_document(text: str) -> GroupRegistry:
     tokens = _Tokens(text)
     reg = GroupRegistry()
     while tokens.peek() is not None:
-        kw, line, col = tokens.next()
+        kw = tokens.next()
         if kw == "group":
             name = _parse_name(tokens)
             tokens.next("=")
-            ctor, cl, cc = tokens.next()
+            ctor = tokens.next()
             cls = _CONSTRUCTORS.get(ctor)
             if cls is None:
-                raise ParseError(f"unknown constructor {ctor!r}", cl, cc)
+                tokens.error(f"unknown constructor {ctor!r}")
             if cls is Coxeter or cls is Artin:
                 expr = cls(_parse_diagram(tokens, ctor))
             elif cls is GraphProduct:
@@ -355,12 +367,12 @@ def parse_document(text: str) -> GroupRegistry:
             elif cls in _INTEGER:
                 tokens.next("(")
                 value = _parse_int(tokens, _INTEGER[cls])
-                _, il, ic = tokens.items[tokens.pos - 1]
+                at = tokens.pos - 1
                 tokens.next(")")
                 try:
                     expr = cls(value)  # the bound lives in the class
                 except EndscopeError as exc:
-                    raise ParseError(str(exc), il, ic) from None
+                    raise ParseError(str(exc), *tokens.where(at)) from None
             else:
                 args = _parse_refs(tokens, len(_ARGS[cls]))
                 flags = _parse_flags(tokens, _FLAG_FIELDS[cls])
@@ -369,18 +381,18 @@ def parse_document(text: str) -> GroupRegistry:
         elif kw == "assert":
             target = _parse_name(tokens)
             tokens.next(":")
-            tok, al, ac = tokens.next()
+            tok = tokens.next()
             holds = True
             if tok == "not":
                 holds = False
-                tok, al, ac = tokens.next()
+                tok = tokens.next()
             try:
                 atom = atom_from_name(tok)
             except KeyError:
-                raise ParseError(f"unknown property atom {tok!r}", al, ac)
+                tokens.error(f"unknown property atom {tok!r}")
             reg.assert_attr(AttributeAssertion(target, atom, holds))
         else:
-            raise ParseError(f"expected 'group' or 'assert', got {kw!r}", line, col)
+            tokens.error(f"expected 'group' or 'assert', got {kw!r}")
     return reg
 
 

@@ -100,27 +100,28 @@ def certificate_dag(roots):
     stack = list(roots)
     while stack:
         cert = stack.pop()
-        fact = cert.fact()
+        fact = cert[:3]
         if fact not in nodes:
             nodes[fact] = cert
             stack.extend(cert.children)
-    order = sorted(nodes, key=lambda f: (f[0], f[1].value, f[2]))
+    name = {atom: atom.value for atom in {fact[1] for fact in nodes}}
+    order = sorted(nodes, key=lambda f: (f[0], name[f[1]], f[2]))
     index = {fact: i for i, fact in enumerate(order)}
     rules, rule_ids, rows = [], {}, []
     for fact in order:
-        cert = nodes[fact]
-        row = {"group": cert.group, "atom": cert.atom.value, "holds": cert.holds}
-        if cert.is_leaf():
-            row["provenance"] = cert.provenance
+        group, atom, holds, rule, tag, quote, provenance, children = nodes[fact]
+        row = {"group": group, "atom": name[atom], "holds": holds}
+        if rule is None:
+            row["provenance"] = provenance
         else:
-            cited = (cert.rule, cert.tag, cert.quote)
+            cited = (rule, tag, quote)
             if cited not in rule_ids:
                 rule_ids[cited] = len(rules)
-                rules.append({"rule": cert.rule, "theorem": cert.tag, "quote": cert.quote})
+                rules.append({"rule": rule, "theorem": tag, "quote": quote})
             row["rule"] = rule_ids[cited]
-            if cert.provenance:
-                row["note"] = cert.provenance
-            row["premises"] = [index[c.fact()] for c in cert.children]
+            if provenance:
+                row["note"] = provenance
+            row["premises"] = [index[c[:3]] for c in children]
         rows.append(row)
     return rules, rows, index
 

@@ -236,7 +236,7 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
     if m < 1 or N < 1:
         raise EndscopeError("need m >= 1 and N >= 1")
     n_m = tower.rank_at(m)
-    lattices = [hermite_normal_form(mat_identity(n_m))]
+    lattices = [mat_identity(n_m)]  # L_m = G_m: the identity columns are its HNF
     if tower.constant:
         A, previous = tower.bondings[0], None
         for _ in range(N):
@@ -279,7 +279,7 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
     """
     tower = AbelianTower.constant_tower(rank, matrix)
     A = tower.bondings[0]
-    lattice, k_star = hermite_normal_form(mat_identity(rank)), 0
+    lattice, k_star = mat_identity(rank), 0  # im(A^0): the identity columns, in HNF
     while True:  # the rank of im(A^k) stops dropping by k = n
         following = _image_step(A, lattice)
         if len(following) == len(lattice):
@@ -327,15 +327,16 @@ def parse_tower(text: str) -> AbelianTower:
     and errors name their line and column.  Each statement appears once."""
     tokens = _Tokens(text)
     if tokens.peek() != "tower":
-        tokens.error("expected 'tower { ... }' or 'tower constant { ... }'")
-    _, line, col = tokens.next()
+        tokens.error("expected 'tower { ... }' or 'tower constant { ... }'", 0)
+    tokens.next()  # token 0: errors about the whole tower point at it
     constant = tokens.peek() == "constant"
     if constant:
         tokens.next()
     tokens.next("{")
     seen = {}  # "rank", "matrix", "ranks" or "bond <k>" -> its value
     while tokens.peek() not in ("}", None):
-        key, kl, kc = tokens.next()
+        key = tokens.next()
+        at = tokens.pos - 1
         if constant and key == "rank":
             value = _parse_int(tokens, "rank")
         elif constant and key == "matrix":
@@ -348,29 +349,29 @@ def parse_tower(text: str) -> AbelianTower:
             tokens.next(":")
             value = _rows(tokens, "matrix entry")
         else:
-            raise ParseError(f"unknown tower statement {key!r}", kl, kc)
+            tokens.error(f"unknown tower statement {key!r}", at)
         tokens.next(";")
         if key in seen:
-            raise ParseError(f"repeated tower statement {key!r}", kl, kc)
+            tokens.error(f"repeated tower statement {key!r}", at)
         seen[key] = value
     tokens.next("}")
     if tokens.peek() is not None:
-        tokens.error(f"expected end of input after '}}', got {tokens.peek()!r}")
+        tokens.error(f"expected end of input after '}}', got {tokens.peek()!r}", tokens.pos)
     if constant:
         if "rank" not in seen or "matrix" not in seen:
-            raise ParseError("constant tower needs 'rank' and 'matrix'", line, col)
+            tokens.error("constant tower needs 'rank' and 'matrix'", 0)
         build, args = AbelianTower.constant_tower, (seen["rank"], seen["matrix"])
     else:
         ranks = seen.pop("ranks", None)
         if ranks is None:
-            raise ParseError("explicit tower needs 'ranks:'", line, col)
+            tokens.error("explicit tower needs 'ranks:'", 0)
         if len(ranks) < 2:
-            raise ParseError("explicit tower needs at least two ranks", line, col)
+            tokens.error("explicit tower needs at least two ranks", 0)
         bonds = [f"bond {k}" for k in range(1, len(ranks))]
         if set(seen) != set(bonds):
-            raise ParseError("bond indices must be 1..len(ranks)-1", line, col)
+            tokens.error("bond indices must be 1..len(ranks)-1", 0)
         build, args = AbelianTower.explicit, (ranks, [seen[k] for k in bonds])
     try:  # a matrix of the wrong shape, at the `tower` keyword
         return build(*args)
     except EndscopeError as exc:
-        raise ParseError(str(exc), line, col) from None
+        raise ParseError(str(exc), *tokens.where(0)) from None

@@ -611,6 +611,15 @@ def test_zn_ball_keys_hash_apart():
         assert shared <= (1 if spec.startswith("z:") else len(keys) // 100), (spec, shared)
 
 
+def test_free_ball_keys_hash_apart():
+    # a reduced word is one int >= 0 in base 2n + 1, and ints below 2^61 - 1
+    # hash to themselves; words over the letters +-(i + 1) piled up, since
+    # hash(-1) == hash(-2)
+    for spec, radius in [("free:2", 9), ("free:3", 6), ("prod:free:2xfree:2", 5)]:
+        keys = build_ball(oracle_from_spec(spec), radius).order
+        assert len(set(map(hash, keys))) == len(keys), spec
+
+
 def test_oracle_congruence_on_random_words():
     rng = random.Random(41)
     oracles = [

@@ -284,6 +284,32 @@ def test_adjacency_lists_neighbours_in_vertex_order(n, p, seed):
         assert h.adjacency[v] == tuple(u for u in h.vertices if u != v and h.has_edge(u, v))
 
 
+def sorted_adjacency(vertices, pairs):
+    """The construction that listed each vertex's neighbours as the edges
+    came and then sorted them by vertex position."""
+    position = {v: i for i, v in enumerate(vertices)}
+    adjacency = {v: [] for v in vertices}
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return {v: tuple(sorted(ws, key=position.__getitem__)) for v, ws in adjacency.items()}
+
+
+def test_adjacency_matches_the_sorted_construction():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        names = rng.sample([f"v{i}" for i in range(20)], n) if rng.random() < 0.5 else list(range(n))
+        pairs = [(u, v) for u, v in itertools.combinations(names, 2) if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        rng.shuffle(names)
+        # the edge dict in insertion order `pairs`, each key either way round
+        edges = {(v, u) if rng.random() < 0.5 else (u, v): 2 for u, v in pairs}
+        g = LabeledGraph(tuple(names), edges)
+        assert g.adjacency == sorted_adjacency(names, pairs)
+        assert list(g.adjacency) == names
+
+
 def test_cut_vertices_of_a_long_path_do_not_recurse():
     n = 5000
     path = LabeledGraph.build(range(n), [(i, i + 1, 2) for i in range(n - 1)])

@@ -1,5 +1,6 @@
 """Forward-chaining inference engine and proof certificates."""
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -307,8 +308,9 @@ def reference_infer(registry):
 
 def fixpoint_outcome(engine, registry):
     """Everything the fixpoint hands on: the facts in insertion order with
-    their certificate trees (dataclass equality compares rule, tag, quote,
-    note, provenance and children, recursively) and the decider results, or
+    their certificate trees (tuple equality compares every field: rule, tag,
+    quote, note, provenance and children, recursively) and the decider
+    results, or
     the contradiction with both certificates."""
     try:
         facts = engine(registry)
@@ -414,3 +416,48 @@ def test_each_clause_runs_at_most_once_per_premise_plus_one(fixture, naive_claus
             clause_runs += runs
     assert 0 < clause_runs < naive_clause_runs / 5
     assert infer(registry).evaluations == facts.evaluations
+
+
+# Vertex groups that leave the profile fields open, so the bridge looks past
+# the first fact it tries for each: HNN extensions with no flags, one of them
+# asserted not semistable and not FP.
+GP_READS_DOC = (
+    "group Z = free_abelian(1)\n"
+    "group H = hnn(Z, Z)\n"
+    "group N = hnn(Z, Z)\n"
+    "assert N : not semistable\n"
+    "assert N : not fp\n"
+    "group P = graph_product { verts a:H b:N c:Z ; edge a b ; edge b c ; }\n"
+)
+
+
+def test_graph_product_bridge_reads_only_its_declared_facts(monkeypatch):
+    """Every vertex fact the R-GP bridge looks up is one of the rule's
+    `reads`, so a fact it depends on always wakes it; and it looks up each of
+    them on some input, so `reads` lists no fact the bridge ignores."""
+    from endscope import inference
+
+    looked = set()
+    slots = list(inference._SLOTS)
+    (i,) = [i for i, (rule, _) in enumerate(slots) if rule.name == "R-GP"]
+    rule = slots[i][0]
+
+    def spying(rule, registry, facts, gname, expr):
+        vertex_groups = {ref for _, ref in expr.vertex_groups}
+
+        def get(group, atom, holds=True):
+            if group in vertex_groups:
+                looked.add((inference.V, atom, holds))
+            return FactSet.get(facts, group, atom, holds)
+
+        facts.get = get
+        try:
+            return list(inference._graph_product_bridge(rule, registry, facts, gname, expr))
+        finally:
+            del facts.get
+
+    slots[i] = (dataclasses.replace(rule, body=spying), None)
+    monkeypatch.setattr(inference, "_SLOTS", tuple(slots))
+    for text in ((FIXTURE_DIR / "graph_products.ggt").read_text(encoding="utf-8"), GP_READS_DOC):
+        infer(parse_document(text))
+    assert looked == set(rule.reads)

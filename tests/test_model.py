@@ -1,5 +1,8 @@
 """Group description language: parser, registry validation, serializer."""
 
+import importlib.util
+import pathlib
+import random
 import sys
 
 import pytest
@@ -7,15 +10,19 @@ import pytest
 from endscope.atoms import PropertyAtom
 from endscope.errors import EndscopeError, ParseError
 from endscope.model import (
+    _TOKEN_RE,
     Amalgam,
     Coxeter,
     Finite,
     GraphProduct,
     GroupExpr,
+    _Tokens,
     parse_document,
     read_int,
     serialize_document,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_parse_coxeter_and_assertions():
@@ -139,3 +146,57 @@ def test_serialize_round_trip():
     reg2 = parse_document(out)
     assert reg == reg2
     assert serialize_document(reg2) == out
+
+
+def eager_positions(text):
+    """The tokenizer that stored every token's (token, line, col) as it read
+    the text, and the position it gave an error at the end of input: the
+    reference for `_Tokens.where`."""
+    items = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        for m in _TOKEN_RE.finditer(line):
+            items.append((m.group(0), lineno, m.start() + 1))
+    return items, items[-1][1:] if items else (1, 1)
+
+
+def bench_documents(count=36, seed=1):
+    """The generated documents of the benchmark's `analyze` workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = random.Random(seed)
+    return [workloads.make_document(rng, slot)[0] for slot in range(count)]
+
+
+# line breaks splitlines() knows and `#` move tokens between lines, spaces and
+# punctuation split and shift them
+MUTATIONS = ("#", "\r\n", "\r", "\x0c", "\x85", "\u2028", " ", "\t", "(", ")", "{", "}",
+             ";", ":", ",", "=", "x")
+
+
+def test_token_positions_match_the_eager_tokenizer():
+    fixtures = [path.read_text(encoding="utf-8")
+                for path in sorted((ROOT / "tests" / "fixtures").iterdir())]
+    documents = bench_documents()
+    texts = fixtures + documents
+    rng = random.Random(23)
+    # where() re-reads a token's line, so a document's long diagram lines
+    # cost the most: mutate each fixture 60 times and each document 4
+    for text, copies in [(text, 60) for text in fixtures] + [(text, 4) for text in documents]:
+        for _ in range(copies):
+            mutated = text
+            for _ in range(rng.randint(1, 6)):
+                i = rng.randrange(len(mutated) + 1)
+                mutated = mutated[:i] + rng.choice(MUTATIONS) + mutated[i:]
+            texts.append(mutated)
+    texts += ["", "\n", "# only a comment", "a\x85b # c\x0cd\r\ne"]
+    for text in texts:
+        tokens = _Tokens(text)
+        items, at_end = eager_positions(text)
+        assert [(tok, *tokens.where(i)) for i, tok in enumerate(tokens.tokens)] == items
+        assert tokens.where(len(tokens.tokens)) == at_end

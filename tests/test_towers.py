@@ -271,11 +271,13 @@ def test_constant_window_takes_no_hnf_once_the_chain_is_stable(monkeypatch):
         return hermite_normal_form(matrix)
 
     monkeypatch.setattr(towers, "hermite_normal_form", counting)
-    # L_0 = L_1 for a unimodular A; L_1 = L_2 for a projection
-    for mat, taken in ((((1, 1), (0, 1)), 2), (((0, 1), (0, 1)), 3)):
+    # L_0 = L_1 for a unimodular A; L_1 = L_2 for a projection.  L_0, the
+    # identity columns, takes no HNF; each new lattice after it takes one, and
+    # one more finds the repeat that stops the chain.
+    for mat, distinct in ((((1, 1), (0, 1)), 1), (((0, 1), (0, 1)), 2)):
         calls.clear()
         chain, verdict = ml_check_window(AbelianTower.constant_tower(2, mat), 1, 50)
-        assert len(calls) == taken and len(set(chain)) == taken - 1, mat
+        assert len(calls) == distinct and len(set(chain)) == distinct, mat
         assert verdict.kind == "semistable"
 
 
@@ -306,12 +308,13 @@ def test_decide_constant_matches_the_power_loop():
 
 
 def test_window_raises_when_the_chain_is_not_descending(monkeypatch):
-    # a kernel that returned 2Z, then 3Z, would claim L_2 = 3Z inside L_1 = 2Z
+    # L_1 = Z takes no HNF; a kernel that then returned 2Z, then 3Z, would
+    # claim L_3 = 3Z inside L_2 = 2Z
     answers = iter((((2,),), ((3,),)))
     monkeypatch.setattr(towers, "hermite_normal_form", lambda matrix: next(answers))
     tower = AbelianTower.constant_tower(1, ((3,),))
-    with pytest.raises(AssertionError, match="L_2 is not inside L_1"):
-        ml_check_window(tower, 1, 1)
+    with pytest.raises(AssertionError, match="L_3 is not inside L_2"):
+        ml_check_window(tower, 1, 2)
 
 
 def test_hnf_fixed_cases():
