@@ -88,9 +88,8 @@ def cmd_coxeter(args):
 def cmd_graph_product(args):
     text = _read(args.file)
     registry = parse_document(text)
-    expr = _find_group(registry, args.group, GraphProduct)
-    facts = infer(registry)
-    section, warnings = graph_product_section(args.group, expr, registry, facts)
+    _find_group(registry, args.group, GraphProduct)
+    section, warnings = graph_product_section(args.group, infer(registry).decided[args.group])
     _emit(envelope(text, [section], warnings))
     return EXIT_OK
 

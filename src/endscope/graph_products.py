@@ -42,9 +42,6 @@ class GraphProductSpec:
     graph: LabeledGraph  # labels ignored
     profiles: dict  # vertex -> VertexProfile
 
-    def profile(self, v) -> VertexProfile:
-        return self.profiles[v]
-
 
 def _require_ends_profiles(spec: GraphProductSpec):
     for v in spec.graph.vertices:
@@ -54,7 +51,7 @@ def _require_ends_profiles(spec: GraphProductSpec):
 
 
 def _all_finite(spec, vs):
-    return all(spec.profile(v).finite for v in vs)
+    return all(spec.profiles[v].finite for v in vs)
 
 
 def _finite_clique_separator(spec: GraphProductSpec):
@@ -99,7 +96,7 @@ def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
     # OV (i): complete graph, one multi-ended vertex group, the rest finite
     ov1 = None
     if complete:
-        heavy = [v for v in verts if spec.profile(v).ends in multi]
+        heavy = [v for v in verts if spec.profiles[v].ends in multi]
         if len(heavy) == 1 and _all_finite(spec, [v for v in verts if v != heavy[0]]):
             ov1 = heavy[0]
     # OV (ii): visual splitting over a finite subgroup
@@ -109,7 +106,7 @@ def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
         return GraphProductEndsReport(EndCount.ONE, {"kind": "no_visual_splitting"})
 
     # multi-ended; the 2-ended dichotomy decides between Two and Infinite
-    if complete and ov1 is not None and spec.profile(ov1).ends == EndCount.TWO:
+    if complete and ov1 is not None and spec.profiles[ov1].ends == EndCount.TWO:
         return GraphProductEndsReport(
             EndCount.TWO, {"kind": "complete_one_two_ended", "vertex": ov1}
         )
@@ -121,7 +118,7 @@ def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
         and len(gamma2) == 2
         and not graph.has_edge(*gamma2)
         and all(
-            spec.profile(v).finite and spec.profile(v).order == 2 for v in gamma2
+            spec.profiles[v].finite and spec.profiles[v].order == 2 for v in gamma2
         )
     ):
         return GraphProductEndsReport(
@@ -162,9 +159,9 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
 
     undecided = None
     for v in graph.vertices:
-        p = spec.profile(v)
+        p = spec.profiles[v]
         link = graph.neighbors(v)
-        fin = [spec.profile(u).finite for u in link]
+        fin = [spec.profiles[u].finite for u in link]
         if not is_clique(graph, link) or any(f is False for f in fin):
             continue
         link_known_finite = all(f is True for f in fin)

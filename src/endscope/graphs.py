@@ -246,18 +246,22 @@ class SimplicialComplex2:
     @staticmethod
     def build(vertices, edges=(), triangles=()):
         vs = tuple(vertices)
-        vset = set(vs)
         es = frozenset(frozenset(e) for e in edges)
         ts = frozenset(frozenset(t) for t in triangles)
         for e in es:
-            if len(e) != 2 or not e <= vset:
-                raise EndscopeError(f"unknown vertex {tuple(e)!r}")
+            if len(e) != 2:
+                raise EndscopeError(f"an edge joins two distinct vertices, got {tuple(e)!r}")
         for t in ts:
-            if len(t) != 3 or not t <= vset:
-                raise EndscopeError(f"unknown vertex {tuple(t)!r}")
-            for pair in combinations(sorted(t, key=vs.index), 2):
+            if len(t) != 3:
+                raise EndscopeError(f"a triangle spans three distinct vertices, got {tuple(t)!r}")
+        unknown = frozenset().union(*es, *ts).difference(vs)
+        if unknown:
+            raise EndscopeError(f"unknown vertex {next(iter(unknown))!r}")
+        for t in ts:
+            t = tuple(sorted(t, key=vs.index))
+            for pair in combinations(t, 2):
                 if frozenset(pair) not in es:
-                    raise EndscopeError(f"unknown vertex {pair!r}")
+                    raise EndscopeError(f"triangle {t!r} lacks edge {pair!r}")
         return SimplicialComplex2(vs, es, ts)
 
     def one_skeleton(self) -> LabeledGraph:

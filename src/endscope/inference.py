@@ -66,43 +66,16 @@ class Certificate(NamedTuple):
         return self.rule is None
 
 
-class Decisions:
-    """Decider results for one inference run, each computed once per input:
-    per Coxeter or Artin group, and per graph product and vertex-profile
-    tuple."""
-
-    def __init__(self):
-        self._results = {}
-
-    def _once(self, key, decider, arg):
-        if key not in self._results:
-            self._results[key] = decider(arg)
-        return self._results[key]
-
-    def coxeter_ends(self, group, expr):
-        return self._once(("coxeter", group), coxeter_ends, CoxeterSystem(expr.diagram))
-
-    def artin_ends(self, group, expr):
-        return self._once(("artin", group), artin_one_ended, expr.diagram)
-
-    def graph_product_ends(self, group, spec):
-        key = ("gp_ends", group, tuple(spec.profiles.values()))
-        return self._once(key, graph_product_ends, spec)
-
-    def graph_product_semistable(self, group, spec):
-        key = ("gp_semistable", group, tuple(spec.profiles.values()))
-        return self._once(key, graph_product_semistable, spec)
-
-
 class FactSet:
-    """Derived facts keyed by (group, atom, polarity), each with a certificate,
-    the decider results the derivation used, and how often the fixpoint ran
-    each slot: `evaluations` counts runs per (group, i), where i numbers the
-    rule table's clauses, and its bridges, in order."""
+    """Derived facts keyed by (group, atom, polarity), each with a certificate;
+    `decided`, which maps each group a decider bridge ran on to that bridge's
+    result on its last run; and how often the fixpoint ran each slot:
+    `evaluations` counts runs per (group, i), where i numbers the rule table's
+    clauses, and its bridges, in order."""
 
     def __init__(self):
         self._certs = {}
-        self.decided = Decisions()
+        self.decided = {}
         self.evaluations = Counter()
 
     def get(self, group, atom, holds=True):
@@ -444,29 +417,40 @@ def _one_clause(premises, conclusions):
 
 def _coxeter_ends_bridge(rule, registry, facts, gname, expr):
     if expr.diagram.vertices:
-        report = facts.decided.coxeter_ends(gname, expr)
+        report = facts.decided[gname] = coxeter_ends(CoxeterSystem(expr.diagram))
         note = f"decider witness: {report.witness}"
         yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [], note)
 
 
 def _artin_ends_bridge(rule, registry, facts, gname, expr):
     if expr.diagram.vertices:
-        report = facts.decided.artin_ends(gname, expr)
+        report = facts.decided[gname] = artin_one_ended(expr.diagram)
         if report.ends is not None:
             yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [])
 
 
 def _graph_product_bridge(rule, registry, facts, gname, expr):
+    """Runs the graph-product deciders on the vertex profiles read off the
+    facts and records (ends report, semistability report) as the group's
+    decision: the first is None while some profile lacks finiteness or an end
+    count, the second when the graph is disconnected.  A graph product on no
+    vertices records its decision and concludes nothing."""
+    profiles, children = {}, []
+    for vertex, ref in expr.vertex_groups:
+        profiles[vertex], used = _vertex_profile(registry, facts, ref)
+        children += used
+    spec = GraphProductSpec(expr.graph, profiles)
+    complete = all(p.finite is not None and p.ends is not None for p in profiles.values())
+    ends = graph_product_ends(spec) if complete else None
+    ss = graph_product_semistable(spec) if expr.graph.is_connected() else None
+    facts.decided[gname] = ends, ss
     if not expr.graph.vertices:
         return
-    spec, children, complete = graph_product_spec(registry, facts, expr)
-    if complete:
-        report = facts.decided.graph_product_ends(gname, spec)
-        note = f"decider witness: {report.witness}"
-        yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, children, note)
-    if not expr.graph.is_connected():
+    if ends is not None:
+        note = f"decider witness: {ends.witness}"
+        yield rule.conclude(gname, ENDS_ATOMS[ends.ends], True, children, note)
+    if ss is None:
         return
-    ss = facts.decided.graph_product_semistable(gname, spec)
     if ss.verdict == "semistable":
         yield rule.conclude(gname, A.SEMISTABLE, True, children)
     elif ss.verdict == "not_semistable":
@@ -618,20 +602,6 @@ def builtin_rules():
     return _RULES
 
 
-def graph_product_spec(registry, facts, expr):
-    """The decider input for a graph product from derived facts: the spec,
-    the certificates its vertex profiles rest on, and whether every profile
-    states finiteness and an end count."""
-    profiles = {}
-    children = []
-    for vertex, ref in expr.vertex_groups:
-        prof, used = _vertex_profile(registry, facts, ref)
-        profiles[vertex] = prof
-        children += used
-    complete = all(p.finite is not None and p.ends is not None for p in profiles.values())
-    return GraphProductSpec(expr.graph, profiles), children, complete
-
-
 def _vertex_profile(registry, facts, ref):
     """Build a VertexProfile for a referenced group from derived facts.  R-GP
     reruns only when a fact in its `reads` is added, so every fact looked up
@@ -771,8 +741,8 @@ def _saturate(registry, facts):
 def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
     """Least fixpoint of the rule table over asserted, database and structural
     facts and the certificates `extra_facts`.  Raises ContradictionError when
-    both polarities of a fact appear.  The decider results the rules used are
-    kept in the result's `decided`."""
+    both polarities of a fact appear.  Each decider bridge records its result
+    per group in the result's `decided`."""
     facts = FactSet()
     for cert in structural_facts(registry):
         facts.add(cert)

@@ -352,6 +352,7 @@ def parse_document(text: str) -> GroupRegistry:
     while tokens.peek() is not None:
         kw = tokens.next()
         if kw == "group":
+            name_at = tokens.pos
             name = _parse_name(tokens)
             tokens.next("=")
             ctor = tokens.next()
@@ -377,8 +378,12 @@ def parse_document(text: str) -> GroupRegistry:
                 args = _parse_refs(tokens, len(_ARGS[cls]))
                 flags = _parse_flags(tokens, _FLAG_FIELDS[cls])
                 expr = cls(*args, **dict.fromkeys(flags, True))
-            reg.add(name, expr)
+            try:
+                reg.add(name, expr)
+            except EndscopeError as exc:
+                raise ParseError(str(exc), *tokens.where(name_at)) from None
         elif kw == "assert":
+            target_at = tokens.pos
             target = _parse_name(tokens)
             tokens.next(":")
             tok = tokens.next()
@@ -390,7 +395,10 @@ def parse_document(text: str) -> GroupRegistry:
                 atom = atom_from_name(tok)
             except KeyError:
                 tokens.error(f"unknown property atom {tok!r}")
-            reg.assert_attr(AttributeAssertion(target, atom, holds))
+            try:
+                reg.assert_attr(AttributeAssertion(target, atom, holds))
+            except EndscopeError as exc:
+                raise ParseError(str(exc), *tokens.where(target_at)) from None
         else:
             tokens.error(f"expected 'group' or 'assert', got {kw!r}")
     return reg

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 
 from .cayley import BallGraph
 from .graphs import LabeledGraph
-from .inference import graph_product_spec, infer
+from .inference import infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
 
 SCHEMA_VERSION = 1
@@ -60,20 +60,19 @@ def artin_section(name, report):
     }
 
 
-def graph_product_section(name, expr, registry, facts):
-    """Ends and semistability of a graph product, from the decider results
-    that inference recorded in `facts`, and the warnings they raise."""
-    spec, _, complete = graph_product_spec(registry, facts, expr)
+def graph_product_section(name, decided):
+    """Ends and semistability of a graph product, from the (ends report,
+    semistability report) pair its inference bridge recorded, and the
+    warnings they raise."""
+    ends, ss = decided
     section = {"type": "graph_product", "group": name}
-    if complete:
-        ends = facts.decided.graph_product_ends(name, spec)
+    if ends is not None:
         section["ends"] = str(ends.ends)
         section["ends_witness"] = ends.witness
     else:
         section["ends"] = None
         section["ends_witness"] = {"kind": "incomplete_vertex_profiles"}
-    if expr.graph.is_connected():
-        ss = facts.decided.graph_product_semistable(name, spec)
+    if ss is not None:
         section["semistability"] = ss.verdict
         section["semistability_witness"] = ss.witness
     else:
@@ -162,11 +161,11 @@ def analysis_report(registry: GroupRegistry, text: str):
     warnings = []
     for name, expr in registry.groups.items():
         if isinstance(expr, Coxeter) and expr.diagram.vertices:
-            sections.append(coxeter_section(name, facts.decided.coxeter_ends(name, expr)))
+            sections.append(coxeter_section(name, facts.decided[name]))
         elif isinstance(expr, Artin) and expr.diagram.vertices:
-            sections.append(artin_section(name, facts.decided.artin_ends(name, expr)))
+            sections.append(artin_section(name, facts.decided[name]))
         elif isinstance(expr, GraphProduct) and expr.graph.vertices:
-            section, raised = graph_product_section(name, expr, registry, facts)
+            section, raised = graph_product_section(name, facts.decided[name])
             sections.append(section)
             warnings += raised
     sections.append(facts_section(facts))

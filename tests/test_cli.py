@@ -273,11 +273,14 @@ def chain_document(length, in_order):
      "line 2, col 59: duplicate edge ('u', 'v')"),
     ("group A = free(1)\ngroup C = amalgam(A, A)\ngroup D = free(1)\n",
      "line 2, col 23: expected 3 references, got 2"),
-    pytest.param(chain_document(1200, in_order=False), "reference to undeclared group 'G1'",
-                 id="forward-chain"),
+    pytest.param(chain_document(1200, in_order=False),
+                 "line 1, col 7: reference to undeclared group 'G1'", id="forward-chain"),
     ("group A = direct_product(B)\ngroup B = direct_product(A)\n",
-     "reference to undeclared group 'B'"),
-    ("group A = direct_product(A)\n", "reference to undeclared group 'A'"),
+     "line 1, col 7: reference to undeclared group 'B'"),
+    ("group A = direct_product(A)\n", "line 1, col 7: reference to undeclared group 'A'"),
+    ("group A = free(1)\n  group A = free(2)\n", "line 2, col 9: duplicate group name 'A'"),
+    ("group A = free(1)\nassert A : fg\nassert  B : not fg\n",
+     "line 3, col 9: reference to undeclared group 'B'"),
 ])
 def test_malformed_description_names_its_fault(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ggt"
@@ -553,6 +556,41 @@ def test_graph_product_sections_reuse_the_inference_decisions(monkeypatch, capsy
         code, _, _ = run_capture(capsys, argv)
         assert code == 0
         assert (len(ends), len(semi)) == in_inference, argv
+
+
+EMPTY_DIAGRAMS = "group P = graph_product { }\ngroup W = coxeter { }\ngroup A = artin { }\n"
+
+
+def test_empty_diagrams_are_decided_as_the_trivial_group(tmp_path, capsys):
+    path = tmp_path / "empty.ggt"
+    path.write_text(EMPTY_DIAGRAMS, encoding="utf-8")
+    digest = hashlib.sha256(EMPTY_DIAGRAMS.encode("utf-8")).hexdigest()
+
+    def report(*sections):
+        return {"schemaVersion": 1, "inputDigest": digest, "sections": list(sections),
+                "warnings": []}
+
+    code, out, err = run_capture(capsys, ["graph-product", str(path), "--group", "P"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == report({
+        "type": "graph_product", "group": "P",
+        "ends": "0", "ends_witness": {"kind": "complete_all_finite", "vertices": []},
+        "semistability": "semistable",
+        "semistability_witness": {"kind": "no_qualifying_vertex"}})
+    code, out, err = run_capture(capsys, ["coxeter", str(path), "--group", "W"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == report({
+        "type": "coxeter", "group": "W",
+        "finite_type": {"is_finite": True, "components": []},
+        "ends": "0", "witness": {"kind": "finite_type", "components": []}})
+    # no decider section and no fact about the empty graph product
+    code, out, err = run_capture(capsys, ["analyze", str(path)])
+    assert (code, err) == (0, "")
+    sections = json.loads(out)["sections"]
+    assert [s["type"] for s in sections] == ["registry", "facts"]
+    atoms = ["fg", "fp", "h1_eps_semistable", "h2_free_abelian", "semistable"]
+    assert [(f["group"], f["atom"], f["holds"]) for f in sections[1]["facts"]] == [
+        (group, atom, True) for group in "AW" for atom in atoms]
 
 
 def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):

@@ -199,8 +199,19 @@ def test_separator_output_is_sorted_and_valid(n, rng):
 
 
 def test_simplicial_complex_build_checks_faces():
-    with pytest.raises(EndscopeError, match=r"unknown vertex \('a', 'c'\)"):
-        SimplicialComplex2.build("abc", [("a", "b")], [("a", "b", "c")])
+    with pytest.raises(EndscopeError) as err:
+        SimplicialComplex2.build("abc", [("a", "b")], [("c", "b", "a")])
+    assert str(err.value) == "triangle ('a', 'b', 'c') lacks edge ('a', 'c')"
+    with pytest.raises(EndscopeError) as err:
+        SimplicialComplex2.build("ab", [("a", "a")])
+    assert str(err.value) == "an edge joins two distinct vertices, got ('a',)"
+    with pytest.raises(EndscopeError) as err:
+        SimplicialComplex2.build("ab", [("a", "b")], [("a", "b", "a")])
+    assert str(err.value).startswith("a triangle spans three distinct vertices, got (")
+    for edges, triangles in (([("a", "z")], []), ([("a", "b")], [("a", "b", "z")])):
+        with pytest.raises(EndscopeError) as err:
+            SimplicialComplex2.build("ab", edges, triangles)
+        assert str(err.value) == "unknown vertex 'z'"
     L = SimplicialComplex2.build(
         "abc", [("a", "b"), ("b", "c"), ("a", "c")], [("a", "b", "c")]
     )

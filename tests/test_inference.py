@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 
 from endscope.atoms import PropertyAtom as A
 from endscope.errors import ContradictionError, EndscopeError
+from endscope.graph_products import (
+    GraphProductSpec,
+    graph_product_ends,
+    graph_product_semistable,
+)
 from endscope.graphs import LabeledGraph
 from endscope.inference import (
     Certificate,
@@ -39,6 +44,7 @@ from endscope.model import (
     parse_document,
 )
 from endscope.report import certificate_dag
+from test_model import bench_documents
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 FIXTURES = ("contradiction.ggt", "coxeter_suite.ggt", "graph_products.ggt", "inference.ggt")
@@ -316,7 +322,7 @@ def fixpoint_outcome(engine, registry):
         facts = engine(registry)
     except ContradictionError as err:
         return ("contradiction", err.group, err.atom, err.cert_holds, err.cert_fails)
-    return ("facts", facts.facts(), facts.certificates(), list(facts.decided._results.items()))
+    return ("facts", facts.facts(), facts.certificates(), list(facts.decided.items()))
 
 
 def assert_same_fixpoint(registry):
@@ -429,6 +435,52 @@ GP_READS_DOC = (
     "assert N : not fp\n"
     "group P = graph_product { verts a:H b:N c:Z ; edge a b ; edge b c ; }\n"
 )
+
+
+# the commensurated pair declared last makes H one-ended, so both graph
+# products over H are decided again
+GP_LATE_FACTS_DOC = (
+    "group Z = free_abelian(1)\n"
+    "group H = hnn(Z, Z)\n"
+    "assert H : fg\n"
+    "assert H : fp\n"
+    "assert H : infinite\n"
+    "group GP = graph_product { verts a:H b:Z ; edge a b ; }\n"
+    "group GQ = graph_product { verts a:H b:Z ; }\n"
+    "group P = commensurated_pair(H, Z) infinite_index\n"
+)
+
+
+def test_graph_product_decisions_are_the_deciders_on_the_final_facts():
+    """The R-GP bridge records its deciders' results on each run, so the record
+    it leaves is that of its last run; that run sees the vertex profiles of
+    the fixpoint's final facts."""
+    from endscope import inference
+
+    (slot,) = [i for i, (rule, _) in enumerate(inference._SLOTS) if rule.name == "R-GP"]
+    texts = [(FIXTURE_DIR / f).read_text(encoding="utf-8") for f in FIXTURES]
+    texts += [GP_READS_DOC, GP_LATE_FACTS_DOC]
+    checked = rerun = 0
+    for text in texts + bench_documents():
+        registry = parse_document(text)
+        try:
+            facts = infer(registry)
+        except ContradictionError:
+            continue
+        for name, expr in registry.groups.items():
+            if not isinstance(expr, GraphProduct):
+                continue
+            profiles = {vertex: inference._vertex_profile(registry, facts, ref)[0]
+                        for vertex, ref in expr.vertex_groups}
+            spec = GraphProductSpec(expr.graph, profiles)
+            complete = all(p.finite is not None and p.ends is not None for p in profiles.values())
+            assert facts.decided[name] == (
+                graph_product_ends(spec) if complete else None,
+                graph_product_semistable(spec) if expr.graph.is_connected() else None,
+            ), name
+            checked += 1
+            rerun += facts.evaluations[name, slot] > 1
+    assert checked > 60 and rerun >= 2
 
 
 def test_graph_product_bridge_reads_only_its_declared_facts(monkeypatch):
