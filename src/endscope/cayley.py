@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atoms import EndCount
 from .coxeter import CoxeterSystem, tits_cone_action
@@ -210,8 +210,7 @@ class FreeProductOracle(_ProductOracle):
 
 # --- Ball construction ---------------------------------------------------------
 
-@dataclass
-class BallGraph:
+class BallGraph(NamedTuple):
     """A Cayley ball indexed by integer ids: an element's id is its position
     in BFS order, so ids are sorted by distance.  Adjacency is one table of
     n slots per id, n the number of generators: neighbors[u * n + g] is the
@@ -230,6 +229,14 @@ class BallGraph:
     def sphere(self, d):
         """Ids at distance d, a contiguous range."""
         return range(self.layer[d], self.layer[d + 1])
+
+    def has_outer_edges(self):
+        """True when an edge joins two elements of the outer sphere, which
+        never holds on a bipartite oracle.  The outer sphere holds the
+        largest ids, so its rows reach one of their own ids iff their
+        largest slot does."""
+        lo = self.layer[self.radius]
+        return max(self.neighbors[lo * len(self.generator_names):], default=-1) >= lo
 
 
 def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP) -> BallGraph:
@@ -325,8 +332,7 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
 
 # --- End estimation --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndEstimate:
+class EndEstimate(NamedTuple):
     per_radius: tuple  # of (r, outer-touching component count)
     verdict: str  # "stabilized" | "growing_to_infinity" | "inconclusive"
     ends: EndCount | None  # set when verdict == "stabilized"
@@ -352,7 +358,8 @@ def _peel(ball: BallGraph, r_min):
     iff its root does.  Layer d joins each u to the slots of u holding an id
     of distance >= d; an empty slot holds -1, which is below every layer.
     The root a of u's component is found once per u and kept current across
-    its unions, since the larger root is the one that survives.
+    its unions, since the larger root is the one that survives.  Layer R
+    joins only edges inside the outer sphere; without them it is skipped.
     """
     neighbors, layer = ball.neighbors, ball.layer
     n = len(ball.generator_names)
@@ -360,7 +367,9 @@ def _peel(ball: BallGraph, r_min):
     root = list(range(len(ball.order)))
     count = len(ball.order) - outer
     counts = [0] * (ball.radius + 1)
-    for d in range(ball.radius, r_min - 1, -1):
+    counts[ball.radius] = count
+    top = ball.radius if ball.has_outer_edges() else ball.radius - 1
+    for d in range(top, r_min - 1, -1):
         lo = layer[d]
         for u in range(lo, layer[d + 1]):
             a = u

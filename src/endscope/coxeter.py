@@ -10,16 +10,15 @@ classical finite families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .atoms import EndCount
 from .errors import EndscopeError
 from .graphs import LabeledGraph, enumerate_clique_separators, induced_subgraph
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(NamedTuple):
     diagram: LabeledGraph
 
     @property
@@ -34,8 +33,7 @@ class CoxeterSystem:
         return label if label is not None else math.inf
 
 
-@dataclass(frozen=True)
-class FiniteTypeReport:
+class FiniteTypeReport(NamedTuple):
     is_finite: bool
     component_types: tuple  # of (vertex tuple, family tag string)
 
@@ -183,8 +181,7 @@ def is_finite_type(sys: CoxeterSystem) -> FiniteTypeReport:
 
 # --- End counting ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoxeterEndsReport:
+class CoxeterEndsReport(NamedTuple):
     ends: EndCount
     witness: dict
     finite_type: FiniteTypeReport  # of the whole diagram, read by the end count
@@ -252,8 +249,7 @@ def _match_two_ended(sys: CoxeterSystem):
 
 # --- Artin diagrams -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArtinEndsReport:
+class ArtinEndsReport(NamedTuple):
     one_ended: bool
     ends: EndCount | None
 

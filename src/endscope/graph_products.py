@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atoms import EndCount
 from .errors import EndscopeError
@@ -26,8 +26,7 @@ from .graphs import (
 from .towers import hermite_normal_form
 
 
-@dataclass(frozen=True)
-class VertexProfile:
+class VertexProfile(NamedTuple):
     """What is known about one vertex group."""
 
     finite: bool | None = None  # None = unknown
@@ -37,8 +36,7 @@ class VertexProfile:
     finitely_presented: bool | None = None
 
 
-@dataclass(frozen=True)
-class GraphProductSpec:
+class GraphProductSpec(NamedTuple):
     graph: LabeledGraph  # labels ignored
     profiles: dict  # vertex -> VertexProfile
 
@@ -73,8 +71,7 @@ def _dominating_vertices(graph: LabeledGraph):
     return tuple(v for v in graph.vertices if graph.degree(v) == n - 1)
 
 
-@dataclass(frozen=True)
-class GraphProductEndsReport:
+class GraphProductEndsReport(NamedTuple):
     ends: EndCount
     witness: dict
 
@@ -131,8 +128,7 @@ def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
     return GraphProductEndsReport(EndCount.INFINITE, witness)
 
 
-@dataclass(frozen=True)
-class SemistabilityReport:
+class SemistabilityReport(NamedTuple):
     verdict: str  # "semistable" | "not_semistable" | "unknown"
     witness: dict
 
@@ -182,8 +178,7 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
 
 # --- RAAG simple connectivity at infinity -----------------------------------
 
-@dataclass(frozen=True)
-class SCInfReport:
+class SCInfReport(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     reason: str
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import EndscopeError
 
@@ -235,8 +236,7 @@ def enumerate_clique_separators(g: LabeledGraph, admissible=None):
     return out
 
 
-@dataclass(frozen=True)
-class SimplicialComplex2:
+class SimplicialComplex2(NamedTuple):
     """A 2-dimensional simplicial complex: vertices, edges, and triangles."""
 
     vertices: tuple

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .atoms import ENDS_ATOMS, PropertyAtom
@@ -114,8 +113,7 @@ G = "group"  # clause role: the group a rule fires on
 V = "vertex"  # bridge role: each vertex group of a graph product
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One way a rule fires.  On a group built by `ctor` (any group when None)
     whose `guard` flag is set, once every premise (role, atom, holds) is
     derived, each conclusion (atom, holds) follows for the group in role
@@ -131,8 +129,7 @@ class Clause:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A theorem with its citation tag and quote, stated as clauses.  The
     decider bridges instead have a Python body
     (rule, registry, facts, group, expr) -> certificates: the fixpoint runs
@@ -143,7 +140,7 @@ class Rule:
     tag: str
     quote: str
     clauses: tuple = ()
-    body: object = field(default=None, compare=False)
+    body: object = None
     ctor: object = None
     reads: tuple = ()
 

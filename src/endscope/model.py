@@ -24,6 +24,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from typing import NamedTuple
 
 from .atoms import PropertyAtom, atom_from_name
 from .errors import EndscopeError, ParseError
@@ -147,8 +148,7 @@ _FLAG_FIELDS = {cls: _fields_of(cls, "bool") for cls in GroupExpr}
 _REFERENCES = {cls: () if cls is Known else _fields_of(cls, "str") for cls in GroupExpr}
 
 
-@dataclass(frozen=True)
-class AttributeAssertion:
+class AttributeAssertion(NamedTuple):
     target: str
     atom: PropertyAtom
     holds: bool
@@ -410,12 +410,12 @@ def _diagram_text(graph: LabeledGraph, vertex_groups=None, labeled=True):
     parts = []
     if vertex_groups is not None:
         vg = dict(vertex_groups)
-        parts.append("verts " + " ".join(f"{v}:{vg[v]}" for v in graph.vertices) + " ;")
+        parts += ["verts", *(f"{v}:{vg[v]}" for v in graph.vertices), ";"]
     elif graph.vertices:
-        parts.append("verts " + " ".join(str(v) for v in graph.vertices) + " ;")
+        parts += ["verts", *map(str, graph.vertices), ";"]
     for u, v, m in graph.sorted_edges():
         parts.append(f"edge {u} {v} {m} ;" if labeled else f"edge {u} {v} ;")
-    return "{ " + " ".join(parts) + " }"
+    return " ".join(["{", *parts, "}"])
 
 
 def serialize_expr(expr) -> str:

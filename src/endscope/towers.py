@@ -17,8 +17,8 @@ the HNF of C_k, because im(C_k p_k) is not determined by im(C_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import EndscopeError, ParseError
 from .model import _parse_int, _Tokens
@@ -147,8 +147,7 @@ def _matrix(rows):
     return matrix
 
 
-@dataclass(frozen=True)
-class AbelianTower:
+class AbelianTower(NamedTuple):
     """Explicit tower: ranks n_1, n_2, ... and bondings p_i : Z^{n_{i+1}} -> Z^{n_i}
     (so p_i is an n_i x n_{i+1} matrix).  Constant towers repeat one square
     matrix forever."""
@@ -195,8 +194,7 @@ class AbelianTower:
         return self.bondings[i - 1]
 
 
-@dataclass(frozen=True)
-class MLVerdict:
+class MLVerdict(NamedTuple):
     kind: str  # "semistable" | "strictly_descending" | "inconclusive"
     stabilization_index: int | None = None  # phi(m) for semistable
     first_witness: int | None = None  # first strict drop for descending

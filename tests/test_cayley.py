@@ -1,6 +1,5 @@
 """Cayley ball explorer: oracles, balls, end estimation."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -18,6 +17,7 @@ from endscope.cayley import (
     ZnOracle,
     DirectProductOracle,
     FreeProductOracle,
+    _peel,
     build_ball,
     estimate_ends,
     oracle_from_spec,
@@ -147,7 +147,7 @@ def reference_render_dot(ball):
 
 def ball_fields(ball):
     """Every BallGraph field but `inverse`."""
-    return {f.name: getattr(ball, f.name) for f in dataclasses.fields(ball) if f.name != "inverse"}
+    return {name: value for name, value in ball._asdict().items() if name != "inverse"}
 
 
 def ball_rows(ball):
@@ -187,6 +187,38 @@ def reference_per_radius(ball, r_min, r_max):
             count += touches
         counts.append((r, 0 if ball.exhausted else count))
     return tuple(counts)
+
+
+def reference_peel(ball, r_min):
+    """The peel of every layer from the outer sphere down to r_min, the
+    outer one included: union-find over the slots holding an id of the
+    layer or above, counting the components that hold an outer root."""
+    neighbors, layer = ball.neighbors, ball.layer
+    n = len(ball.generator_names)
+    outer = layer[ball.radius]
+    root = list(range(len(ball.order)))
+    count = len(ball.order) - outer
+    counts = [0] * (ball.radius + 1)
+    for d in range(ball.radius, r_min - 1, -1):
+        lo = layer[d]
+        for u in range(lo, layer[d + 1]):
+            a = u
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            base = u * n
+            for v in neighbors[base:base + n]:
+                if v >= lo:
+                    b = v
+                    while root[b] != b:
+                        root[b] = b = root[root[b]]
+                    if a != b:
+                        if a < b:
+                            a, b = b, a
+                        root[b] = a
+                        if b >= outer:
+                            count -= 1
+        counts[d] = count
+    return counts
 
 
 def test_z_ball():
@@ -279,7 +311,7 @@ def test_build_ball_matches_the_reference(oracle, radius, cap):
 
 def test_neighbor_table_is_symmetric_and_empty_where_the_reference_is():
     cases = [(spec, 5) for spec in CAYLEY_GRID_SPECS]
-    cases += [("zmod:5", 6), ("freeprod:zmod:2xzmod:3", 6)]  # not bipartite
+    cases += list(ODD_SPECS)
     cases += [("prod:zmod:1xz:1", 4), ("zmod:1", 2), ("z:0", 2)]  # identity generators
     cases += [("zmod:7", 3), ("zmod:40", 24)]  # exhausted
     for spec, radius in cases:
@@ -405,6 +437,37 @@ def test_estimate_matches_reference_on_circulant_graphs():
                 window = (0, radius - 2)
                 assert estimate_ends(ball, *window).per_radius == reference_per_radius(
                     ball, *window), (m, a, b, radius)
+
+
+# not bipartite: an odd relator puts edges inside the outer sphere
+ODD_SPECS = (("zmod:5", 2), ("zmod:5", 6), ("freeprod:zmod:2xzmod:3", 6), ("prod:z:1xzmod:3", 5))
+
+
+def test_has_outer_edges_matches_the_rows():
+    cases = [(spec, 5) for spec in CAYLEY_GRID_SPECS] + list(ODD_SPECS)
+    seen = set()
+    for spec, radius in cases:
+        ball = build_ball(oracle_from_spec(spec), radius)
+        rows = ball_rows(ball)
+        outer = ball.sphere(ball.radius)
+        expected = any(v in outer for u in outer for v in rows[u])
+        assert ball.has_outer_edges() == expected, spec
+        assert not expected or not oracle_from_spec(spec).bipartite, spec
+        seen.add(expected)
+    assert seen == {False, True}
+
+
+def test_peel_matches_the_peel_of_every_layer():
+    """_peel skips the outer layer when it has no edges; the peel that runs
+    every layer gives the same counts on every r_min."""
+    balls = [build_ball(oracle_from_spec(spec), radius)
+             for spec, radius in [(spec, 5) for spec in CAYLEY_GRID_SPECS] + list(ODD_SPECS)]
+    balls += [build_ball(CoxeterOracle(CoxeterSystem(LabeledGraph.build(range(n), edges))), 6)
+              for _, (n, edges) in distinct_small_diagrams()]
+    for ball in balls:
+        for r_min in range(ball.radius + 1):
+            assert _peel(ball, r_min) == reference_peel(ball, r_min), (ball.generator_names, r_min)
+    assert any(ball.has_outer_edges() for ball in balls)
 
 
 def test_sweep_ball_dot_matches_pinned_digest():

@@ -1,10 +1,13 @@
 """Every name a module of the package or of the tests imports is used in that
 module, every module-level function and class is used somewhere in the
-package, and every name the package exports is reached by its code or
-documented."""
+package, every name the package exports is reached by its code or
+documented, and only the classes that need a dataclass are one."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import endscope
@@ -49,6 +52,29 @@ def test_no_unused_imports_in_package():
 
 def test_no_unused_imports_in_tests():
     assert unused_imports_in(sorted(pathlib.Path(__file__).parent.glob("*.py"))) == {}
+
+
+# Records set once and never validated or mutated are named tuples, which
+# generate no methods at import.  These stay dataclasses: the group
+# constructors, which as tuples would compare Free(2) equal to FreeAbelian(2)
+# and of which three validate in __post_init__; LabeledGraph, whose
+# __post_init__ normalizes its edges; and the mutable GroupRegistry.
+KEPT_DATACLASSES = {f"model.{name}" for name in (
+    "Known", "Finite", "FreeAbelian", "Free", "Coxeter", "Artin", "GraphProduct",
+    "Amalgam", "HNN", "Extension", "DirectProduct", "CommensuratedPair", "GroupRegistry",
+)} | {"graphs.LabeledGraph"}
+
+
+def test_only_the_kept_classes_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(endscope.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"endscope.{info.name}")
+        found |= {f"{info.name}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, type) and value.__module__ == module.__name__
+                  and dataclasses.is_dataclass(value)}
+    assert found == KEPT_DATACLASSES
 
 
 def module_definitions(source):

@@ -1,6 +1,5 @@
 """Forward-chaining inference engine and proof certificates."""
 
-import dataclasses
 import pathlib
 
 import pytest
@@ -508,7 +507,7 @@ def test_graph_product_bridge_reads_only_its_declared_facts(monkeypatch):
         finally:
             del facts.get
 
-    slots[i] = (dataclasses.replace(rule, body=spying), None)
+    slots[i] = (rule._replace(body=spying), None)
     monkeypatch.setattr(inference, "_SLOTS", tuple(slots))
     for text in ((FIXTURE_DIR / "graph_products.ggt").read_text(encoding="utf-8"), GP_READS_DOC):
         infer(parse_document(text))

@@ -148,6 +148,13 @@ def test_serialize_round_trip():
     assert serialize_document(reg2) == out
 
 
+def test_empty_diagrams_serialize_with_single_spaces():
+    reg = parse_document("group P = graph_product { }\ngroup W = coxeter { }\ngroup A = artin { }\n")
+    out = serialize_document(reg)
+    assert out == "group P = graph_product { verts ; }\ngroup W = coxeter { }\ngroup A = artin { }\n"
+    assert parse_document(out) == reg
+
+
 def eager_positions(text):
     """The tokenizer that stored every token's (token, line, col) as it read
     the text, and the position it gave an error at the end of input: the
