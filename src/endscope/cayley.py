@@ -51,20 +51,24 @@ class GroupOracle:
 class ZnOracle(GroupOracle):
     """Free abelian group of rank n with the standard generators.
 
-    The key of (x_0, ..., x_{n-1}) is the one integer sum of x_i * B^i, B =
-    `radix`, so the identity is 0 and multiplying by x_i^(+-1) adds +-B^i.
-    B exceeds 2^64 and the coordinates are the balanced base-B digits of the
-    key, so keys are equal exactly when the elements are while every |x_i| <
-    2^63.  A ball of radius R has at least 2R + 1 elements, so every ball
-    built under an element cap below 2^64 is exact.
+    The key of (x_0, ..., x_{n-1}) is the one integer B^n + sum of x_i * B^i,
+    B = `radix`, so the identity is B^n and multiplying by x_i^(+-1) adds
+    +-B^i.  B exceeds 2^64 and the coordinates are the balanced base-B digits
+    of key - B^n, so keys are equal exactly when the elements are while every
+    |x_i| < B/2; then every key is positive.  A ball of radius R has at least
+    2R + 1 elements, so every ball built under an element cap below 2^64 is
+    exact.
 
     Python hashes an int by its residue modulo a prime M (2^61 - 1 on 64-bit
-    builds), so a key hashes by the linear form sum of x_i * r^i mod M, r = B
-    mod M.  A power of two would pile a ball onto few hash values (B = 2^64
-    gives x_0 + 8 x_1 + 64 x_2 + ..., some 16R + 1 values for a z:2 ball of
-    radius R), and every dict probe would walk the pile.  B is the least
+    builds), so a key hashes by the linear form r^n + sum of x_i * r^i mod M,
+    r = B mod M.  A power of two would pile a ball onto few hash values (B =
+    2^64 gives x_0 + 8 x_1 + 64 x_2 + ..., some 16R + 1 values for a z:2 ball
+    of radius R), and every dict probe would walk the pile.  B is the least
     integer above 2^64 with r = floor(M / phi), phi the golden ratio: on the
-    balls of every rank tried, z:1 to z:130, its keys hash apart.
+    balls of every rank tried, z:1 to z:130, its keys hash apart.  The
+    offset B^n keeps every key positive, so none is -1, whose hash is that
+    of -2: without it, a product's tuple keys with a z part hashed alike in
+    pairs.
     """
 
     _M = sys.hash_info.modulus
@@ -76,7 +80,7 @@ class ZnOracle(GroupOracle):
             raise EndscopeError("rank must be >= 0")
         self.n = n
         self.name = f"z:{n}"
-        self.identity = 0
+        self.identity = self.radix**n
         self._steps = tuple(d * self.radix**i for i in range(n) for d in (1, -1))
         self.generators = tuple(f"x{i}{sign}" for i in range(n) for sign in "+-")
 

@@ -8,7 +8,6 @@ here too since the flag/cut-vertex checks operate on the same carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -19,28 +18,24 @@ def _edge_key(u, v):
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
 class LabeledGraph:
     """Finite simple graph with integer edge labels (label >= 2).
 
     Vertex order is preserved; it doubles as the generator order for
-    Coxeter/Artin systems built on top of the diagram.
+    Coxeter/Artin systems built on top of the diagram.  A graph is
+    immutable; two graphs are equal when their vertices (in order) and
+    labeled edges are, and a graph is unhashable, since its edges are a dict.
     """
 
-    vertices: tuple
-    edges: dict = field(default_factory=dict)  # (u, v) with u <= v -> label
-    # vertex -> tuple of its neighbours in vertex order; every graph walk reads it
-    adjacency: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, vertices, edges=None):
         position = {}
-        for v in self.vertices:
+        for v in vertices:
             if v in position:
                 raise EndscopeError(f"duplicate vertex {v!r}")
             position[v] = len(position)
-        normalized = {}
-        unordered = {v: [] for v in self.vertices}
-        for (u, v), m in self.edges.items():
+        normalized = {}  # (u, v) with u <= v -> label
+        unordered = {v: [] for v in vertices}
+        for (u, v), m in (edges or {}).items():
             if u == v:
                 raise EndscopeError(f"self-loop at {u!r}")
             if u not in position or v not in position:
@@ -54,12 +49,29 @@ class LabeledGraph:
             unordered[u].append(v)
             unordered[v].append(u)
         # each vertex, in vertex order, joins its neighbours' lists
-        adjacency = {v: [] for v in self.vertices}
+        adjacency = {v: [] for v in vertices}
         for v, ws in unordered.items():
             for w in ws:
                 adjacency[w].append(v)
+        # object.__setattr__ gets past the ban on assignment below
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", normalized)
+        # vertex -> tuple of its neighbours in vertex order
         object.__setattr__(self, "adjacency", {v: tuple(ws) for v, ws in adjacency.items()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not LabeledGraph:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __repr__(self):
+        return f"LabeledGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @staticmethod
     def build(vertices, edges=()):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
 
@@ -33,56 +32,123 @@ from .graphs import LabeledGraph, _edge_key
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Known:
+class _Value:
+    """An immutable value: a group constructor of the description language.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute named like a field is that field's default.  The constructor
+    binds its arguments to the fields like a function signature and then
+    calls `_validate`; a value compares equal only to a value of its own
+    class with equal fields, hashes by its fields and prints as
+    `Class(field=value, ...)`.  These are plain methods, shared by every
+    subclass: unlike a dataclass, defining a subclass generates no code at
+    import.
+    """
+
+    _fields = {}  # field name -> annotation (a string, by the future import)
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = dict(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__ gets past the ban on assignment below
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """One value per field, in field order, from the arguments of a call;
+        TypeError for a missing, unknown or repeated one."""
+        names, name = tuple(cls._fields), cls.__name__
+        if len(args) > len(names):
+            raise TypeError(f"{name}() got {len(args)} positional arguments, {len(names)} fields")
+        for key in kwargs:
+            if key not in cls._fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in names[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = list(args)
+        for key in names[len(args):]:
+            if key in kwargs:
+                values.append(kwargs[key])
+            elif key in cls._defaults:
+                values.append(cls._defaults[key])
+            else:
+                raise TypeError(f"{name}() missing required argument {key!r}")
+        return values
+
+    def _validate(self):
+        """Raise EndscopeError when the fields are out of range."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class Known(_Value):
     name: str
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(_Value):
     order: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.order < 1:
             raise EndscopeError(f"finite order must be >= 1, got {self.order}")
 
 
-@dataclass(frozen=True)
-class FreeAbelian:
+class FreeAbelian(_Value):
     rank: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.rank < 0:
             raise EndscopeError(f"rank must be >= 0, got {self.rank}")
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(_Value):
     rank: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.rank < 0:
             raise EndscopeError(f"rank must be >= 0, got {self.rank}")
 
 
-@dataclass(frozen=True)
-class Coxeter:
+class Coxeter(_Value):
     diagram: LabeledGraph
 
 
-@dataclass(frozen=True)
-class Artin:
+class Artin(_Value):
     diagram: LabeledGraph
 
 
-@dataclass(frozen=True)
-class GraphProduct:
+class GraphProduct(_Value):
     graph: LabeledGraph  # labels unused; every edge stored with label 2
     vertex_groups: tuple  # tuple of (vertex, group ref), in vertex order
 
 
-@dataclass(frozen=True)
-class Amalgam:
+class Amalgam(_Value):
     a: str
     b: str
     c: str
@@ -91,22 +157,19 @@ class Amalgam:
     reduced: bool = False
 
 
-@dataclass(frozen=True)
-class HNN:
+class HNN(_Value):
     base: str
     assoc: str
     ascending: bool = False
     finite_index_image: bool = False
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(_Value):
     kernel: str
     quotient: str
 
 
-@dataclass(frozen=True)
-class DirectProduct:
+class DirectProduct(_Value):
     factors: tuple
 
     @property
@@ -115,8 +178,7 @@ class DirectProduct:
         return len(self.factors) == 2
 
 
-@dataclass(frozen=True)
-class CommensuratedPair:
+class CommensuratedPair(_Value):
     ambient: str
     subgroup: str
     infinite_index: bool = False
@@ -135,8 +197,8 @@ GroupExpr = tuple(_CONSTRUCTORS.values())
 
 
 def _fields_of(cls, *types):
-    """Fields of `cls` whose annotation (a string, by the future import) is in `types`."""
-    return tuple(f.name for f in fields(cls) if f.type in types)
+    """Fields of `cls` whose annotation is in `types`."""
+    return tuple(name for name, annotation in cls._fields.items() if annotation in types)
 
 
 # Between a constructor's parentheses go its str fields (group names, save
@@ -163,12 +225,18 @@ def expr_references(expr):
     return tuple(getattr(expr, name) for name in _REFERENCES.get(type(expr), ()))
 
 
-@dataclass
 class GroupRegistry:
-    """Declared groups plus their asserted attributes, in declaration order."""
+    """Declared groups plus their asserted attributes, in declaration order.
+    Two registries are equal when they declare and assert the same."""
 
-    groups: dict = field(default_factory=dict)  # name -> GroupExpr
-    assertions: dict = field(default_factory=dict)  # name -> list[AttributeAssertion]
+    def __init__(self):
+        self.groups = {}  # name -> GroupExpr
+        self.assertions = {}  # name -> list[AttributeAssertion]
+
+    def __eq__(self, other):
+        if type(other) is not GroupRegistry:
+            return NotImplemented
+        return (self.groups, self.assertions) == (other.groups, other.assertions)
 
     def add(self, name, expr):
         """Declare `name`; each group it refers to must be declared above it."""

@@ -12,6 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .cayley import BallGraph
+from .errors import EndscopeError
 from .graphs import LabeledGraph
 from .inference import infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
@@ -226,9 +227,22 @@ def _dumps(value, newline):
 
 # --- DOT export ---------------------------------------------------------------
 
+def _check_dot_names(what, names):
+    """Refuse a name that cannot be written between DOT's double quotes: a
+    `"` would end the string early, and since DOT escapes `"` as `\\"`, a
+    `\\` before the closing quote would escape it."""
+    for name in names:
+        text = str(name)
+        if '"' in text or "\\" in text:
+            raise EndscopeError(
+                f"cannot write {what} {text!r} to DOT: DOT names cannot contain '\"' or '\\'"
+            )
+
+
 def render_dot(graph) -> str:
     """Deterministic DOT text for a LabeledGraph or a BallGraph."""
     if isinstance(graph, LabeledGraph):
+        _check_dot_names("vertex", graph.vertices)
         lines = ["graph diagram {"]
         for v in graph.vertices:
             lines.append(f'  "{v}";')
@@ -238,6 +252,7 @@ def render_dot(graph) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(graph, BallGraph):
         names = graph.generator_names
+        _check_dot_names("generator", names)
         neighbors, layer, n = graph.neighbors, graph.layer, len(names)
         ids = [f"n{u}" for u in range(len(graph.distance))]
         # each edge {u, v} once per label, under its smaller end u, sorted by

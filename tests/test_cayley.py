@@ -496,6 +496,12 @@ def test_render_dot_matches_the_reference():
     assert ball.exhausted  # zmod:40 at radius 24, the last case
 
 
+def test_render_dot_refuses_a_generator_it_cannot_quote():
+    ball = build_ball(coxeter_oracle(['a"b', "c"], [('a"b', "c", 3)]), 2)
+    with pytest.raises(EndscopeError, match="cannot write generator 'a\"b' to DOT"):
+        render_dot(ball)
+
+
 @st.composite
 def named_step_oracles(draw):
     """A StepOracle on inverse-closed distinct steps of Z/m, 0 allowed, whose
@@ -613,8 +619,10 @@ def test_component_counts_monotone_in_r():
 
 
 def zn_coordinates(key, n):
-    """The coordinates of a z:n key: its n balanced base-B digits."""
+    """The coordinates of a z:n key: the n balanced base-B digits of the key
+    less the identity's key."""
     base = ZnOracle.radix
+    key -= ZnOracle(n).identity
     coords = []
     for _ in range(n):
         x = (key + base // 2) % base - base // 2
@@ -625,7 +633,8 @@ def zn_coordinates(key, n):
 
 
 def zn_key(coords):
-    return sum(x * ZnOracle.radix**i for i, x in enumerate(coords))
+    base = ZnOracle.radix
+    return base ** len(coords) + sum(x * base**i for i, x in enumerate(coords))
 
 
 def tuple_multiply(coords, gen):
@@ -638,19 +647,20 @@ def test_zn_keys_decode_to_the_tuple_reference():
     rng = random.Random(43)
     for n in range(5):
         oracle = oracle_from_spec(f"z:{n}")
-        assert oracle.identity == 0 and zn_coordinates(0, n) == (0,) * n
+        assert zn_coordinates(oracle.identity, n) == (0,) * n
         for _ in range(300):
             word = [rng.randrange(2 * n) for _ in range(rng.randint(0, 16))] if n else []
             coords = (0,) * n
             for g in word:
                 coords = tuple_multiply(coords, g)
             assert zn_coordinates(normalize(oracle, word), n) == coords, (n, word)
-        # near the bound |x_i| < 2^63, where a carry would corrupt a neighbour
-        big = 2**63 - 2
+        # near the bound |x_i| < B/2, where a carry would corrupt a neighbour
+        # and a key could reach 0
+        big = ZnOracle.radix // 2 - 2
         for _ in range(100):
             coords = tuple(rng.choice((-big, big, rng.randint(-big, big))) for _ in range(n))
             key = zn_key(coords)
-            assert zn_coordinates(key, n) == coords
+            assert key > 0 and zn_coordinates(key, n) == coords
             for g in range(2 * n):
                 assert zn_coordinates(oracle.multiply(key, g), n) == tuple_multiply(coords, g)
 
@@ -666,12 +676,13 @@ def test_zn_ball_keys_are_coordinates_at_l1_distance():
 def test_zn_ball_keys_hash_apart():
     # a dict probe walks every key that shares its hash, so keys piled onto
     # few hash values would make each lookup linear in the radius; -1 and -2
-    # are the one pair of ints that hash alike
+    # are the one pair of ints that hash alike, so z keys are positive: a
+    # product's tuple keys holding a -1 would pile up in pairs
     for spec, radius in [("z:1", 1000), ("z:2", 100), ("z:3", 20), ("z:4", 10), ("z:6", 5),
-                         ("prod:z:2xzmod:3", 60)]:
+                         ("prod:z:2xzmod:3", 60), ("prod:z:1xz:1xz:1", 20),
+                         ("freeprod:z:2xfree:1", 6), ("prod:free:2xz:1", 6)]:
         keys = build_ball(oracle_from_spec(spec), radius).order
-        shared = len(keys) - len(set(map(hash, keys)))
-        assert shared <= (1 if spec.startswith("z:") else len(keys) // 100), (spec, shared)
+        assert len(set(map(hash, keys))) == len(keys), spec
 
 
 def test_free_ball_keys_hash_apart():

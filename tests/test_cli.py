@@ -498,6 +498,18 @@ def test_dot_subcommand_needs_a_diagram(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("vertex, shown", [('a"b', "'a\"b'"), ("a\\", "'a\\\\'")])
+def test_dot_refuses_a_vertex_it_cannot_quote(tmp_path, capsys, vertex, shown):
+    # a DOT quoted ID escapes '"' as '\"', so none can end in a backslash
+    path = tmp_path / "quoted.ggt"
+    path.write_text(f"group W = coxeter {{ verts {vertex} c ; edge {vertex} c 3 ; }}\n")
+    code, out, err = run_capture(capsys, ["dot", str(path), "--group", "W"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot write vertex {shown} to DOT:"
+                   " DOT names cannot contain '\"' or '\\'\n")
+    assert run_capture(capsys, ["analyze", str(path)])[0] == 0
+
+
 @pytest.mark.parametrize("fixture", sorted(PINNED_REPORTS))
 def test_analyze_report_matches_pinned_digest(capsys, fixture):
     run(["analyze", str(FIXTURES / fixture)])

@@ -1,14 +1,14 @@
 """Every name a module of the package or of the tests imports is used in that
 module, every module-level function and class is used somewhere in the
 package, every name the package exports is reached by its code or
-documented, and only the classes that need a dataclass are one."""
+documented, and no package module imports `dataclasses`."""
 
 import ast
-import dataclasses
-import importlib
+import os
 import pathlib
-import pkgutil
 import re
+import subprocess
+import sys
 
 import endscope
 
@@ -54,27 +54,37 @@ def test_no_unused_imports_in_tests():
     assert unused_imports_in(sorted(pathlib.Path(__file__).parent.glob("*.py"))) == {}
 
 
-# Records set once and never validated or mutated are named tuples, which
-# generate no methods at import.  These stay dataclasses: the group
-# constructors, which as tuples would compare Free(2) equal to FreeAbelian(2)
-# and of which three validate in __post_init__; LabeledGraph, whose
-# __post_init__ normalizes its edges; and the mutable GroupRegistry.
-KEPT_DATACLASSES = {f"model.{name}" for name in (
-    "Known", "Finite", "FreeAbelian", "Free", "Coxeter", "Artin", "GraphProduct",
-    "Amalgam", "HNN", "Extension", "DirectProduct", "CommensuratedPair", "GroupRegistry",
-)} | {"graphs.LabeledGraph"}
-
-
-def test_only_the_kept_classes_are_dataclasses():
+def imported_modules(source):
+    """Top-level names of the modules a source imports absolutely."""
     found = set()
-    for info in pkgutil.iter_modules(endscope.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"endscope.{info.name}")
-        found |= {f"{info.name}.{name}" for name, value in vars(module).items()
-                  if isinstance(value, type) and value.__module__ == module.__name__
-                  and dataclasses.is_dataclass(value)}
-    assert found == KEPT_DATACLASSES
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_reader():
+    source = "import os.path, re as r\nfrom dataclasses import field\nfrom .model import x\n"
+    assert imported_modules(source) == {"os", "re", "dataclasses"}
+
+
+# A dataclass generates its methods by exec at every import, and the
+# `dataclasses` module pulls in `inspect`: records are named tuples, and the
+# group constructors, LabeledGraph and GroupRegistry are plain classes.
+def test_no_package_module_imports_dataclasses():
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so only endscope's own imports count
+    code = "import sys, endscope.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def module_definitions(source):

@@ -9,13 +9,27 @@ import pytest
 
 from endscope.atoms import PropertyAtom
 from endscope.errors import EndscopeError, ParseError
+from endscope.graphs import LabeledGraph
 from endscope.model import (
+    _ARGS,
+    _FLAG_FIELDS,
+    _INTEGER,
+    _REFERENCES,
     _TOKEN_RE,
+    HNN,
     Amalgam,
+    Artin,
+    CommensuratedPair,
     Coxeter,
+    DirectProduct,
+    Extension,
     Finite,
+    Free,
+    FreeAbelian,
     GraphProduct,
     GroupExpr,
+    GroupRegistry,
+    Known,
     _Tokens,
     parse_document,
     read_int,
@@ -153,6 +167,109 @@ def test_empty_diagrams_serialize_with_single_spaces():
     out = serialize_document(reg)
     assert out == "group P = graph_product { verts ; }\ngroup W = coxeter { }\ngroup A = artin { }\n"
     assert parse_document(out) == reg
+
+
+EDGE = LabeledGraph(("a", "b"), {("b", "a"): 3})
+
+# One value of each constructor and its repr, as the dataclasses printed them.
+VALUE_REPRS = [
+    (Known("lamplighter"), "Known(name='lamplighter')"),
+    (Finite(2), "Finite(order=2)"),
+    (FreeAbelian(3), "FreeAbelian(rank=3)"),
+    (Free(2), "Free(rank=2)"),
+    (Coxeter(EDGE), "Coxeter(diagram=LabeledGraph(vertices=('a', 'b'), edges={('a', 'b'): 3}))"),
+    (Artin(diagram=EDGE), "Artin(diagram=LabeledGraph(vertices=('a', 'b'), edges={('a', 'b'): 3}))"),
+    (GraphProduct(LabeledGraph(("u", "v"), {("u", "v"): 2}), (("u", "Z2"), ("v", "F2"))),
+     "GraphProduct(graph=LabeledGraph(vertices=('u', 'v'), edges={('u', 'v'): 2}),"
+     " vertex_groups=(('u', 'Z2'), ('v', 'F2')))"),
+    (Amalgam("A", "B", "C", reduced=True),
+     "Amalgam(a='A', b='B', c='C', edge_finite=False, c_index_finite_in_both=False, reduced=True)"),
+    (HNN("B", assoc="A", ascending=True),
+     "HNN(base='B', assoc='A', ascending=True, finite_index_image=False)"),
+    (Extension("K", "Q"), "Extension(kernel='K', quotient='Q')"),
+    (DirectProduct(("A", "B", "C")), "DirectProduct(factors=('A', 'B', 'C'))"),
+    (CommensuratedPair("G", "Q", True),
+     "CommensuratedPair(ambient='G', subgroup='Q', infinite_index=True)"),
+]
+
+
+def test_constructor_values_print_as_before():
+    assert [type(value) for value, _ in VALUE_REPRS] == list(GroupExpr)
+    for value, text in VALUE_REPRS:
+        assert repr(value) == text
+
+
+def test_constructor_values_compare_by_class_and_fields():
+    assert Free(2) == Free(rank=2) and hash(Free(2)) == hash(Free(rank=2)) == hash((2,))
+    assert Free(2) != FreeAbelian(2) and Free(2) != Free(3) and Free(2) != (2,)
+    assert Amalgam("A", "B", "C", reduced=True) == Amalgam("A", "B", "C", False, False, True)
+    assert Amalgam("A", "B", "C", reduced=True) != Amalgam("A", "B", "C")
+    assert hash(HNN("B", "A", True)) == hash(HNN(assoc="A", base="B", ascending=True))
+    assert Coxeter(EDGE) == Coxeter(LabeledGraph(("a", "b"), {("a", "b"): 3}))
+    assert Coxeter(EDGE) != Artin(EDGE)
+    assert Coxeter(EDGE) != Coxeter(LabeledGraph(("b", "a"), {("a", "b"): 3}))
+    with pytest.raises(TypeError):
+        hash(Coxeter(EDGE))  # a diagram's edges are a dict
+    with pytest.raises(TypeError):
+        hash(EDGE)
+    assert GroupRegistry() == GroupRegistry()
+    reg = GroupRegistry()
+    reg.add("F", Free(2))
+    assert reg != GroupRegistry() and reg == parse_document("group F = free(2)\n")
+
+
+def test_constructor_values_are_immutable_and_bind_like_a_signature():
+    value = Amalgam("A", "B", "C")
+    for name in ("a", "reduced", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, True)
+    with pytest.raises(AttributeError, match="cannot delete field 'a'"):
+        del value.a
+    with pytest.raises(AttributeError):
+        EDGE.edges = {}
+    with pytest.raises(AttributeError):
+        del EDGE.vertices
+    assert value == Amalgam("A", "B", "C")
+    for make in (lambda: Amalgam("A", "B"), lambda: Known(), lambda: Free(1, 2),
+                 lambda: Free(rank=1, order=2), lambda: Free(1, rank=2),
+                 lambda: CommensuratedPair("G", infinite_index=True)):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_constructor_bounds_and_flag_defaults():
+    for make, message in [(lambda: Finite(0), "finite order must be >= 1, got 0"),
+                          (lambda: Free(-1), "rank must be >= 0, got -1"),
+                          (lambda: FreeAbelian(-1), "rank must be >= 0, got -1")]:
+        with pytest.raises(EndscopeError) as exc:
+            make()
+        assert str(exc.value) == message
+    assert Free(0).rank == 0 and FreeAbelian(0).rank == 0 and Finite(1).order == 1
+    amalgam, hnn = Amalgam("A", "B", "C"), HNN("B", "A")
+    assert (amalgam.edge_finite, amalgam.c_index_finite_in_both, amalgam.reduced) == (False,) * 3
+    assert (hnn.ascending, hnn.finite_index_image) == (False, False)
+    assert CommensuratedPair("G", "Q").infinite_index is False
+    assert DirectProduct(("A", "B")).binary and not DirectProduct(("A", "B", "C")).binary
+
+
+def by_class_name(table):
+    return {cls.__name__: value for cls, value in table.items()}
+
+
+def test_parser_tables():
+    none = dict.fromkeys(("Known", "Finite", "FreeAbelian", "Free", "Coxeter", "Artin",
+                          "GraphProduct", "Extension", "DirectProduct"), ())
+    refs = {"Amalgam": ("a", "b", "c"), "HNN": ("base", "assoc"),
+            "Extension": ("kernel", "quotient"), "CommensuratedPair": ("ambient", "subgroup")}
+    assert by_class_name(_ARGS) == {**none, "Known": ("name",), "Finite": ("order",),
+                            "FreeAbelian": ("rank",), "Free": ("rank",), **refs}
+    assert by_class_name(_INTEGER) == {"Finite": "order", "FreeAbelian": "rank", "Free": "rank"}
+    assert by_class_name(_FLAG_FIELDS) == {**none, "Amalgam": ("edge_finite", "c_index_finite_in_both",
+                                                       "reduced"),
+                                   "HNN": ("ascending", "finite_index_image"),
+                                   "CommensuratedPair": ("infinite_index",)}
+    assert by_class_name(_REFERENCES) == {**none, **refs}
+    assert list(_ARGS) == list(_FLAG_FIELDS) == list(_REFERENCES) == list(GroupExpr)
 
 
 def eager_positions(text):
