@@ -223,7 +223,6 @@ class BallGraph(NamedTuple):
 
     radius: int
     order: list  # element keys; the key of id u is order[u]
-    distance: list  # id -> distance from the identity
     neighbors: list  # u * n + g -> id of u*g, or -1
     layer: list  # d -> first id at distance d, for d in 0..radius + 1
     exhausted: bool  # whole group fits inside the ball
@@ -319,13 +318,9 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
                         neighbors[base + g] = v
                         neighbors[v * n + h] = u
     escaped = neighbors[lo * n:].count(-1) > (size - lo) * (n - len(steps))
-    distance = []
-    for d in range(radius + 1):
-        distance += [d] * (layer[d + 1] - layer[d])
     return BallGraph(
         radius=radius,
         order=order,
-        distance=distance,
         neighbors=neighbors,
         layer=layer,
         exhausted=not escaped,

@@ -135,7 +135,7 @@ def cmd_tower(args):
         "type": "tower",
         "constant": tower.constant,
         "window": window,
-        "verdict": verdict.as_dict(),
+        "verdict": verdict._asdict(),
         "lim1": lim1_report(verdict),
     }
     _emit(envelope(text, [section], [] if tower.constant else [{

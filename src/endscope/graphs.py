@@ -18,14 +18,94 @@ def _edge_key(u, v):
     return (u, v) if u <= v else (v, u)
 
 
-class LabeledGraph:
+class _Value:
+    """An immutable value: a group constructor of the description language
+    (the classes of `model`) or a LabeledGraph.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute named like a field is that field's default.  The constructor
+    binds its arguments to the fields like a function signature and then
+    calls `_validate`; a value compares equal only to a value of its own
+    class with equal fields, hashes by its fields and prints as
+    `Class(field=value, ...)`.  These are plain methods, shared by every
+    subclass: unlike a dataclass, defining a subclass generates no code at
+    import.
+    """
+
+    _fields = {}  # field name -> annotation (a string, by the future import)
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = dict(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__ gets past the ban on assignment below
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """One value per field, in field order, from the arguments of a call;
+        TypeError for a missing, unknown or repeated one."""
+        names, name = tuple(cls._fields), cls.__name__
+        if len(args) > len(names):
+            raise TypeError(f"{name}() got {len(args)} positional arguments, {len(names)} fields")
+        for key in kwargs:
+            if key not in cls._fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in names[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = list(args)
+        for key in names[len(args):]:
+            if key in kwargs:
+                values.append(kwargs[key])
+            elif key in cls._defaults:
+                values.append(cls._defaults[key])
+            else:
+                raise TypeError(f"{name}() missing required argument {key!r}")
+        return values
+
+    def _validate(self):
+        """Raise EndscopeError when the fields are out of range."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class LabeledGraph(_Value):
     """Finite simple graph with integer edge labels (label >= 2).
 
     Vertex order is preserved; it doubles as the generator order for
-    Coxeter/Artin systems built on top of the diagram.  A graph is
-    immutable; two graphs are equal when their vertices (in order) and
-    labeled edges are, and a graph is unhashable, since its edges are a dict.
+    Coxeter/Artin systems built on top of the diagram.  A graph is a value
+    whose fields are its vertices and its labeled edges, and it is
+    unhashable, since its edges are a dict.
     """
+
+    vertices: tuple
+    edges: dict  # (u, v) with u <= v -> label
+    __hash__ = None
 
     def __init__(self, vertices, edges=None):
         position = {}
@@ -33,7 +113,7 @@ class LabeledGraph:
             if v in position:
                 raise EndscopeError(f"duplicate vertex {v!r}")
             position[v] = len(position)
-        normalized = {}  # (u, v) with u <= v -> label
+        normalized = {}
         unordered = {v: [] for v in vertices}
         for (u, v), m in (edges or {}).items():
             if u == v:
@@ -53,25 +133,10 @@ class LabeledGraph:
         for v, ws in unordered.items():
             for w in ws:
                 adjacency[w].append(v)
-        # object.__setattr__ gets past the ban on assignment below
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", normalized)
-        # vertex -> tuple of its neighbours in vertex order
+        super().__init__(vertices, normalized)
+        # vertex -> tuple of its neighbours in vertex order; not a field, so
+        # equality and repr ignore it
         object.__setattr__(self, "adjacency", {v: tuple(ws) for v, ws in adjacency.items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not LabeledGraph:
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __repr__(self):
-        return f"LabeledGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @staticmethod
     def build(vertices, edges=()):

@@ -70,7 +70,7 @@ class FactSet:
     `decided`, which maps each group a decider bridge ran on to that bridge's
     result on its last run; and how often the fixpoint ran each slot:
     `evaluations` counts runs per (group, i), where i numbers the rule table's
-    clauses, and its bridges, in order."""
+    clauses in order."""
 
     def __init__(self):
         self._certs = {}
@@ -117,9 +117,14 @@ class Clause(NamedTuple):
     """One way a rule fires.  On a group built by `ctor` (any group when None)
     whose `guard` flag is set, once every premise (role, atom, holds) is
     derived, each conclusion (atom, holds) follows for the group in role
-    `target`.  A role is G, an expression field such as "a", "base" or
+    `target`.  A role is G, V, an expression field such as "a", "base" or
     "kernel", or an index into a product's factors.  The premise certificates
-    become the conclusion's children, in premise order."""
+    become the conclusion's children, in premise order.
+
+    A clause with a `body` is a decider bridge instead: the fixpoint runs
+    body(rule, registry, facts, group, expr), which yields certificates, once
+    on each group built by `ctor`, and again after any of its premises (the
+    facts it reads) is added."""
 
     ctor: object
     premises: tuple
@@ -127,22 +132,16 @@ class Clause(NamedTuple):
     guard: str | None = None
     target: object = G
     note: str | None = None
+    body: object = None
 
 
 class Rule(NamedTuple):
-    """A theorem with its citation tag and quote, stated as clauses.  The
-    decider bridges instead have a Python body
-    (rule, registry, facts, group, expr) -> certificates: the fixpoint runs
-    it on each group built by `ctor`, and again after any fact in `reads`,
-    (role, atom, holds) triples like premises, is added."""
+    """A theorem with its citation tag and quote, stated as clauses."""
 
     name: str
     tag: str
     quote: str
-    clauses: tuple = ()
-    body: object = None
-    ctor: object = None
-    reads: tuple = ()
+    clauses: tuple
 
     def conclude(self, group, atom, holds, children, note=None):
         return Certificate(group, atom, holds, self.name, self.tag, self.quote, note,
@@ -583,14 +582,16 @@ _RULES = (
         for first in (0, 1)
     )),
     # Bridges to the structural deciders.
-    Rule("R-COXE", "CoxE", _Q["CoxE"] + " / " + _Q["Cox2E"], body=_coxeter_ends_bridge,
-         ctor=Coxeter),
-    Rule("R-ARTINE", "ArtinE", _Q["ArtinE"], body=_artin_ends_bridge, ctor=Artin),
+    Rule("R-COXE", "CoxE", _Q["CoxE"] + " / " + _Q["Cox2E"], (
+        Clause(Coxeter, (), (), body=_coxeter_ends_bridge),
+    )),
+    Rule("R-ARTINE", "ArtinE", _Q["ArtinE"], (Clause(Artin, (), (), body=_artin_ends_bridge),)),
     Rule("R-ACSS", "ACSS", _Q["ACSS"], (Clause((Coxeter, Artin), (), _then(A.SEMISTABLE)),)),
-    Rule("R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"], body=_graph_product_bridge,
-         ctor=GraphProduct,  # the vertex facts _vertex_profile looks up
-         reads=_on(V, A.FINITE, A.INFINITE, *ENDS_ATOMS.values(), A.SEMISTABLE, A.FP)
-         + _on(V, A.SEMISTABLE, A.FP, holds=False)),
+    Rule("R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"], (
+        # the premises are the vertex facts _vertex_profile looks up
+        Clause(GraphProduct, _on(V, A.FINITE, A.INFINITE, *ENDS_ATOMS.values(), A.SEMISTABLE, A.FP)
+               + _on(V, A.SEMISTABLE, A.FP, holds=False), (), body=_graph_product_bridge),
+    )),
 )
 
 
@@ -601,7 +602,7 @@ def builtin_rules():
 
 def _vertex_profile(registry, facts, ref):
     """Build a VertexProfile for a referenced group from derived facts.  R-GP
-    reruns only when a fact in its `reads` is added, so every fact looked up
+    reruns only when one of its premises is added, so every fact looked up
     here must be listed there."""
     used = []
 
@@ -626,14 +627,14 @@ def _vertex_profile(registry, facts, ref):
 
 # --- Engine -----------------------------------------------------------------------
 
-# One slot per clause and one per bridge, in table order.  The fixpoint is the
-# sweep that visits the groups in registry order and, for each, its slots in
-# turn; every round of a naive loop repeats that sweep.
-_SLOTS = tuple((rule, clause) for rule in _RULES for clause in rule.clauses or (None,))
+# One slot per clause, in table order.  The fixpoint is the sweep that visits
+# the groups in registry order and, for each, its slots in turn; every round
+# of a naive loop repeats that sweep.
+_SLOTS = tuple((rule, clause) for rule in _RULES for clause in rule.clauses)
 
 
 # The guard flag names of the table; a group's set flags key its _shape.
-_GUARDS = tuple(dict.fromkeys(clause.guard for _, clause in _SLOTS if clause and clause.guard))
+_GUARDS = tuple(dict.fromkeys(clause.guard for _, clause in _SLOTS if clause.guard))
 
 
 @functools.cache
@@ -644,17 +645,14 @@ def _shape(cls, on):
     read it, in table order; and the roles they name.  Built on first use,
     once per constructor class and setting of its flags."""
     unprompted, readers, roles = [], {}, {}
-    for i, (rule, clause) in enumerate(_SLOTS):
-        if clause is None:
-            ctor, guard, reads, target = rule.ctor, None, rule.reads, G
-        else:
-            ctor, guard, reads, target = clause.ctor, clause.guard, clause.premises, clause.target
+    for i, (_, clause) in enumerate(_SLOTS):
+        ctor, guard, premises = clause.ctor, clause.guard, clause.premises
         if ctor is not None and not issubclass(cls, ctor) or guard is not None and guard not in on:
             continue
-        if clause is None or not reads:
+        if clause.body is not None or not premises:
             unprompted.append(i)
-        roles[target] = None
-        for premise in reads:
+        roles[clause.target] = None
+        for premise in premises:
             roles[premise[0]] = None
             readers.setdefault(premise, []).append(i)
     return tuple(unprompted), {p: tuple(ids) for p, ids in readers.items()}, tuple(roles)
@@ -720,8 +718,8 @@ def _saturate(registry, facts):
         gi, i = divmod(pos, width)
         gname, expr = groups[gi]
         rule, clause = _SLOTS[i]
-        if clause is None:
-            new = rule.body(rule, registry, facts, gname, expr)
+        if clause.body is not None:
+            new = clause.body(rule, registry, facts, gname, expr)
         else:
             new = _derive(rule, clause, facts._certs, names[gi])
         for cert in new:
@@ -735,19 +733,17 @@ def _saturate(registry, facts):
     })
 
 
-def infer(registry: GroupRegistry, extra_facts=()) -> FactSet:
+def infer(registry: GroupRegistry) -> FactSet:
     """Least fixpoint of the rule table over asserted, database and structural
-    facts and the certificates `extra_facts`.  Raises ContradictionError when
-    both polarities of a fact appear.  Each decider bridge records its result
-    per group in the result's `decided`."""
+    facts.  Raises ContradictionError when both polarities of a fact appear.
+    Each decider bridge records its result per group in the result's
+    `decided`."""
     facts = FactSet()
     for cert in structural_facts(registry):
         facts.add(cert)
     for assertions in registry.assertions.values():
         for a in assertions:
             facts.add(Certificate(a.target, a.atom, a.holds, provenance="user assertion"))
-    for cert in extra_facts:
-        facts.add(cert)
     _saturate(registry, facts)
     return facts
 
@@ -780,11 +776,7 @@ def explain(facts: FactSet, group, atom, holds=True) -> str:
 
 def replay(registry: GroupRegistry, facts: FactSet) -> bool:
     """Re-derive the fact set from its leaf certificates: the assertions,
-    database and structural facts.  Each node of the set's certificates is the
-    certificate stored for its fact, so these are all their leaves.
-
-    Returns True when the replayed fixpoint equals the original fact set.
-    """
-    leaves = [c for c in facts.certificates() if c.is_leaf()]
-    replayed = infer(registry, extra_facts=leaves)
-    return set(replayed.facts()) == set(facts.facts())
+    database and structural facts, which are what `infer` seeds from the
+    registry.  Returns True when the replayed fixpoint equals the original
+    fact set."""
+    return set(infer(registry).facts()) == set(facts.facts())

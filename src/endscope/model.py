@@ -27,85 +27,10 @@ from typing import NamedTuple
 
 from .atoms import PropertyAtom, atom_from_name
 from .errors import EndscopeError, ParseError
-from .graphs import LabeledGraph, _edge_key
+from .graphs import LabeledGraph, _Value, _edge_key
 
 
 # --- AST -------------------------------------------------------------------
-
-class _Value:
-    """An immutable value: a group constructor of the description language.
-
-    A subclass's fields are its own annotations, in order, and a class
-    attribute named like a field is that field's default.  The constructor
-    binds its arguments to the fields like a function signature and then
-    calls `_validate`; a value compares equal only to a value of its own
-    class with equal fields, hashes by its fields and prints as
-    `Class(field=value, ...)`.  These are plain methods, shared by every
-    subclass: unlike a dataclass, defining a subclass generates no code at
-    import.
-    """
-
-    _fields = {}  # field name -> annotation (a string, by the future import)
-    _defaults = {}
-
-    def __init_subclass__(cls):
-        cls._fields = dict(cls.__annotations__)
-        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        # object.__setattr__ gets past the ban on assignment below
-        for name, value in zip(self._fields, args):
-            object.__setattr__(self, name, value)
-        self._validate()
-
-    @classmethod
-    def _bind(cls, args, kwargs):
-        """One value per field, in field order, from the arguments of a call;
-        TypeError for a missing, unknown or repeated one."""
-        names, name = tuple(cls._fields), cls.__name__
-        if len(args) > len(names):
-            raise TypeError(f"{name}() got {len(args)} positional arguments, {len(names)} fields")
-        for key in kwargs:
-            if key not in cls._fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in names[:len(args)]:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        values = list(args)
-        for key in names[len(args):]:
-            if key in kwargs:
-                values.append(kwargs[key])
-            elif key in cls._defaults:
-                values.append(cls._defaults[key])
-            else:
-                raise TypeError(f"{name}() missing required argument {key!r}")
-        return values
-
-    def _validate(self):
-        """Raise EndscopeError when the fields are out of range."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({inner})"
-
 
 class Known(_Value):
     name: str

@@ -254,7 +254,7 @@ def render_dot(graph) -> str:
         names = graph.generator_names
         _check_dot_names("generator", names)
         neighbors, layer, n = graph.neighbors, graph.layer, len(names)
-        ids = [f"n{u}" for u in range(len(graph.distance))]
+        ids = [f"n{u}" for u in range(len(graph.order))]
         # each edge {u, v} once per label, under its smaller end u, sorted by
         # (u, v, label); v -> u carries the inverse label of u -> v.  The
         # edge is slot g of u holding v > u (an empty slot holds -1, below

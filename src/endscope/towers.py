@@ -200,14 +200,6 @@ class MLVerdict(NamedTuple):
     first_witness: int | None = None  # first strict drop for descending
     window: int | None = None
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "stabilization_index": self.stabilization_index,
-            "first_witness": self.first_witness,
-            "window": self.window,
-        }
-
 
 MIN_CONFIRMING_STEPS = 3
 
@@ -303,7 +295,7 @@ def lim1_report(verdict: MLVerdict):
         status = "nontrivial"
     else:
         status = "undetermined"
-    return {"lim1": status, "citation": citation, "verdict": verdict.as_dict()}
+    return {"lim1": status, "citation": citation, "verdict": verdict._asdict()}
 
 
 # --- Tower text format ----------------------------------------------------------

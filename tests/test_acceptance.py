@@ -248,11 +248,12 @@ def test_criterion_8_cayley_invariant_suite():
              "freeprod:zmod:2xzmod:2", "freeprod:zmod:2xzmod:2xzmod:2"]
     for spec in specs:
         ball = build_ball(oracle_from_spec(spec), 7)
-        assert ball.distance == sorted(ball.distance), spec
+        assert ball.layer == sorted(ball.layer) and ball.layer[-1] == len(ball.order), spec
+        distance = [d for d in range(ball.radius + 1) for _ in ball.sphere(d)]
         n = len(ball.generator_names)
         for i, v in enumerate(ball.neighbors):
             if v >= 0:
-                assert abs(ball.distance[i // n] - ball.distance[v]) <= 1, spec
+                assert abs(distance[i // n] - distance[v]) <= 1, spec
         estimate = estimate_ends(ball, 1, 5)
         counts = [c for _, c in estimate.per_radius]
         assert counts == sorted(counts), spec

@@ -115,7 +115,6 @@ def reference_build_ball(oracle, radius, element_cap=2_000_000):
     return BallGraph(
         radius=radius,
         order=order,
-        distance=distance,
         neighbors=neighbors,
         layer=[bisect_left(distance, d) for d in range(radius + 2)],
         exhausted=not escaped,
@@ -124,16 +123,21 @@ def reference_build_ball(oracle, radius, element_cap=2_000_000):
     )
 
 
+def distances(ball):
+    """Id -> distance from the identity, read off the spheres."""
+    return [d for d in range(ball.radius + 1) for _ in ball.sphere(d)]
+
+
 def reference_render_dot(ball):
     """The DOT text of `ball`, one vertex at a time: a set of (v, name) pairs
     per id u, sorted."""
     names, inverse, neighbors = ball.generator_names, ball.inverse, ball.neighbors
     n = len(names)
     lines = ["graph ball {"]
-    lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(ball.distance)]
+    lines += [f'  n{u} [label="d={d}"];' for u, d in enumerate(distances(ball))]
     # each edge {u, v} once per label, under its smaller end u, sorted by
     # (v, label); v -> u carries the inverse label of u -> v
-    for u in range(len(ball.distance)):
+    for u in range(len(ball.order)):
         ends = set()
         for g in range(n):
             v = neighbors[u * n + g]
@@ -165,10 +169,10 @@ def reference_per_radius(ball, r_min, r_max):
     """Brute-force outer counts: for each r, a fresh search for the components
     of the subgraph induced on distances in [r, R] that contain a distance-R
     element.  An exhausted ball counts 0 everywhere."""
-    rows = ball_rows(ball)
+    rows, distance = ball_rows(ball), distances(ball)
     counts = []
     for r in range(r_min, r_max + 1):
-        keep = {u for u, d in enumerate(ball.distance) if d >= r}
+        keep = {u for u, d in enumerate(distance) if d >= r}
         seen = set()
         count = 0
         for start in sorted(keep):
@@ -179,7 +183,7 @@ def reference_per_radius(ball, r_min, r_max):
             touches = False
             while stack:
                 u = stack.pop()
-                touches = touches or ball.distance[u] == ball.radius
+                touches = touches or distance[u] == ball.radius
                 for v in rows[u]:
                     if v in keep and v not in seen:
                         seen.add(v)
@@ -224,7 +228,7 @@ def reference_peel(ball, r_min):
 def test_z_ball():
     ball = build_ball(oracle_from_spec("z:1"), 3)
     assert len(ball.order) == 7
-    assert sorted(ball.distance) == [0, 1, 1, 2, 2, 3, 3]
+    assert distances(ball) == [0, 1, 1, 2, 2, 3, 3]
     assert not ball.exhausted
 
 
@@ -358,8 +362,8 @@ def test_a_bipartite_ball_multiplies_once_per_edge():
 
 
 def has_edge_inside_a_sphere(ball):
-    return any(ball.distance[u] == ball.distance[v]
-               for u, nbrs in enumerate(ball_rows(ball)) for v in nbrs)
+    distance = distances(ball)
+    return any(distance[u] == distance[v] for u, nbrs in enumerate(ball_rows(ball)) for v in nbrs)
 
 
 def test_bipartite_declarations_are_sound():
@@ -404,17 +408,18 @@ def test_ball_distance_invariants():
              "freeprod:zmod:2xzmod:3", "prod:z:1xzmod:3"]  # the last two not bipartite
     for spec in specs:
         ball = build_ball(oracle_from_spec(spec), 5)
-        assert ball.distance[0] == 0
-        # BFS order is monotone in distance
-        assert ball.distance == sorted(ball.distance)
+        # the spheres split the ids, in order, and sphere 0 is the identity
+        assert ball.layer[:2] == [0, 1] and ball.layer[-1] == len(ball.order)
+        assert ball.layer == sorted(ball.layer)
+        distance = distances(ball)
         # adjacent elements differ in distance by at most 1
         rows = ball_rows(ball)
         for u, nbrs in enumerate(rows):
             for v in nbrs:
-                assert abs(ball.distance[u] - ball.distance[v]) <= 1
+                assert abs(distance[u] - distance[v]) <= 1
         # every non-identity element has a neighbor one step closer
         for u in range(1, len(ball.order)):
-            assert any(ball.distance[v] == ball.distance[u] - 1 for v in rows[u])
+            assert any(distance[v] == distance[u] - 1 for v in rows[u])
         # the estimate agrees with the per-radius reference search
         est = estimate_ends(ball, 0, 3)
         assert est.per_radius == reference_per_radius(ball, 0, 3), spec
@@ -670,7 +675,7 @@ def test_zn_ball_keys_are_coordinates_at_l1_distance():
         ball = build_ball(oracle_from_spec(f"z:{n}"), radius)
         points = [zn_coordinates(key, n) for key in ball.order]
         assert len(set(points)) == len(points)
-        assert [sum(map(abs, p)) for p in points] == ball.distance, n
+        assert [sum(map(abs, p)) for p in points] == distances(ball), n
 
 
 def test_zn_ball_keys_hash_apart():

@@ -39,6 +39,13 @@ PINNED_BALLS = {
     ("freeprod:i2:4xzmod:2", 8): "7a1d521f8cc9b500b23111f1b42e9cda3b2065ded05867b95817810fc66906d8",
 }
 
+# SHA-256 of `endscope tower` stdout on each tower fixture.
+PINNED_TOWERS = {
+    "tower_x2.twr": "e815903d6ac86fbf1ca943989a2143a8b602c657c8b97fb10093aba9d1e50e54",
+    "tower_explicit.twr": "37153fbb5408069178a7a18a1c16f09896f431f64ea6cbfa8b816f15795b1544",
+    "tower_unimodular.twr": "832e16f73734ebd16c885f09dec6d00f5226c00069b2af707f6f97f11db4cf5b",
+}
+
 
 # The same digest for every oracle spec of the benchmark's cayley_cli grid at
 # radius 5 (window 2..3), recorded while Z^n keys were coordinate tuples.
@@ -515,6 +522,13 @@ def test_analyze_report_matches_pinned_digest(capsys, fixture):
     run(["analyze", str(FIXTURES / fixture)])
     v1 = json.dumps(as_v1(json.loads(capsys.readouterr().out)), indent=2) + "\n"
     assert hashlib.sha256(v1.encode("utf-8")).hexdigest() == PINNED_REPORTS[fixture]
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_TOWERS))
+def test_tower_report_matches_pinned_digest(capsys, fixture):
+    code, out, err = run_capture(capsys, ["tower", str(FIXTURES / fixture)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TOWERS[fixture]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Graph carrier: labeled graphs, separators, 2-complexes."""
 
+import collections.abc
 import itertools
 import random
 
@@ -39,6 +40,15 @@ def test_build_and_accessors():
         g.neighbors("z")
     assert not g.is_complete()
     assert g.sorted_edges() == [("a", "b", 3), ("b", "c", 2)]
+
+
+def test_labeled_graph_is_an_unhashable_value():
+    # a graph's edges are a dict, so the class opts out of hashing, rather
+    # than hash() failing inside it
+    g = LabeledGraph.build("ab", [("a", "b", 3)])
+    assert not isinstance(g, collections.abc.Hashable)
+    with pytest.raises(TypeError, match="LabeledGraph"):
+        hash(g)
 
 
 def test_build_rejects_bad_input():

@@ -1,7 +1,8 @@
 """Every name a module of the package or of the tests imports is used in that
 module, every module-level function and class is used somewhere in the
 package, every name the package exports is reached by its code or
-documented, and no package module imports `dataclasses`."""
+documented, no package module imports `dataclasses`, and `_Value` is the
+package's one immutable-value class."""
 
 import ast
 import os
@@ -76,6 +77,29 @@ def test_imported_modules_reader():
 def test_no_package_module_imports_dataclasses():
     assert [p.name for p in sorted(PACKAGE.glob("*.py"))
             if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))] == []
+
+
+def classes_defining(source, methods):
+    """Names of the classes in `source` whose body defines one of `methods`."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name in methods
+                    for item in node.body)]
+
+
+def test_classes_defining_reader():
+    source = ("class A:\n    def __setattr__(self, name, value):\n        pass\n"
+              "def f():\n    class C:\n        def __delattr__(self, name):\n            pass\n")
+    assert classes_defining(source, {"__setattr__", "__delattr__"}) == ["A", "C"]
+
+
+# Immutable values share one base: a class that bans assignment itself is a
+# second hand-written value class, and should subclass `_Value` instead.
+def test_only_the_value_base_bans_assignment():
+    assert [(p.name, name) for p in sorted(PACKAGE.glob("*.py"))
+            for name in classes_defining(p.read_text(encoding="utf-8"),
+                                         {"__setattr__", "__delattr__"})] == [
+        ("graphs.py", "_Value"),
+    ]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -139,12 +139,10 @@ def test_inference_is_idempotent_and_deterministic():
     assert set(f1.facts()) == set(f2.facts())
 
 
-def test_inference_monotone_in_extra_facts():
-    reg = parse_document(AMALGAM_DOC)
-    base = set(infer(reg).facts())
-    extra = Certificate("Lambda", A.FG, True, provenance="user assertion")
-    bigger = set(infer(reg, extra_facts=(extra,)).facts())
-    assert base <= bigger
+def test_inference_monotone_in_assertions():
+    base = set(infer(parse_document(AMALGAM_DOC)).facts())
+    bigger = set(infer(parse_document(AMALGAM_DOC + "assert Lambda : fg\n")).facts())
+    assert base < bigger and ("Lambda", A.FG, True) in bigger
 
 
 def test_contradiction_raises_with_both_certificates():
@@ -238,10 +236,15 @@ def test_explain_underived_fact_is_an_error():
 def test_only_the_decider_bridges_have_python_bodies():
     rules = builtin_rules()
     assert len(rules) == 39
-    coded = [r.name for r in rules if r.body is not None]
+    coded = [r.name for r in rules if any(c.body is not None for c in r.clauses)]
     assert coded == ["R-COXE", "R-ARTINE", "R-GP"]
     for rule in rules:
-        assert bool(rule.clauses) != (rule.body is not None), rule.name
+        assert rule.clauses, rule.name
+        for clause in rule.clauses:
+            if clause.body is not None:
+                # a bridge is its rule's one clause, built by one constructor
+                assert len(rule.clauses) == 1 and isinstance(clause.ctor, type), rule.name
+                assert not clause.conclusions and clause.guard is None, rule.name
 
 
 def test_amalgam_sc_inf_cites_the_amalgam_theorem():
@@ -265,16 +268,16 @@ def test_amalgam_sc_inf_cites_the_amalgam_theorem():
 # --- The semi-naive fixpoint against the naive round loop -----------------------
 
 def reference_fire(rule, registry, facts, gname, expr):
-    """One firing of a rule in the naive loop: the bridge body, or each clause
-    in turn, reading the facts only after the caller has added the
+    """One firing of a rule in the naive loop: each clause in turn, a bridge
+    by its body, reading the facts only after the caller has added the
     conclusions of the clauses before it."""
-    if rule.body is not None:
-        yield from rule.body(rule, registry, facts, gname, expr)
-        return
     for clause in rule.clauses:
         if clause.ctor is not None and not isinstance(expr, clause.ctor):
             continue
         if clause.guard is not None and not getattr(expr, clause.guard):
+            continue
+        if clause.body is not None:
+            yield from clause.body(rule, registry, facts, gname, expr)
             continue
         children = []
         for role, atom, holds in clause.premises:
@@ -302,9 +305,6 @@ def reference_infer(registry):
         changed = False
         for gname, expr in registry.groups.items():
             for rule in builtin_rules():
-                # a bridge body handles only groups built by its constructor
-                if rule.ctor is not None and not isinstance(expr, rule.ctor):
-                    continue
                 for cert in reference_fire(rule, registry, facts, gname, expr):
                     if facts.add(cert):
                         changed = True
@@ -411,12 +411,12 @@ def test_semi_naive_fixpoint_matches_the_naive_loop(registry):
 def test_each_clause_runs_at_most_once_per_premise_plus_one(fixture, naive_clause_runs):
     registry = parse_document((FIXTURE_DIR / fixture).read_text(encoding="utf-8"))
     facts = infer(registry)
-    slots = [(rule, clause) for rule in builtin_rules() for clause in rule.clauses or (None,)]
+    slots = [(rule, clause) for rule in builtin_rules() for clause in rule.clauses]
     clause_runs = 0
     for (group, i), runs in facts.evaluations.items():
         assert group in registry.groups
         rule, clause = slots[i]
-        if clause is not None:
+        if clause.body is None:  # a bridge's premises wake it once per vertex group
             assert runs <= 1 + len(clause.premises), (group, rule.name, clause)
             clause_runs += runs
     assert 0 < clause_runs < naive_clause_runs / 5
@@ -483,15 +483,15 @@ def test_graph_product_decisions_are_the_deciders_on_the_final_facts():
 
 
 def test_graph_product_bridge_reads_only_its_declared_facts(monkeypatch):
-    """Every vertex fact the R-GP bridge looks up is one of the rule's
-    `reads`, so a fact it depends on always wakes it; and it looks up each of
-    them on some input, so `reads` lists no fact the bridge ignores."""
+    """Every vertex fact the R-GP bridge looks up is one of its clause's
+    premises, so a fact it depends on always wakes it; and it looks up each
+    of them on some input, so the premises list no fact the bridge ignores."""
     from endscope import inference
 
     looked = set()
     slots = list(inference._SLOTS)
     (i,) = [i for i, (rule, _) in enumerate(slots) if rule.name == "R-GP"]
-    rule = slots[i][0]
+    rule, clause = slots[i]
 
     def spying(rule, registry, facts, gname, expr):
         vertex_groups = {ref for _, ref in expr.vertex_groups}
@@ -507,8 +507,8 @@ def test_graph_product_bridge_reads_only_its_declared_facts(monkeypatch):
         finally:
             del facts.get
 
-    slots[i] = (rule._replace(body=spying), None)
+    slots[i] = (rule, clause._replace(body=spying))
     monkeypatch.setattr(inference, "_SLOTS", tuple(slots))
     for text in ((FIXTURE_DIR / "graph_products.ggt").read_text(encoding="utf-8"), GP_READS_DOC):
         infer(parse_document(text))
-    assert looked == set(rule.reads)
+    assert looked == set(clause.premises)
