@@ -62,9 +62,3 @@ ENDS_ATOMS = {
     EndCount.TWO: PropertyAtom.ENDS_TWO,
     EndCount.INFINITE: PropertyAtom.ENDS_INFINITE,
 }
-
-ATOM_BY_NAME = {a.value: a for a in PropertyAtom}
-
-
-def atom_from_name(name: str) -> PropertyAtom:
-    return ATOM_BY_NAME[name]

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
-Exit codes: 0 success, 2 input error (EndscopeError), 3 contradiction
-detected (ContradictionError), 4 element cap exceeded
-(MemoryCapExceededError).  Any other exception is a fault in endscope: it
-propagates, and the interpreter exits 1 with its traceback.  A reader that
-closes standard output before the output is written (`endscope ... | head -c
-0`) makes `main` exit 1 with nothing on stderr.
+Exit codes: 0 success, otherwise the `exit_code` of the EndscopeError raised:
+2 input error, 3 contradiction detected (ContradictionError), 4 element cap
+exceeded (MemoryCapExceededError).  Any other exception is a fault in
+endscope: it propagates, and the interpreter exits 1 with its traceback.  A
+reader that closes standard output before the output is written (`endscope
+... | head -c 0`) makes `main` exit 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import functools
 import os
 import sys
 
-from .atoms import atom_from_name
+from .atoms import PropertyAtom
 from .cayley import DEFAULT_ELEMENT_CAP, build_ball, estimate_ends, oracle_from_spec
 from .coxeter import CoxeterSystem, coxeter_ends
-from .errors import ContradictionError, EndscopeError, MemoryCapExceededError
+from .errors import ContradictionError, EndscopeError
 from .inference import explain, infer
 from .model import Artin, Coxeter, GraphProduct, parse_document
 from .report import (
@@ -32,11 +32,6 @@ from .report import (
     render_dot,
 )
 from .towers import lim1_report, ml_check_window, ml_decide_constant, parse_tower
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CONTRADICTION = 3
-EXIT_BUDGET = 4
 
 def _emit(payload):
     sys.stdout.write(dumps(payload) + "\n")
@@ -60,38 +55,35 @@ def _write(path, text):
         raise EndscopeError(f"cannot write {path}: {exc.strerror}")
 
 
-def _find_group(registry, name, kind=None):
-    if name not in registry.groups:
-        raise EndscopeError(f"group {name!r} not declared")
-    expr = registry.groups[name]
+def _load(args, kind=None):
+    """(text, registry, expr): the document `args.file` and its group
+    `args.group`, which must be a `kind` description when one is given."""
+    text = _read(args.file)
+    registry = parse_document(text)
+    if args.group not in registry.groups:
+        raise EndscopeError(f"group {args.group!r} not declared")
+    expr = registry.groups[args.group]
     if kind is not None and not isinstance(expr, kind):
-        raise EndscopeError(f"group {name!r} is not a {kind.__name__} description")
-    return expr
+        raise EndscopeError(f"group {args.group!r} is not a {kind.__name__} description")
+    return text, registry, expr
 
 
 def cmd_analyze(args):
     text = _read(args.file)
     registry = parse_document(text)
     _emit(analysis_report(registry, text))
-    return EXIT_OK
 
 
 def cmd_coxeter(args):
-    text = _read(args.file)
-    registry = parse_document(text)
-    expr = _find_group(registry, args.group, Coxeter)
+    text, _, expr = _load(args, Coxeter)
     ends = coxeter_ends(CoxeterSystem(expr.diagram))
     _emit(envelope(text, [coxeter_section(args.group, ends)]))
-    return EXIT_OK
 
 
 def cmd_graph_product(args):
-    text = _read(args.file)
-    registry = parse_document(text)
-    _find_group(registry, args.group, GraphProduct)
+    text, registry, _ = _load(args, GraphProduct)
     section, warnings = graph_product_section(args.group, infer(registry).decided[args.group])
     _emit(envelope(text, [section], warnings))
-    return EXIT_OK
 
 
 def cmd_cayley(args):
@@ -118,7 +110,6 @@ def cmd_cayley(args):
     if args.dot:
         _write(args.dot, render_dot(ball))
     _emit(envelope(args.oracle, sections, warnings))
-    return EXIT_OK
 
 
 def cmd_tower(args):
@@ -142,33 +133,26 @@ def cmd_tower(args):
         "kind": "finite_window",
         "detail": "explicit towers are judged on a finite window only",
     }]))
-    return EXIT_OK
 
 
 def cmd_explain(args):
-    text = _read(args.file)
-    registry = parse_document(text)
-    _find_group(registry, args.group)
+    _, registry, _ = _load(args)
     try:
-        atom = atom_from_name(args.atom)
-    except KeyError:
+        atom = PropertyAtom(args.atom)
+    except ValueError:
         raise EndscopeError(f"unknown property atom {args.atom!r}")
     facts = infer(registry)
     sys.stdout.write(explain(facts, args.group, atom, holds=not args.negated) + "\n")
-    return EXIT_OK
 
 
 def cmd_dot(args):
-    text = _read(args.file)
-    registry = parse_document(text)
-    expr = _find_group(registry, args.group)
+    _, _, expr = _load(args)
     if isinstance(expr, (Coxeter, Artin)):
         sys.stdout.write(render_dot(expr.diagram))
     elif isinstance(expr, GraphProduct):
         sys.stdout.write(render_dot(expr.graph))
     else:
         raise EndscopeError(f"group {args.group!r} has no diagram")
-    return EXIT_OK
 
 
 @functools.cache  # parse_args keeps no state between calls
@@ -225,19 +209,15 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+        return EndscopeError.exit_code if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except ContradictionError as exc:
-        _emit(contradiction_report(exc))
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONTRADICTION
-    except MemoryCapExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BUDGET
+        args.func(args)
     except EndscopeError as exc:
+        if isinstance(exc, ContradictionError):
+            _emit(contradiction_report(exc))
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        return exc.exit_code
+    return 0
 
 
 def main():

@@ -1,10 +1,12 @@
-"""The four exceptions endscope raises on purpose, one per exit code of the
-command line: bad input (2, with a position when it comes from a parser), a
-contradiction (3) and an exceeded element cap (4)."""
+"""The four exceptions endscope raises on purpose.  Each carries the exit
+code of the command line as `exit_code`: bad input (2, with a position when it
+comes from a parser), a contradiction (3) and an exceeded element cap (4)."""
 
 
 class EndscopeError(Exception):
     """Bad input, named by the message; the base of the other three."""
+
+    exit_code = 2
 
 
 class ParseError(EndscopeError):
@@ -20,6 +22,8 @@ class ContradictionError(EndscopeError):
     Carries the two certificate trees so a report can show both derivations.
     """
 
+    exit_code = 3
+
     def __init__(self, group, atom, cert_holds, cert_fails):
         super().__init__(f"contradiction: {atom} both holds and fails for '{group}'")
         self.group = group
@@ -29,5 +33,7 @@ class ContradictionError(EndscopeError):
 
 
 class MemoryCapExceededError(EndscopeError):
+    exit_code = 4
+
     def __init__(self, cap):
         super().__init__(f"ball construction exceeded element cap {cap}")

@@ -41,13 +41,6 @@ class GraphProductSpec(NamedTuple):
     profiles: dict  # vertex -> VertexProfile
 
 
-def _require_ends_profiles(spec: GraphProductSpec):
-    for v in spec.graph.vertices:
-        p = spec.profiles.get(v)
-        if p is None or p.finite is None or p.ends is None:
-            raise EndscopeError(f"vertex {v!r} has an incomplete profile")
-
-
 def _all_finite(spec, vs):
     return all(spec.profiles[v].finite for v in vs)
 
@@ -72,16 +65,22 @@ def _dominating_vertices(graph: LabeledGraph):
 
 
 class GraphProductEndsReport(NamedTuple):
-    ends: EndCount
+    ends: EndCount | None  # None while some vertex profile is incomplete
     witness: dict
 
 
 def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
-    """Number of ends of the graph product; requires finiteness and end class
-    of every vertex group."""
-    _require_ends_profiles(spec)
+    """Number of ends of the graph product.  The criteria need the finiteness
+    and end count of every vertex group: while one is unknown the report has
+    no end count and the witness kind `incomplete_vertex_profiles`.  A vertex
+    with no profile at all is an EndscopeError."""
     graph = spec.graph
     verts = graph.vertices
+    for v in verts:
+        if v not in spec.profiles:
+            raise EndscopeError(f"vertex {v!r} has an incomplete profile")
+    if any(spec.profiles[v].finite is None or spec.profiles[v].ends is None for v in verts):
+        return GraphProductEndsReport(None, {"kind": "incomplete_vertex_profiles"})
     complete = graph.is_complete()
 
     if complete and _all_finite(spec, verts):
@@ -134,16 +133,16 @@ class SemistabilityReport(NamedTuple):
 
 
 def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
-    """Semistability of the graph product on a connected graph.
+    """Semistability of the graph product.
 
-    Not semistable iff some vertex group is known non-semistable and its link
-    is complete with all-finite vertex groups.  A vertex with unknown
-    semistability and a qualifying link leaves the verdict unknown, as does an
-    unknown finite-presentation status.
+    The criterion needs a connected graph; on a disconnected one the verdict
+    is unknown with the witness kind `disconnected_graph`.  Not semistable
+    iff some vertex group is known non-semistable and its link is complete
+    with all-finite vertex groups.  A vertex with unknown semistability and a
+    qualifying link leaves the verdict unknown, as does an unknown
+    finite-presentation status.  A vertex with no profile is an EndscopeError.
     """
     graph = spec.graph
-    if not graph.is_connected():
-        raise EndscopeError("graph product criterion needs a connected graph")
     unknown_reason = None
     for v in graph.vertices:
         p = spec.profiles.get(v)
@@ -152,6 +151,8 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
         if p.finitely_presented is None or not p.finitely_presented:
             if not p.finite:  # finite groups are finitely presented
                 unknown_reason = {"kind": "vertex_not_known_fp", "vertex": v}
+    if not graph.is_connected():
+        return SemistabilityReport("unknown", {"kind": "disconnected_graph"})
 
     undecided = None
     for v in graph.vertices:

@@ -41,7 +41,7 @@ from .model import (
 
 A = PropertyAtom
 
-ENDS_GROUP = (A.ENDS_ZERO, A.ENDS_ONE, A.ENDS_TWO, A.ENDS_INFINITE)
+ENDS_GROUP = tuple(ENDS_ATOMS.values())
 
 
 class Certificate(NamedTuple):
@@ -428,25 +428,19 @@ def _artin_ends_bridge(rule, registry, facts, gname, expr):
 def _graph_product_bridge(rule, registry, facts, gname, expr):
     """Runs the graph-product deciders on the vertex profiles read off the
     facts and records (ends report, semistability report) as the group's
-    decision: the first is None while some profile lacks finiteness or an end
-    count, the second when the graph is disconnected.  A graph product on no
-    vertices records its decision and concludes nothing."""
+    decision.  A graph product on no vertices records its decision and
+    concludes nothing."""
     profiles, children = {}, []
     for vertex, ref in expr.vertex_groups:
         profiles[vertex], used = _vertex_profile(registry, facts, ref)
         children += used
     spec = GraphProductSpec(expr.graph, profiles)
-    complete = all(p.finite is not None and p.ends is not None for p in profiles.values())
-    ends = graph_product_ends(spec) if complete else None
-    ss = graph_product_semistable(spec) if expr.graph.is_connected() else None
-    facts.decided[gname] = ends, ss
+    ends, ss = facts.decided[gname] = graph_product_ends(spec), graph_product_semistable(spec)
     if not expr.graph.vertices:
         return
-    if ends is not None:
+    if ends.ends is not None:
         note = f"decider witness: {ends.witness}"
         yield rule.conclude(gname, ENDS_ATOMS[ends.ends], True, children, note)
-    if ss is None:
-        return
     if ss.verdict == "semistable":
         yield rule.conclude(gname, A.SEMISTABLE, True, children)
     elif ss.verdict == "not_semistable":

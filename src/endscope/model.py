@@ -25,7 +25,7 @@ from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple
 
-from .atoms import PropertyAtom, atom_from_name
+from .atoms import PropertyAtom
 from .errors import EndscopeError, ParseError
 from .graphs import LabeledGraph, _Value, _edge_key
 
@@ -385,8 +385,8 @@ def parse_document(text: str) -> GroupRegistry:
                 holds = False
                 tok = tokens.next()
             try:
-                atom = atom_from_name(tok)
-            except KeyError:
+                atom = PropertyAtom(tok)
+            except ValueError:
                 tokens.error(f"unknown property atom {tok!r}")
             try:
                 reg.assert_attr(AttributeAssertion(target, atom, holds))

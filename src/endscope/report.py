@@ -66,21 +66,16 @@ def graph_product_section(name, decided):
     semistability report) pair its inference bridge recorded, and the
     warnings they raise."""
     ends, ss = decided
-    section = {"type": "graph_product", "group": name}
-    if ends is not None:
-        section["ends"] = str(ends.ends)
-        section["ends_witness"] = ends.witness
-    else:
-        section["ends"] = None
-        section["ends_witness"] = {"kind": "incomplete_vertex_profiles"}
-    if ss is not None:
-        section["semistability"] = ss.verdict
-        section["semistability_witness"] = ss.witness
-    else:
-        section["semistability"] = "unknown"
-        section["semistability_witness"] = {"kind": "disconnected_graph"}
+    section = {
+        "type": "graph_product",
+        "group": name,
+        "ends": None if ends.ends is None else str(ends.ends),
+        "ends_witness": ends.witness,
+        "semistability": ss.verdict,
+        "semistability_witness": ss.witness,
+    }
     warnings = []
-    if section["semistability"] == "unknown":
+    if ss.verdict == "unknown":
         warnings.append({
             "kind": "undetermined_semistability",
             "group": name,

@@ -11,6 +11,12 @@ import pytest
 
 from endscope import cli, coxeter, graph_products
 from endscope.cli import run
+from endscope.errors import (
+    ContradictionError,
+    EndscopeError,
+    MemoryCapExceededError,
+    ParseError,
+)
 from endscope.inference import infer
 from endscope.model import parse_document
 from test_cayley import CAYLEY_GRID_SPECS
@@ -153,6 +159,18 @@ def test_budget_exhaustion_exits_4(capsys):
         ["cayley", "--oracle", "free:2", "--radius", "8", "--element-cap", "10"],
     )
     assert code == 4
+
+
+def test_each_error_class_carries_its_exit_code(monkeypatch, capsys):
+    classes = (EndscopeError, ParseError, ContradictionError, MemoryCapExceededError)
+    assert [cls.exit_code for cls in classes] == [2, 2, 3, 4]
+    for exc in (ParseError("bad token", 1, 2), MemoryCapExceededError(5)):
+        def raising(rank, matrix, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "ml_decide_constant", raising)
+        assert run_capture(capsys, ["tower", str(FIXTURES / "tower_x2.twr")]) == (
+            exc.exit_code, "", f"error: {exc}\n")
 
 
 @pytest.mark.parametrize("spec, radius, size", [("free:2", 4, 161), ("zmod:7", 2, 5)])

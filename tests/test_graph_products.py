@@ -103,8 +103,17 @@ def test_square_of_two_ended_groups_is_one_ended():
 def test_ends_requires_profiles():
     g = LabeledGraph.build("xy", [("x", "y", 2)])
     spec = GraphProductSpec(g, {"x": FINITE2, "y": VertexProfile()})
-    with pytest.raises(EndscopeError, match="vertex 'y' has an incomplete profile"):
-        graph_product_ends(spec)
+    assert graph_product_ends(spec) == (None, {"kind": "incomplete_vertex_profiles"})
+    missing = GraphProductSpec(g, {"x": VertexProfile()})
+    for decider in (graph_product_ends, graph_product_semistable):
+        with pytest.raises(EndscopeError, match="vertex 'y' has an incomplete profile"):
+            decider(missing)
+
+
+def test_semistability_on_a_disconnected_graph_is_unknown():
+    g = LabeledGraph.build("xy", [])
+    spec = GraphProductSpec(g, {"x": FINITE2, "y": FREE2})
+    assert graph_product_semistable(spec) == ("unknown", {"kind": "disconnected_graph"})
 
 
 def test_racg_ends_agree_with_coxeter_decider():
