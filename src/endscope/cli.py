@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 
 from .atoms import PropertyAtom
@@ -48,9 +49,16 @@ def _read(path):
 
 
 def _write(path, text):
+    # Rewrite in place and cut a longer old file only afterwards: on a file
+    # truncated to 0 bytes and rewritten, as mode "w" does, ext4 starts
+    # writeback of the new blocks at close, tens of ms when the disk is busy.
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            old = os.fstat(fh.fileno())
+            fh.write(data)
+            if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+                fh.truncate(len(data))
     except OSError as exc:
         raise EndscopeError(f"cannot write {path}: {exc.strerror}")
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from endscope import cli, coxeter, graph_products
+from endscope.cayley import build_ball, oracle_from_spec
 from endscope.cli import run
 from endscope.errors import (
     ContradictionError,
@@ -19,6 +20,7 @@ from endscope.errors import (
 )
 from endscope.inference import infer
 from endscope.model import parse_document
+from endscope.report import render_dot
 from test_cayley import CAYLEY_GRID_SPECS
 from test_report import as_v1
 
@@ -405,6 +407,55 @@ def test_cayley_unwritable_dot_is_input_error(tmp_path, capsys, where, reason):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {dot_path}: {reason}\n"
+
+
+def write_dot(capsys, spec, radius, path):
+    code, _, err = run_capture(
+        capsys, ["cayley", "--oracle", spec, "--radius", str(radius), "--dot", str(path)]
+    )
+    assert (code, err) == (0, "")
+
+
+def ball_dot(spec, radius):
+    return render_dot(build_ball(oracle_from_spec(spec), radius)).encode("ascii")
+
+
+@pytest.mark.parametrize("radii", [(12, 4), (4, 12)])
+def test_cayley_dot_rewrite_holds_exactly_the_last_ball(tmp_path, capsys, radii):
+    dot_path = tmp_path / "ball.dot"
+    for radius in radii:
+        write_dot(capsys, "z:2", radius, dot_path)
+    assert dot_path.read_bytes() == ball_dot("z:2", radii[-1])
+
+
+def test_cayley_dot_rewrite_keeps_the_file_and_its_links(tmp_path, capsys):
+    dot_path, link = tmp_path / "ball.dot", tmp_path / "link.dot"
+    write_dot(capsys, "z:2", 12, dot_path)
+    os.link(dot_path, link)
+    inode = dot_path.stat().st_ino
+    write_dot(capsys, "z:2", 4, dot_path)
+    assert dot_path.stat().st_ino == inode
+    assert link.read_bytes() == ball_dot("z:2", 4)
+
+
+def test_cayley_dot_new_file_mode_follows_the_umask(tmp_path, capsys):
+    dot_path = tmp_path / "ball.dot"
+    old = os.umask(0o027)
+    try:
+        write_dot(capsys, "z:1", 3, dot_path)
+    finally:
+        os.umask(old)
+    assert dot_path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_cayley_dot_to_a_pipe_is_written_whole(capsys):
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as fh:
+        try:
+            write_dot(capsys, "z:1", 3, f"/dev/fd/{w}")
+        finally:
+            os.close(w)
+        assert fh.read() == ball_dot("z:1", 3)
 
 
 def test_tower_subcommand_constant(capsys):
