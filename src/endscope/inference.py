@@ -70,7 +70,9 @@ class FactSet:
     `decided`, which maps each group a decider bridge ran on to that bridge's
     result on its last run; and how often the fixpoint ran each slot:
     `evaluations` counts runs per (group, i), where i numbers the rule table's
-    clauses in order."""
+    clauses in order.  A plain clause (one without a `body`) that applies to
+    the group counts 1 when its premises all hold at the fixpoint and is
+    absent otherwise; a bridge counts its first run plus one per rerun."""
 
     def __init__(self):
         self._certs = {}
@@ -99,8 +101,10 @@ class FactSet:
     def facts(self):
         return list(self._certs)
 
-    def certificates(self):
-        return list(self._certs.values())
+    def certificate_map(self):
+        """The dict from each fact (group, atom, holds) to its certificate, in
+        the order the facts were added.  Callers read it and never change it."""
+        return self._certs
 
     def __len__(self):
         return len(self._certs)
@@ -631,6 +635,11 @@ _SLOTS = tuple((rule, clause) for rule in _RULES for clause in rule.clauses)
 _GUARDS = tuple(dict.fromkeys(clause.guard for _, clause in _SLOTS if clause.guard))
 
 
+# How many premises each slot waits for: a plain clause runs once it has seen
+# them all; 0 for a bridge, which runs after each premise instead.
+_NEEDS = tuple(0 if clause.body is not None else len(clause.premises) for _, clause in _SLOTS)
+
+
 @functools.cache
 def _shape(cls, on):
     """The slots of the table for a group built by `cls` whose set guard flags
@@ -652,29 +661,22 @@ def _shape(cls, on):
     return tuple(unprompted), {p: tuple(ids) for p, ids in readers.items()}, tuple(roles)
 
 
-def _derive(rule, clause, certs, names):
-    """The conclusions of one clause on the group whose role members are
-    `names`, or nothing while a premise is missing."""
-    children = []
-    for role, atom, holds in clause.premises:
-        cert = certs.get((names[role], atom, holds))
-        if cert is None:
-            return ()
-        children.append(cert)
-    target = names[clause.target]
-    return [rule.conclude(target, atom, holds, children, clause.note)
-            for atom, holds in clause.conclusions]
-
-
 def _saturate(registry, facts):
-    """Semi-naive evaluation of the sweep.  A (group, slot) runs where the
-    sweep would first see a fact it reads: after that fact is added, later in
-    the same sweep when the slot comes after the one that added it, else in
-    the next sweep.  The facts present at the start count as added before the
-    first sweep, and bridges and clauses without premises run once in it.
-    A slot whose reads are unchanged would conclude nothing new, so every
-    fact keeps the naive loop's first derivation and a contradiction
-    surfaces at the same step."""
+    """Evaluation of the sweep in which each plain clause (one without a
+    `body`) runs once on a group, when its last premise arrives (the counting
+    algorithm of Dowling & Gallier 1984).  Every (group, slot) counts the
+    premise facts it has seen, once per premise entry and role, so that
+    amalgam(G, G, Z) counts G's facts for `a` and for `b`.  When the count
+    reaches the number of premises, the slot runs where the sweep would
+    first see its last premise: later in the same sweep when the slot comes
+    after the one that added that fact, else in the next sweep.  A bridge
+    runs there after each fact it reads is added.  The facts present at the
+    start count as added before the first sweep, and bridges and clauses
+    without premises run once in it.  A run of the sweep that misses a
+    premise, or repeats one whose reads are unchanged, concludes nothing
+    new, so every fact keeps the naive loop's first derivation and a
+    contradiction surfaces at the same step.  A conclusion whose fact is
+    already present is skipped before its certificate is built."""
     groups = list(registry.groups.items())
     width = len(_SLOTS)
     sweep = len(groups) * width  # positions per round; a position is gi * width + slot
@@ -694,15 +696,30 @@ def _saturate(registry, facts):
         readers.append(slot_readers)
         first.update(gi * width + i for i in unprompted)
 
-    def woken(group, atom, holds):
+    queue = sorted(first)  # a heap of times, round * sweep + position
+    pending = set(queue)  # queued to run: the first sweep, then the bridges wake() queues
+    seen = [0] * sweep  # premise facts each plain clause has seen, by position
+
+    def wake(group, atom, holds, now, pos):
+        """Queue what the fact (group, atom, holds), added at time `now` by
+        the slot at position `pos`, makes due: the plain clauses it gives
+        their last premise, and the bridges that read it and are not queued."""
         for hi, role in refs.get(group, ()):
             for j in readers[hi].get((role, atom, holds), ()):
-                yield hi * width + j
+                later = hi * width + j
+                if need := _NEEDS[j]:
+                    seen[later] += 1
+                    if seen[later] < need:
+                        continue
+                elif later in pending:
+                    continue
+                else:
+                    pending.add(later)
+                heapq.heappush(queue, now - pos + later + (0 if later > pos else sweep))
 
-    for key in facts:
-        first.update(woken(*key))
-    queue = sorted(first)  # a heap of times, round * sweep + position
-    pending = set(queue)  # the positions in the queue
+    for group, atom, holds in facts:
+        wake(group, atom, holds, -1, -1)  # just before the first sweep
+    certs = facts.certificate_map()
     runs = {}  # position -> times run
     while queue:
         now = heapq.heappop(queue)
@@ -710,18 +727,20 @@ def _saturate(registry, facts):
         pending.discard(pos)
         runs[pos] = runs.get(pos, 0) + 1
         gi, i = divmod(pos, width)
-        gname, expr = groups[gi]
         rule, clause = _SLOTS[i]
         if clause.body is not None:
-            new = clause.body(rule, registry, facts, gname, expr)
+            new = clause.body(rule, registry, facts, *groups[gi])
         else:
-            new = _derive(rule, clause, facts._certs, names[gi])
+            members, children, new = names[gi], [], []
+            for role, atom, holds in clause.premises:
+                children.append(certs[members[role], atom, holds])
+            target = members[clause.target]
+            for atom, holds in clause.conclusions:
+                if (target, atom, holds) not in certs:
+                    new.append(rule.conclude(target, atom, holds, children, clause.note))
         for cert in new:
             if facts.add(cert):
-                for later in woken(cert.group, cert.atom, cert.holds):
-                    if later not in pending:
-                        pending.add(later)
-                        heapq.heappush(queue, now - pos + later + (0 if later > pos else sweep))
+                wake(cert.group, cert.atom, cert.holds, now, pos)
     facts.evaluations.update({
         (groups[pos // width][0], pos % width): n for pos, n in runs.items()
     })

@@ -84,13 +84,9 @@ def graph_product_section(name, decided):
     return section, warnings
 
 
-def certificate_dag(roots):
-    """The certificates under `roots` as one row per fact, sorted by (group,
-    atom, polarity): (rules, rows, index).  Each derived row names its rule by
-    an index into `rules`, one {"rule", "theorem", "quote"} per distinct
-    triple in order of first use, and its premises by row indices; `index`
-    maps each fact to its row.  Every node must be the certificate stored for
-    its fact, which holds for the nodes of a FactSet and of a contradiction."""
+def certificate_closure(roots):
+    """The certificates under `roots` by fact, (group, atom, holds) ->
+    certificate, the first met standing for its fact."""
     nodes = {}
     stack = list(roots)
     while stack:
@@ -99,6 +95,17 @@ def certificate_dag(roots):
         if fact not in nodes:
             nodes[fact] = cert
             stack.extend(cert.children)
+    return nodes
+
+
+def certificate_dag(nodes):
+    """The certificates of `nodes`, a map from each fact to its certificate
+    that holds every child's fact too, as one row per fact sorted by (group,
+    atom, polarity): (rules, rows, index).  Each derived row names its rule
+    by an index into `rules`, one {"rule", "theorem", "quote"} per distinct
+    triple in order of first use, and its premises by row indices; `index`
+    maps each fact to its row.  A FactSet's `certificate_map()` is such a map
+    as it stands, and `certificate_closure` makes one from a few roots."""
     name = {atom: atom.value for atom in {fact[1] for fact in nodes}}
     order = sorted(nodes, key=lambda f: (f[0], name[f[1]], f[2]))
     index = {fact: i for i, fact in enumerate(order)}
@@ -122,14 +129,14 @@ def certificate_dag(roots):
 
 
 def facts_section(facts):
-    rules, rows, _ = certificate_dag(facts.certificates())
+    rules, rows, _ = certificate_dag(facts.certificate_map())
     return {"type": "facts", "rules": rules, "facts": rows}
 
 
 def contradiction_report(exc):
     """The exit-3 payload: both certificates of `exc` as row indices into the
     DAG of the facts under them."""
-    rules, rows, index = certificate_dag((exc.cert_holds, exc.cert_fails))
+    rules, rows, index = certificate_dag(certificate_closure((exc.cert_holds, exc.cert_fails)))
     return {
         "schemaVersion": CERTIFICATE_SCHEMA_VERSION,
         "contradiction": {

@@ -144,7 +144,7 @@ def test_dag_expands_to_the_certificate_trees(registry):
     ]
     got = as_v1({"sections": [section]})["sections"][0]["facts"]
     assert json.dumps(got) == json.dumps(want)
-    assert_rows_are_the_dag(section["rules"], section["facts"], facts.certificates())
+    assert_rows_are_the_dag(section["rules"], section["facts"], facts.certificate_map().values())
 
 
 def distinct(roots, children):
@@ -161,7 +161,7 @@ def distinct(roots, children):
 def test_facts_section_builds_one_dict_per_certificate():
     facts = infer(parse_document((FIXTURES / "inference.ggt").read_text(encoding="utf-8")))
     section = facts_section(facts)
-    certificates = distinct(facts.certificates(), lambda cert: cert.children)
+    certificates = distinct(facts.certificate_map().values(), lambda cert: cert.children)
     roots = [row["certificate"] for row in as_v1({"sections": [section]})["sections"][0]["facts"]]
     expanded = distinct(json.loads(json.dumps(roots)), lambda node: node.get("premises", ()))
     assert len(section["facts"]) == len(certificates) < len(expanded)
