@@ -69,30 +69,30 @@ def _classify_path(labels):
     return "affine/indefinite"
 
 
+def _walk(adj, prev, cur):
+    """The vertices from `cur` to the end of its path away from `prev`: each
+    vertex passed has at most one Dynkin neighbour besides the one before it."""
+    order = [cur]
+    while ahead := [w for w in adj[cur] if w != prev]:
+        prev, cur = cur, ahead[0]
+        order.append(cur)
+    return order
+
+
 def _classify_component(sys: CoxeterSystem, comp, adj):
     """Family tag of a Dynkin component of two or more vertices whose pairs
     are all related; adj is the Dynkin adjacency, so the neighbours of a
     vertex of comp lie in comp."""
     degs = {v: len(adj[v]) for v in comp}
-    edge_count = sum(degs.values()) // 2
-    if edge_count >= len(comp):  # contains a cycle
+    if sum(degs.values()) // 2 >= len(comp):  # contains a cycle
         return "affine/indefinite"
     branch = [v for v in comp if degs[v] >= 3]
     if any(degs[v] >= 4 for v in comp) or len(branch) > 1:
         return "affine/indefinite"
-    if not branch:
-        # a path; walk it from one end
-        ends = [v for v in comp if degs[v] == 1]
-        start = ends[0]
-        order = [start]
-        prev = None
-        while len(order) < len(comp):
-            nxt = [w for w in adj[order[-1]] if w != prev][0]
-            prev = order[-1]
-            order.append(nxt)
-        labels = [int(sys.m(order[i], order[i + 1])) for i in range(len(order) - 1)]
-        tag = _classify_path(labels)
-        rev = _classify_path(labels[::-1])
+    if not branch:  # a path, walked from one end
+        order = _walk(adj, None, next(v for v in comp if degs[v] == 1))
+        labels = [int(sys.m(u, v)) for u, v in zip(order, order[1:])]
+        tag, rev = _classify_path(labels), _classify_path(labels[::-1])
         # orientation must not matter; both walks classify identically
         if tag != rev:
             raise AssertionError(
@@ -100,34 +100,13 @@ def _classify_component(sys: CoxeterSystem, comp, adj):
             )
         return tag
     # one degree-3 branch vertex: D/E shapes, simply laced only
-    for i, u in enumerate(comp):
-        for v in comp[i + 1:]:
-            m = sys.m(u, v)
-            if m != math.inf and m not in (1, 2, 3):
-                return "affine/indefinite"
+    if any(sys.m(u, w) != 3 for u in comp for w in adj[u]):
+        return "affine/indefinite"
     b = branch[0]
-    lengths = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    lengths.sort()
-    n = len(comp)
-    if lengths[:2] == [1, 1]:
-        return f"D{n}"
-    if lengths == [1, 2, 2]:
-        return "E6"
-    if lengths == [1, 2, 3]:
-        return "E7"
-    if lengths == [1, 2, 4]:
-        return "E8"
-    return "affine/indefinite"
+    arms = tuple(sorted(len(_walk(adj, b, start)) for start in adj[b]))
+    if arms[:2] == (1, 1):
+        return f"D{len(comp)}"
+    return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(arms, "affine/indefinite")
 
 
 def is_finite_type(sys: CoxeterSystem) -> FiniteTypeReport:
@@ -251,7 +230,7 @@ def _match_two_ended(sys: CoxeterSystem):
 
 class ArtinEndsReport(NamedTuple):
     one_ended: bool
-    ends: EndCount | None
+    ends: EndCount
 
 
 def artin_one_ended(diagram: LabeledGraph) -> ArtinEndsReport:

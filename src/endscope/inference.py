@@ -425,8 +425,33 @@ def _coxeter_ends_bridge(rule, registry, facts, gname, expr):
 def _artin_ends_bridge(rule, registry, facts, gname, expr):
     if expr.diagram.vertices:
         report = facts.decided[gname] = artin_one_ended(expr.diagram)
-        if report.ends is not None:
-            yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [])
+        yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [])
+
+
+# R-GP's reads of a vertex group's facts, which are also its premises: for
+# each VertexProfile field, (atom, holds, value) rows; the first derived sets it.
+_VERTEX_READS = (
+    ("finite", ((A.FINITE, True, True), (A.INFINITE, True, False))),
+    ("ends", tuple((atom, True, count) for count, atom in ENDS_ATOMS.items())),
+    ("semistable", ((A.SEMISTABLE, True, True), (A.SEMISTABLE, False, False))),
+    ("finitely_presented", ((A.FP, True, True), (A.FP, False, False))),
+)
+
+
+def _vertex_profile(registry, facts, ref):
+    """The VertexProfile of a referenced group read off the derived facts by
+    _VERTEX_READS, and the certificates of the facts it read."""
+    fields, used = {}, []
+    for field, reads in _VERTEX_READS:
+        for atom, holds, value in reads:
+            if (cert := facts.get(ref, atom, holds)) is not None:
+                fields[field] = value
+                used.append(cert)
+                break
+    expr = registry.groups.get(ref)
+    if isinstance(expr, Finite):
+        fields["order"] = expr.order
+    return VertexProfile(**fields), used
 
 
 def _graph_product_bridge(rule, registry, facts, gname, expr):
@@ -474,6 +499,10 @@ _RULES = (
         [A.FG, A.SUBNORMAL_CHAIN_WITNESS], _then(A.ENDS_ONE, A.SEMISTABLE))),
     Rule("R-SUBCOMM", "MainA", _Q["MainA"], _one_clause(
         [A.FG, A.SUBCOMMENSURATED_CHAIN_WITNESS], _then(A.ENDS_ONE, A.SEMISTABLE))),
+    Rule("R-M1-ATOM", "M1", _Q["M1"], _one_clause(
+        [A.FP, A.NORMAL_INF_FG_INF_INDEX_SUBGROUP], _then(A.SEMISTABLE))),
+    Rule("R-COMM-ATOM", "MainCM", _Q["MainCM"], _one_clause(
+        [A.FG, A.COMMENSURATED_INF_FG_INF_INDEX_SUBGROUP], _then(A.ENDS_ONE, A.SEMISTABLE))),
     Rule("R-AHNN-ATOM", "MM", _Q["MM"], _one_clause(
         [A.ASCENDING_HNN_OF_INF_FP_BASE], _then(A.ENDS_ONE, A.SEMISTABLE))),
     Rule("R-AHNN-ATOM-SC", "MM", _Q["MM"], _one_clause(
@@ -586,9 +615,8 @@ _RULES = (
     Rule("R-ARTINE", "ArtinE", _Q["ArtinE"], (Clause(Artin, (), (), body=_artin_ends_bridge),)),
     Rule("R-ACSS", "ACSS", _Q["ACSS"], (Clause((Coxeter, Artin), (), _then(A.SEMISTABLE)),)),
     Rule("R-GP", "OV", _Q["OV"] + " / " + _Q["GraphP"], (
-        # the premises are the vertex facts _vertex_profile looks up
-        Clause(GraphProduct, _on(V, A.FINITE, A.INFINITE, *ENDS_ATOMS.values(), A.SEMISTABLE, A.FP)
-               + _on(V, A.SEMISTABLE, A.FP, holds=False), (), body=_graph_product_bridge),
+        Clause(GraphProduct, tuple((V, atom, holds) for _, reads in _VERTEX_READS
+                                   for atom, holds, _ in reads), (), body=_graph_product_bridge),
     )),
 )
 
@@ -596,31 +624,6 @@ _RULES = (
 def builtin_rules():
     """The rule table, in firing order."""
     return _RULES
-
-
-def _vertex_profile(registry, facts, ref):
-    """Build a VertexProfile for a referenced group from derived facts.  R-GP
-    reruns only when one of its premises is added, so every fact looked up
-    here must be listed there."""
-    used = []
-
-    def look(atom, holds=True):
-        cert = facts.get(ref, atom, holds)
-        if cert is not None:
-            used.append(cert)
-        return cert is not None
-
-    def either(yes, no):
-        """True or False by the first of two (atom, holds) facts derived, else None."""
-        return True if look(*yes) else False if look(*no) else None
-
-    finite = either((A.FINITE, True), (A.INFINITE, True))
-    expr = registry.groups.get(ref)
-    order = expr.order if isinstance(expr, Finite) else None
-    ends = next((count for count, atom in ENDS_ATOMS.items() if look(atom)), None)
-    semistable = either((A.SEMISTABLE, True), (A.SEMISTABLE, False))
-    fp = either((A.FP, True), (A.FP, False))
-    return VertexProfile(finite, order, ends, semistable, fp), used
 
 
 # --- Engine -----------------------------------------------------------------------

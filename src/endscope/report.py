@@ -57,7 +57,7 @@ def artin_section(name, report):
         "type": "artin",
         "group": name,
         "one_ended": report.one_ended,
-        "ends": None if report.ends is None else str(report.ends),
+        "ends": str(report.ends),
     }
 
 

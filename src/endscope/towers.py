@@ -17,6 +17,7 @@ the HNF of C_k, because im(C_k p_k) is not determined by im(C_k).
 
 from __future__ import annotations
 
+from itertools import islice, pairwise
 from operator import mul
 from typing import NamedTuple
 
@@ -204,15 +205,17 @@ class MLVerdict(NamedTuple):
 MIN_CONFIRMING_STEPS = 3
 
 
-def _image_step(A, basis, previous=None):
-    """HNF basis of A * L for the lattice L with HNF basis `basis` (a tuple of
-    columns).  `previous` is the basis of the lattice L' with L = A * L'; when
-    the two are equal, A * L = A * L' = L, and `basis` itself is returned."""
-    if basis == previous:
-        return basis
-    return hermite_normal_form(
-        tuple(tuple([sum(map(mul, row, col)) for col in basis]) for row in A)
-    )
+def _image_chain(A):
+    """The HNF bases of im(A^k) for k = 0, 1, ..., without end, each stepped
+    from the last: im(A^{k+1}) = A im(A^k).  Once two in a row are equal, A
+    fixes that lattice, and the chain repeats its basis with no more HNFs."""
+    basis, previous = mat_identity(len(A)), None  # im(A^0): the identity columns
+    while True:
+        yield basis
+        if basis != previous:
+            previous, basis = basis, hermite_normal_form(
+                tuple(tuple([sum(map(mul, row, col)) for col in basis]) for row in A)
+            )
 
 
 def ml_check_window(tower: AbelianTower, m: int, N: int):
@@ -225,16 +228,11 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
     """
     if m < 1 or N < 1:
         raise EndscopeError("need m >= 1 and N >= 1")
-    n_m = tower.rank_at(m)
-    lattices = [mat_identity(n_m)]  # L_m = G_m: the identity columns are its HNF
     if tower.constant:
-        A, previous = tower.bondings[0], None
-        for _ in range(N):
-            basis = lattices[-1]
-            lattices.append(_image_step(A, basis, previous))
-            previous = basis
+        lattices = list(islice(_image_chain(tower.bondings[0]), N + 1))
     else:
-        composite = mat_identity(n_m)
+        composite = mat_identity(tower.rank_at(m))  # L_m = G_m: the identity columns
+        lattices = [composite]
         for k in range(m, m + N):
             composite = mat_product(composite, tower.bonding(k))
             lattices.append(hermite_normal_form(composite))
@@ -268,13 +266,9 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
     previous one's HNF basis, im(A^{k+1}) = A im(A^k), with no power of A.
     """
     tower = AbelianTower.constant_tower(rank, matrix)
-    A = tower.bondings[0]
-    lattice, k_star = mat_identity(rank), 0  # im(A^0): the identity columns, in HNF
-    while True:  # the rank of im(A^k) stops dropping by k = n
-        following = _image_step(A, lattice)
-        if len(following) == len(lattice):
+    for k_star, (lattice, following) in enumerate(pairwise(_image_chain(tower.bondings[0]))):
+        if len(following) == len(lattice):  # the rank of im(A^k) stops dropping by k = n
             break
-        lattice, k_star = following, k_star + 1
     if following == lattice:
         return MLVerdict("semistable", stabilization_index=k_star + 1)
     return MLVerdict("strictly_descending", first_witness=k_star + 1)

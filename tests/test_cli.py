@@ -122,6 +122,17 @@ def test_analyze_missing_file_is_input_error(capsys):
         "explain", str(FIXTURES / "inference.ggt"), "--group", "Nope", "--atom", "semistable"])
     assert (code, out) == (2, "")
     assert err == "error: group 'Nope' not declared\n"
+    code, out, err = run_capture(
+        capsys, ["coxeter", str(FIXTURES / "coxeter_suite.ggt"), "--group", "Art"])
+    assert (code, out) == (2, "")
+    assert err == "error: group 'Art' is not a Coxeter description\n"
+
+
+def test_usage_error_exits_2(capsys):
+    code, out, err = run_capture(capsys, ["tower"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: endscope tower [-h] file\n")
+    assert err.endswith("error: the following arguments are required: file\n")
 
 
 def test_analyze_parse_error_is_input_error(tmp_path, capsys):
@@ -306,6 +317,12 @@ def chain_document(length, in_order):
      "line 1, col 7: reference to undeclared group 'B'"),
     ("group A = direct_product(A)\n", "line 1, col 7: reference to undeclared group 'A'"),
     ("group A = free(1)\n  group A = free(2)\n", "line 2, col 9: duplicate group name 'A'"),
+    ("group W = coxeter { verts a b ; wedge }\n",
+     "line 1, col 33: expected 'verts', 'edge' or '}', got 'wedge'"),
+    ("group A = free(1)\ngroup D = direct_product(A A)\n",
+     "line 2, col 28: expected ',' or ')', got 'A'"),
+    ("group A = free(1)\n  grop B = free(2)\n",
+     "line 2, col 3: expected 'group' or 'assert', got 'grop'"),
     ("group A = free(1)\nassert A : fg\nassert  B : not fg\n",
      "line 3, col 9: reference to undeclared group 'B'"),
 ])
@@ -565,6 +582,14 @@ def test_dot_subcommand_for_diagram(capsys):
     assert code == 0
     assert out.startswith("graph diagram {")
     assert out.count("--") == 3 and 'label="3"' in out
+
+
+def test_dot_subcommand_for_graph_product(capsys):
+    code, out, err = run_capture(
+        capsys, ["dot", str(FIXTURES / "graph_products.ggt"), "--group", "OVi"]
+    )
+    assert (code, err) == (0, "")
+    assert out == 'graph diagram {\n  "x";\n  "y";\n  "x" -- "y" [label="2"];\n}\n'
 
 
 def test_dot_subcommand_needs_a_diagram(capsys):

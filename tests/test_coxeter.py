@@ -23,7 +23,7 @@ from endscope.coxeter import (
     is_finite_type,
 )
 from endscope.cayley import CoxeterOracle, build_ball
-from endscope.errors import MemoryCapExceededError
+from endscope.errors import EndscopeError, MemoryCapExceededError
 from endscope.graphs import LabeledGraph, induced_subgraph
 
 
@@ -167,6 +167,7 @@ DYNKIN_CATALOG = {
     "F4": (path(3, 4, 3), "F4"),
     "H3": (path(5, 3), "H3"),
     "H4": (path(5, 3, 3), "H4"),
+    "hyperbolic-H5": (path(5, 3, 3, 3), "affine/indefinite"),
     "affine-E6": (branched(2, 2, 2), "affine/indefinite"),
     "affine-E7": (branched(1, 3, 3), "affine/indefinite"),
     "affine-E8": (branched(1, 2, 5), "affine/indefinite"),
@@ -365,6 +366,8 @@ def test_artin_one_ended():
     # disconnected: free product of infinite groups
     split = artin_one_ended(LabeledGraph.build("ab"))
     assert not split.one_ended and split.ends == EndCount.INFINITE
+    with pytest.raises(EndscopeError, match="^Artin diagram must be nonempty$"):
+        artin_one_ended(LabeledGraph.build(""))
 
 
 class OrbitBudgetExceededError(Exception):

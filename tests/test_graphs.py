@@ -89,6 +89,8 @@ def test_induced_subgraph_idempotent():
         assert set(h.vertices) == set(vs)
         for u, v, m in h.sorted_edges():
             assert g.label(u, v) == m
+    with pytest.raises(EndscopeError, match="^unknown vertex 'z'$"):
+        induced_subgraph(LabeledGraph.build("ab"), "az")
 
 
 def test_link_is_star_minus_vertex():

@@ -1,8 +1,8 @@
 """Every name a module of the package or of the tests imports is used in that
 module, every module-level function and class is used somewhere in the
 package, every name the package exports is reached by its code or
-documented, no package module imports `dataclasses`, and `_Value` is the
-package's one immutable-value class."""
+documented, no package module imports `dataclasses` or holds an `assert`
+statement, and `_Value` is the package's one immutable-value class."""
 
 import ast
 import os
@@ -77,6 +77,22 @@ def test_imported_modules_reader():
 def test_no_package_module_imports_dataclasses():
     assert [p.name for p in sorted(PACKAGE.glob("*.py"))
             if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))] == []
+
+
+def assert_lines(source):
+    """Lines of the `assert` statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_reader():
+    assert assert_lines('"""assert G : fp"""\ndef f(x):\n    assert x, "no"\n') == [3]
+
+
+# `python -O` strips assert statements, so a check the package makes must
+# raise instead; CI runs the whole suite under -O as well.
+def test_no_package_module_holds_an_assert():
+    assert [(p.name, line) for p in sorted(PACKAGE.glob("*.py"))
+            for line in assert_lines(p.read_text(encoding="utf-8"))] == []
 
 
 def classes_defining(source, methods):

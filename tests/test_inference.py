@@ -77,6 +77,36 @@ def test_rule_table_is_documented():
         assert rule.quote and len(rule.quote) > 10, rule.name
 
 
+def test_every_atom_is_read_or_concluded():
+    """An atom that no clause reads or concludes, and that no constructor or
+    catalog entry gives, would be accepted in an assertion and do nothing."""
+    used = {atom for rule in builtin_rules() for clause in rule.clauses
+            for atom in [p[1] for p in clause.premises] + [c[0] for c in clause.conclusions]}
+    used |= {atom for entries in known_groups_db().values() for atom, _, _ in entries}
+    registry = parse_document("".join(
+        f"group G{i} = {ctor}\n" for i, ctor in enumerate((
+            "finite(2)", "free(0)", "free(1)", "free(2)", "free_abelian(2)",
+            "coxeter { verts a ; }")))
+    )
+    used |= {cert.atom for cert in structural_facts(registry)}
+    assert set(A) - used == set()
+
+
+@pytest.mark.parametrize("atom, premise, rule, concluded", [
+    ("normal_inf_fg_inf_index_subgroup", "fp", "R-M1-ATOM", [A.SEMISTABLE]),
+    ("commensurated_inf_fg_inf_index_subgroup", "fg", "R-COMM-ATOM",
+     [A.ENDS_ONE, A.SEMISTABLE]),
+])
+def test_subgroup_atoms_fire_their_theorems(atom, premise, rule, concluded):
+    doc = f"group G = known(mystery)\nassert G : {atom}\n"
+    facts = infer(parse_document(doc))
+    assert not any(facts.has("G", a) for a in concluded)
+    facts = infer(parse_document(doc + f"assert G : {premise}\n"))
+    for a in concluded:
+        cert = facts.get("G", a)
+        assert cert.rule == rule and [c.atom.value for c in cert.children] == [premise, atom]
+
+
 def test_known_groups_db_entries():
     db = known_groups_db()
     assert "lamplighter" in db and "thompson_F" in db
@@ -236,7 +266,7 @@ def test_explain_underived_fact_is_an_error():
 
 def test_only_the_decider_bridges_have_python_bodies():
     rules = builtin_rules()
-    assert len(rules) == 39
+    assert len(rules) == 41
     coded = [r.name for r in rules if any(c.body is not None for c in r.clauses)]
     assert coded == ["R-COXE", "R-ARTINE", "R-GP"]
     for rule in rules:

@@ -461,6 +461,10 @@ def test_tower_index_validation():
         tower.bonding(2)
     with pytest.raises(EndscopeError, match="need m >= 1 and N >= 1"):
         ml_check_window(tower, 0, 1)
+    with pytest.raises(EndscopeError, match="^tower has 2 stages, asked for 3$"):
+        tower.rank_at(3)
+    with pytest.raises(EndscopeError, match="^need one bonding per consecutive rank pair$"):
+        AbelianTower.explicit((1, 1, 1), (((1,),),))
 
 
 def test_parse_tower_formats():
