@@ -102,17 +102,17 @@ def graph_product_ends(spec: GraphProductSpec) -> GraphProductEndsReport:
         return GraphProductEndsReport(EndCount.ONE, {"kind": "no_visual_splitting"})
 
     # multi-ended; the 2-ended dichotomy decides between Two and Infinite
-    if complete and ov1 is not None and spec.profiles[ov1].ends == EndCount.TWO:
+    if ov1 is not None and spec.profiles[ov1].ends == EndCount.TWO:
         return GraphProductEndsReport(
             EndCount.TWO, {"kind": "complete_one_two_ended", "vertex": ov1}
         )
+    # dominating vertices are pairwise adjacent; when exactly two are not
+    # dominating, each sees every other vertex but misses the other one
     gamma1 = _dominating_vertices(graph)
     gamma2 = tuple(v for v in verts if v not in gamma1)
     if (
-        is_clique(graph, gamma1)
-        and _all_finite(spec, gamma1)
+        _all_finite(spec, gamma1)
         and len(gamma2) == 2
-        and not graph.has_edge(*gamma2)
         and all(
             spec.profiles[v].finite and spec.profiles[v].order == 2 for v in gamma2
         )
@@ -148,7 +148,7 @@ def graph_product_semistable(spec: GraphProductSpec) -> SemistabilityReport:
         p = spec.profiles.get(v)
         if p is None:
             raise EndscopeError(f"vertex {v!r} has an incomplete profile")
-        if p.finitely_presented is None or not p.finitely_presented:
+        if not p.finitely_presented:
             if not p.finite:  # finite groups are finitely presented
                 unknown_reason = {"kind": "vertex_not_known_fp", "vertex": v}
     if not graph.is_connected():

@@ -149,9 +149,6 @@ class LabeledGraph(_Value):
             labels[u, v] = m
         return LabeledGraph(tuple(vertices), labels)
 
-    def __len__(self):
-        return len(self.vertices)
-
     def has_edge(self, u, v):
         return _edge_key(u, v) in self.edges
 

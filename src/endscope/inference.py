@@ -52,17 +52,9 @@ class Certificate(NamedTuple):
     group: str
     atom: PropertyAtom
     holds: bool
-    rule: str | None = None  # None for leaves
-    tag: str | None = None
-    quote: str | None = None
+    rule: Rule | None = None  # the theorem it cites; None for leaves
     provenance: str | None = None  # leaf origin or structural-hypothesis note
     children: tuple = ()
-
-    def fact(self):
-        return self[:3]  # (group, atom, holds)
-
-    def is_leaf(self):
-        return self.rule is None
 
 
 class FactSet:
@@ -82,9 +74,6 @@ class FactSet:
     def get(self, group, atom, holds=True):
         return self._certs.get((group, atom, holds))
 
-    def has(self, group, atom, holds=True):
-        return (group, atom, holds) in self._certs
-
     def add(self, cert: Certificate) -> bool:
         key = cert[:3]
         if key in self._certs:
@@ -97,9 +86,6 @@ class FactSet:
             raise ContradictionError(group, atom, pos, neg)
         self._certs[key] = cert
         return True
-
-    def facts(self):
-        return list(self._certs)
 
     def certificate_map(self):
         """The dict from each fact (group, atom, holds) to its certificate, in
@@ -146,10 +132,6 @@ class Rule(NamedTuple):
     tag: str
     quote: str
     clauses: tuple
-
-    def conclude(self, group, atom, holds, children, note=None):
-        return Certificate(group, atom, holds, self.name, self.tag, self.quote, note,
-                           tuple(children))
 
 
 def _member(gname, expr, role):
@@ -419,13 +401,13 @@ def _coxeter_ends_bridge(rule, registry, facts, gname, expr):
     if expr.diagram.vertices:
         report = facts.decided[gname] = coxeter_ends(CoxeterSystem(expr.diagram))
         note = f"decider witness: {report.witness}"
-        yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [], note)
+        yield Certificate(gname, ENDS_ATOMS[report.ends], True, rule, note)
 
 
 def _artin_ends_bridge(rule, registry, facts, gname, expr):
     if expr.diagram.vertices:
         report = facts.decided[gname] = artin_one_ended(expr.diagram)
-        yield rule.conclude(gname, ENDS_ATOMS[report.ends], True, [])
+        yield Certificate(gname, ENDS_ATOMS[report.ends], True, rule)
 
 
 # R-GP's reads of a vertex group's facts, which are also its premises: for
@@ -463,18 +445,19 @@ def _graph_product_bridge(rule, registry, facts, gname, expr):
     for vertex, ref in expr.vertex_groups:
         profiles[vertex], used = _vertex_profile(registry, facts, ref)
         children += used
+    children = tuple(children)
     spec = GraphProductSpec(expr.graph, profiles)
     ends, ss = facts.decided[gname] = graph_product_ends(spec), graph_product_semistable(spec)
     if not expr.graph.vertices:
         return
     if ends.ends is not None:
         note = f"decider witness: {ends.witness}"
-        yield rule.conclude(gname, ENDS_ATOMS[ends.ends], True, children, note)
+        yield Certificate(gname, ENDS_ATOMS[ends.ends], True, rule, note, children)
     if ss.verdict == "semistable":
-        yield rule.conclude(gname, A.SEMISTABLE, True, children)
+        yield Certificate(gname, A.SEMISTABLE, True, rule, None, children)
     elif ss.verdict == "not_semistable":
         note = f"decider witness: {ss.witness}"
-        yield rule.conclude(gname, A.SEMISTABLE, False, children, note)
+        yield Certificate(gname, A.SEMISTABLE, False, rule, note, children)
 
 
 _RULES = (
@@ -734,13 +717,12 @@ def _saturate(registry, facts):
         if clause.body is not None:
             new = clause.body(rule, registry, facts, *groups[gi])
         else:
-            members, children, new = names[gi], [], []
-            for role, atom, holds in clause.premises:
-                children.append(certs[members[role], atom, holds])
+            members, note = names[gi], clause.note
+            children = tuple([certs[members[role], atom, holds]
+                              for role, atom, holds in clause.premises])
             target = members[clause.target]
-            for atom, holds in clause.conclusions:
-                if (target, atom, holds) not in certs:
-                    new.append(rule.conclude(target, atom, holds, children, clause.note))
+            new = [Certificate(target, atom, holds, rule, note, children)
+                   for atom, holds in clause.conclusions if (target, atom, holds) not in certs]
         for cert in new:
             if facts.add(cert):
                 wake(cert.group, cert.atom, cert.holds, now, pos)
@@ -776,17 +758,18 @@ def explain(facts: FactSet, group, atom, holds=True) -> str:
         c, indent = stack.pop()
         pol = "" if c.holds else "not "
         head = f"{indent}{c.group} : {pol}{c.atom.value}"
-        if c.fact() in seen:
+        fact, rule = c[:3], c.rule
+        if fact in seen:
             lines.append(f"{head}  [see above]")
-        elif c.is_leaf():
+        elif rule is None:
             lines.append(f"{head}  [{c.provenance}]")
         else:
-            lines.append(f"{head}  [rule {c.rule}, theorem {c.tag}]")
-            lines.append(f"{indent}  quote: {c.quote}")
+            lines.append(f"{head}  [rule {rule.name}, theorem {rule.tag}]")
+            lines.append(f"{indent}  quote: {rule.quote}")
             if c.provenance:
                 lines.append(f"{indent}  note: {c.provenance}")
             stack.extend((child, indent + "  ") for child in reversed(c.children))
-        seen.add(c.fact())
+        seen.add(fact)
     return "\n".join(lines)
 
 
@@ -795,4 +778,4 @@ def replay(registry: GroupRegistry, facts: FactSet) -> bool:
     database and structural facts, which are what `infer` seeds from the
     registry.  Returns True when the replayed fixpoint equals the original
     fact set."""
-    return set(infer(registry).facts()) == set(facts.facts())
+    return set(infer(registry)) == set(facts)

@@ -8,7 +8,6 @@ serialize byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 from json.encoder import encode_basestring_ascii
 
 from .cayley import BallGraph
@@ -102,24 +101,23 @@ def certificate_dag(nodes):
     """The certificates of `nodes`, a map from each fact to its certificate
     that holds every child's fact too, as one row per fact sorted by (group,
     atom, polarity): (rules, rows, index).  Each derived row names its rule
-    by an index into `rules`, one {"rule", "theorem", "quote"} per distinct
-    triple in order of first use, and its premises by row indices; `index`
-    maps each fact to its row.  A FactSet's `certificate_map()` is such a map
-    as it stands, and `certificate_closure` makes one from a few roots."""
+    by an index into `rules`, one {"rule", "theorem", "quote"} per rule in
+    order of first use, and its premises by row indices; `index` maps each
+    fact to its row.  A FactSet's `certificate_map()` is such a map as it
+    stands, and `certificate_closure` makes one from a few roots."""
     name = {atom: atom.value for atom in {fact[1] for fact in nodes}}
     order = sorted(nodes, key=lambda f: (f[0], name[f[1]], f[2]))
     index = {fact: i for i, fact in enumerate(order)}
     rules, rule_ids, rows = [], {}, []
     for fact in order:
-        group, atom, holds, rule, tag, quote, provenance, children = nodes[fact]
+        group, atom, holds, rule, provenance, children = nodes[fact]
         row = {"group": group, "atom": name[atom], "holds": holds}
         if rule is None:
             row["provenance"] = provenance
         else:
-            cited = (rule, tag, quote)
-            if cited not in rule_ids:
+            if (cited := rule.name) not in rule_ids:
                 rule_ids[cited] = len(rules)
-                rules.append({"rule": rule, "theorem": tag, "quote": quote})
+                rules.append({"rule": cited, "theorem": rule.tag, "quote": rule.quote})
             row["rule"] = rule_ids[cited]
             if provenance:
                 row["note"] = provenance
@@ -142,8 +140,8 @@ def contradiction_report(exc):
         "contradiction": {
             "group": exc.group,
             "atom": exc.atom.value,
-            "holds": index[exc.cert_holds.fact()],
-            "fails": index[exc.cert_fails.fact()],
+            "holds": index[exc.cert_holds[:3]],
+            "fails": index[exc.cert_fails[:3]],
             "rules": rules,
             "facts": rows,
         },
@@ -177,22 +175,13 @@ def analysis_report(registry: GroupRegistry, text: str):
 
 # --- JSON text ----------------------------------------------------------------
 
-class _NotReportType(Exception):
-    """A value the writer leaves to the `json` module."""
-
-
 def dumps(value) -> str:
-    """Exactly `json.dumps(value, indent=2)`.  CPython runs its pure-Python
-    encoder whenever an indent is given; this writes the report's own types
+    """Exactly `json.dumps(value, indent=2)` for the report's own types
     (exact dict with exact str keys, list, tuple, exact str and int, bool and
-    None) itself.  Any other type anywhere in `value`, or a payload too deep
-    or cyclic to walk, hands the whole of `value` to `json`, so floats,
-    enums, subclasses and non-str keys get its bytes and unencodable input
-    its errors."""
-    try:
-        return _dumps(value, "\n")
-    except (_NotReportType, RecursionError):
-        return json.dumps(value, indent=2)
+    None), which CPython would write with its pure-Python encoder whenever
+    an indent is given.  Any other type anywhere in `value` is a TypeError
+    naming it, as in `json`."""
+    return _dumps(value, "\n")
 
 
 def _dumps(value, newline):
@@ -216,7 +205,7 @@ def _dumps(value, newline):
         items = []
         for key, item in value.items():
             if type(key) is not str:
-                raise _NotReportType
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(encode_basestring_ascii(key) + ": " + _dumps(item, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if cls is list or cls is tuple:
@@ -224,7 +213,7 @@ def _dumps(value, newline):
             return "[]"
         items = [_dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise _NotReportType
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -206,20 +206,20 @@ def test_criterion_6_inference_engine(capsys):
         "group BSpair = commensurated_pair(BS, X) infinite_index\n"
         "assert BS : fg\n"
     ))
-    assert bs.get("BS", A.ENDS_ONE).rule == "R-COMM"
-    assert bs.get("BS", A.SEMISTABLE).rule == "R-COMM"
+    assert bs.get("BS", A.ENDS_ONE).rule.name == "R-COMM"
+    assert bs.get("BS", A.SEMISTABLE).rule.name == "R-COMM"
     amalgam_reg = parse_document(
         "group A = free(9)\ngroup B = free(9)\ngroup C = free(81)\n"
         "group Lambda = amalgam(A, B, C) c_index_finite_in_both\n"
     )
     amalgam = infer(amalgam_reg)
-    assert amalgam.get("Lambda", A.ENDS_ONE).rule == "R-FI-AMALG"
-    assert amalgam.get("Lambda", A.SEMISTABLE).rule == "R-FI-AMALG"
+    assert amalgam.get("Lambda", A.ENDS_ONE).rule.name == "R-FI-AMALG"
+    assert amalgam.get("Lambda", A.SEMISTABLE).rule.name == "R-FI-AMALG"
     thompson_reg = parse_document("group F = known(thompson_F)\n")
     thompson = infer(thompson_reg)
-    assert thompson.has("F", A.SC_INF)
-    assert thompson.get("F", A.SEMISTABLE).rule == "R-SC2SS"
-    assert thompson.get("F", A.H2_FREE_ABELIAN).rule == "R-GM2"
+    assert thompson.get("F", A.SC_INF) is not None
+    assert thompson.get("F", A.SEMISTABLE).rule.name == "R-SC2SS"
+    assert thompson.get("F", A.H2_FREE_ABELIAN).rule.name == "R-GM2"
     # replay reproduces the full fact set from certificate leaves
     assert replay(amalgam_reg, amalgam)
     assert replay(thompson_reg, thompson)

@@ -395,6 +395,19 @@ def test_graph_product_subcommand(capsys):
     assert section["semistability"] == "semistable"
 
 
+def test_graph_product_on_a_complete_graph_with_one_two_ended_vertex(tmp_path, capsys):
+    """Z x Z/2, the graph product on an edge joining Z and Z/2, is 2-ended:
+    a complete graph whose only infinite vertex group is 2-ended."""
+    path = tmp_path / "zc.ggt"
+    path.write_text("group Z = free_abelian(1)\ngroup C = finite(2)\n"
+                    "group P = graph_product { verts a:Z b:C ; edge a b ; }\n", encoding="utf-8")
+    code, out, _ = run_capture(capsys, ["graph-product", str(path), "--group", "P"])
+    assert code == 0
+    section = json.loads(out)["sections"][0]
+    assert section["ends"] == "2"
+    assert section["ends_witness"] == {"kind": "complete_one_two_ended", "vertex": "a"}
+
+
 def test_cayley_subcommand_with_window_and_dot(tmp_path, capsys):
     dot_path = tmp_path / "ball.dot"
     code, out, _ = run_capture(

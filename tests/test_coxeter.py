@@ -134,6 +134,35 @@ def cosine_matrix_positive_definite(sys_):
     return bool(numpy.all(numpy.linalg.eigvalsh(B) > 1e-9))
 
 
+def expected_gram_determinant(tag):
+    """(rank, det(2G)) of a finite family's cosine matrix G, from the family's
+    closed form."""
+    if tag.startswith("I2("):
+        m = int(tag[3:-1])
+        return 2, 4 * math.sin(math.pi / m) ** 2
+    family, n = tag[0], int(tag[1:])
+    closed = {"A": n + 1, "B": 2, "D": 4, "E": {6: 3, 7: 2, 8: 1}.get(n), "F": 1,
+              "H": {3: 3 - math.sqrt(5), 4: (7 - 3 * math.sqrt(5)) / 2}.get(n)}
+    return n, closed[family]
+
+
+def assert_families_match_the_gram_determinant(sys_, report):
+    """Each finite component's tag against its cosine matrix, with no help
+    from the classifier: the rank, det(2G) of G_ij = -cos(pi/m_ij), and a
+    label-4 bond exactly in B_n and F4 (B7 and E7 share det 2)."""
+    for comp, tag in report.component_types:
+        if tag == "affine/indefinite":
+            continue
+        labels = [sys_.m(u, v) for u, v in itertools.combinations(comp, 2)]
+        gram = numpy.identity(len(comp))
+        for (i, j), m in zip(itertools.combinations(range(len(comp)), 2), labels):
+            gram[i, j] = gram[j, i] = -math.cos(math.pi / m)
+        rank, det = expected_gram_determinant(tag)
+        assert rank == len(comp), (comp, tag)
+        assert math.isclose(numpy.linalg.det(2 * gram), det, rel_tol=1e-9), (comp, tag)
+        assert (4 in labels) == (tag[0] == "B" or tag == "F4"), (comp, tag)
+
+
 def dynkin(bonds):
     """Coxeter system on 0..n-1 with label m on each bond (u, v, m), u < v, of
     a Dynkin diagram and 2 on every other pair."""
@@ -183,6 +212,7 @@ def test_dynkin_catalog_families(name):
     assert report.component_types == ((sys_.diagram.vertices, family),)
     assert report.is_finite == (family != "affine/indefinite")
     assert report.is_finite == cosine_matrix_positive_definite(sys_)
+    assert_families_match_the_gram_determinant(sys_, report)
 
 
 def test_finite_type_agrees_with_cosine_matrix_eigenvalues():
@@ -219,22 +249,48 @@ def reference_is_finite_type(sys_):
     return FiniteTypeReport(all(tag != "affine/indefinite" for _, tag in types), tuple(types))
 
 
+def random_branched_tree(rng):
+    """A simply laced tree on at most 9 shuffled names, every other pair
+    commuting: arms of 1, 1-3 and 1-6 vertices out of one branch vertex, so
+    D_n and E6-E8 with their affine and indefinite neighbours, and now and
+    then a longer first arm or a fourth arm."""
+    arms = [rng.choice([1, 1, 1, 1, 1, 1, 2]), rng.randint(1, 3), rng.randint(1, 6)]
+    if rng.random() < 0.1:
+        arms.append(1)
+    while 1 + sum(arms) > 9:
+        arms[arms.index(max(arms))] -= 1
+    verts = rng.sample([f"s{i}" for i in range(9)], 1 + sum(arms))
+    bonds, nxt = set(), 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            bonds.add((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return [(verts[i], verts[j], 3 if (i, j) in bonds else 2)
+            for i, j in itertools.combinations(range(len(verts)), 2)], verts
+
+
 def test_finite_type_matches_the_all_pairs_reference():
     rng = random.Random(29)
     families = set()
-    for _ in range(2000):
-        verts = rng.sample([f"s{i}" for i in range(9)], rng.randint(1, 9))
-        density, commuting = rng.random(), rng.random()
-        edges = [
-            (u, v, 2 if rng.random() < commuting else rng.choice([3, 3, 3, 4, 5, 6]))
-            for u, v in itertools.combinations(verts, 2)
-            if rng.random() < density
-        ]
+    for trial in range(2000):
+        if trial % 4 == 3:
+            edges, verts = random_branched_tree(rng)
+        else:
+            verts = rng.sample([f"s{i}" for i in range(9)], rng.randint(1, 9))
+            density, commuting = rng.random(), rng.random()
+            edges = [
+                (u, v, 2 if rng.random() < commuting else rng.choice([3, 3, 3, 4, 5, 6]))
+                for u, v in itertools.combinations(verts, 2)
+                if rng.random() < density
+            ]
         sys_ = CoxeterSystem(LabeledGraph.build(verts, edges))
         report = is_finite_type(sys_)
         assert report == reference_is_finite_type(sys_), (verts, edges)
+        assert_families_match_the_gram_determinant(sys_, report)
         families.update(tag for _, tag in report.component_types)
-    assert {"A1", "A3", "B3", "H3", "I2(6)", "D4", "affine/indefinite"} <= families
+    assert {"A1", "A3", "B3", "H3", "I2(6)", "D4", "D8", "E6", "E7", "E8",
+            "affine/indefinite"} <= families
 
 
 def test_finite_type_agrees_with_enumeration():

@@ -11,6 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from endscope.atoms import EndCount
+from endscope import graph_products
 from endscope.coxeter import CoxeterSystem, coxeter_ends
 from endscope.errors import EndscopeError
 from endscope.graph_products import (
@@ -175,6 +176,14 @@ def simplex2():
 def test_scinf_2_simplex_yes():
     report = raag_simply_connected_at_infinity(simplex2())
     assert report.verdict == "yes"
+
+
+def test_scinf_is_unknown_when_the_tietze_moves_stall(monkeypatch):
+    """Tietze moves can fail to trivialise a simply connected complex; the
+    verdict is then unknown, never yes."""
+    monkeypatch.setattr(graph_products, "_tietze_trivializes", lambda ngens, relators: False)
+    report = raag_simply_connected_at_infinity(simplex2())
+    assert report.verdict == "unknown"
 
 
 def test_scinf_path_has_cut_vertex():

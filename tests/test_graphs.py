@@ -280,6 +280,12 @@ def test_cut_vertices_match_the_reference_on_every_small_graph():
         assert g.cut_vertices() == reference_cut_vertices(g)
         for v in g.vertices:  # the adjacency index, against the edge set
             assert g.neighbors(v) == tuple(u for u in g.vertices if u != v and g.has_edge(u, v))
+        # what graph_product_ends relies on: dominating vertices are pairwise
+        # adjacent, and exactly two non-dominating vertices are not adjacent
+        dominating = [v for v in g.vertices if g.degree(v) == len(g.vertices) - 1]
+        rest = [v for v in g.vertices if v not in dominating]
+        assert is_clique(g, dominating)
+        assert len(rest) != 2 or not g.has_edge(*rest)
 
 
 @settings(max_examples=100, deadline=None)
