@@ -3,9 +3,11 @@
 A tower is an inverse sequence Z^{n_1} <- Z^{n_2} <- ... with integer bonding
 matrices.  Images are tracked as integer lattices in canonical (column)
 Hermite normal form, so chain comparisons are exact.  All arithmetic is
-arbitrary precision.  The HNF makes one pass per row: the first column nonzero
-there is the pivot, and each other column nonzero there is folded into it by
-a unimodular 2x2 column step from the extended gcd of the two row entries.
+arbitrary precision.  The HNF kernel, `_hnf_columns`, takes column lists;
+`hermite_normal_form` is its adapter for a matrix given as rows.  The kernel
+makes one pass per row: the first column nonzero there is the pivot, and each
+other column nonzero there is folded into it by a unimodular 2x2 column step
+from the extended gcd of the two row entries.
 
 A constant tower's image chain L_k = im(A^k) is stepped from the current
 basis, L_{k+1} = HNF(A * H_k) with H_k the n x rank HNF basis of L_k, since
@@ -37,13 +39,14 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def hermite_normal_form(matrix):
-    """Canonical column-style HNF basis of the lattice spanned by the columns.
+def _hnf_columns(cols, n):
+    """Canonical column-style HNF basis of the lattice spanned by `cols`.
 
-    Returns a tuple of basis columns (tuples of ints): each pivot is the first
-    nonzero entry of its column, positive, with pivot rows strictly
-    increasing; entries of earlier columns in a pivot row are reduced into
-    [0, pivot).  The result is unique per lattice.
+    `cols` is a list of nonzero mutable columns (lists of n ints), which the
+    pass overwrites.  Returns a tuple of basis columns (tuples of ints): each
+    pivot is the first nonzero entry of its column, positive, with pivot rows
+    strictly increasing; entries of earlier columns in a pivot row are reduced
+    into [0, pivot).  The result is unique per lattice.
 
     One pass per row r: the first column nonzero in row r becomes the pivot,
     and each later column c nonzero there is combined with it by a unimodular
@@ -53,10 +56,6 @@ def hermite_normal_form(matrix):
     c <- (b/g)*pivot - (a/g)*c (determinant -1).  Either way c[r] becomes 0,
     and c goes on to the next row unless it is zero.
     """
-    if not matrix:
-        return ()
-    n = len(matrix)
-    cols = [list(col) for col in zip(*matrix) if any(col)]
     pivots = []  # finished columns, in pivot-row order
     for r in range(n):
         pivot, rest = None, []
@@ -92,7 +91,13 @@ def hermite_normal_form(matrix):
                 for k in range(r, n):
                     done[k] -= q * pivot[k]
         pivots.append(pivot)
-    return tuple(tuple(c) for c in pivots)
+    return tuple(map(tuple, pivots))
+
+
+def hermite_normal_form(matrix):
+    """`_hnf_columns` of a matrix given as rows: the HNF basis of the lattice
+    spanned by its columns."""
+    return _hnf_columns([list(col) for col in zip(*matrix) if any(col)], len(matrix))
 
 
 def lattice_contains(basis, vector):
@@ -113,7 +118,10 @@ def lattice_contains(basis, vector):
 
 def lattice_includes(outer, inner):
     """True when every basis vector of `inner` lies in `outer`."""
-    return all(lattice_contains(outer, col) for col in inner)
+    for col in inner:
+        if not lattice_contains(outer, col):
+            return False
+    return True
 
 
 def mat_product(a, b):
@@ -207,15 +215,16 @@ MIN_CONFIRMING_STEPS = 3
 
 def _image_chain(A):
     """The HNF bases of im(A^k) for k = 0, 1, ..., without end, each stepped
-    from the last: im(A^{k+1}) = A im(A^k).  Once two in a row are equal, A
-    fixes that lattice, and the chain repeats its basis with no more HNFs."""
-    basis, previous = mat_identity(len(A)), None  # im(A^0): the identity columns
+    from the last: im(A^{k+1}) = A im(A^k), with A times each basis column
+    handed to `_hnf_columns` as it is.  Once two in a row are equal, A fixes
+    that lattice, and the chain repeats its basis with no more HNFs."""
+    n = len(A)
+    basis, previous = mat_identity(n), None  # im(A^0): the identity columns
     while True:
         yield basis
         if basis != previous:
-            previous, basis = basis, hermite_normal_form(
-                tuple(tuple([sum(map(mul, row, col)) for col in basis]) for row in A)
-            )
+            product = ([sum(map(mul, row, col)) for row in A] for col in basis)
+            previous, basis = basis, _hnf_columns([c for c in product if any(c)], n)
 
 
 def ml_check_window(tower: AbelianTower, m: int, N: int):

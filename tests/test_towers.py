@@ -65,6 +65,11 @@ def reference_hermite_normal_form(matrix):
     return tuple(tuple(c) for c in pivots)
 
 
+def reference_hnf_columns(cols, n):
+    """`reference_hermite_normal_form` behind the column kernel's signature."""
+    return reference_hermite_normal_form(tuple(zip(*cols)))
+
+
 def reference_mat_product(a, b):
     """a times b, one generator per entry."""
     if a and b and len(a[0]) != len(b):
@@ -128,6 +133,16 @@ def test_hnf_matches_the_reference():
         for _ in range(1500):
             mat = awkward_matrix(rng, bound)
             assert hermite_normal_form(mat) == reference_hermite_normal_form(mat), mat
+
+
+def test_column_kernel_matches_the_reference():
+    rng = random.Random(24)
+    assert towers._hnf_columns([], 0) == reference_hermite_normal_form(()) == ()
+    for bound in (3, 2 ** 80):
+        for _ in range(1000):
+            mat = awkward_matrix(rng, bound)
+            cols = [list(col) for col in zip(*mat) if any(col)]
+            assert towers._hnf_columns(cols, len(mat)) == reference_hermite_normal_form(mat), mat
 
 
 def test_mat_product_matches_the_reference():
@@ -204,6 +219,7 @@ def conjugated_jordan(rng, spectrum):
 def window_with_reference_kernels(monkeypatch, tower, m, n_steps):
     with monkeypatch.context() as patch:
         patch.setattr(towers, "hermite_normal_form", reference_hermite_normal_form)
+        patch.setattr(towers, "_hnf_columns", reference_hnf_columns)
         patch.setattr(towers, "mat_product", reference_mat_product)
         return ml_check_window(tower, m, n_steps)
 
@@ -266,11 +282,11 @@ def test_constant_chain_equals_the_composite_chain(monkeypatch):
 def test_constant_window_takes_no_hnf_once_the_chain_is_stable(monkeypatch):
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return hermite_normal_form(matrix)
+    def counting(cols, n):
+        calls.append(cols)
+        return reference_hnf_columns(cols, n)
 
-    monkeypatch.setattr(towers, "hermite_normal_form", counting)
+    monkeypatch.setattr(towers, "_hnf_columns", counting)
     # L_0 = L_1 for a unimodular A; L_1 = L_2 for a projection.  L_0, the
     # identity columns, takes no HNF; each new lattice after it takes one, and
     # one more finds the repeat that stops the chain.
@@ -311,7 +327,7 @@ def test_window_raises_when_the_chain_is_not_descending(monkeypatch):
     # L_1 = Z takes no HNF; a kernel that then returned 2Z, then 3Z, would
     # claim L_3 = 3Z inside L_2 = 2Z
     answers = iter((((2,),), ((3,),)))
-    monkeypatch.setattr(towers, "hermite_normal_form", lambda matrix: next(answers))
+    monkeypatch.setattr(towers, "_hnf_columns", lambda cols, n: next(answers))
     tower = AbelianTower.constant_tower(1, ((3,),))
     with pytest.raises(AssertionError, match="L_3 is not inside L_2"):
         ml_check_window(tower, 1, 2)
