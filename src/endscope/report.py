@@ -2,7 +2,8 @@
 
 Reports are plain JSON-shaped dictionaries with a schema version and a
 content digest of the input, built deterministically so identical inputs
-serialize byte for byte.
+serialize byte for byte.  `dumps` writes the fact rows of a certificate DAG,
+a `FactRows` that only `certificate_dag` builds, by one template per row shape.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def certificate_closure(roots):
     return nodes
 
 
+class FactRows(list):
+    """The rows of `certificate_dag`, which only it builds: str "group" and
+    "atom", bool "holds", then str or None "provenance", or int "rule", str
+    "note" if any and int list "premises", in that order, as `dumps` needs."""
+
+
 def certificate_dag(nodes):
     """The certificates of `nodes`, a map from each fact to its certificate
     that holds every child's fact too, as one row per fact sorted by (group,
@@ -108,7 +115,7 @@ def certificate_dag(nodes):
     name = {atom: atom.value for atom in {fact[1] for fact in nodes}}
     order = sorted(nodes, key=lambda f: (f[0], name[f[1]], f[2]))
     index = {fact: i for i, fact in enumerate(order)}
-    rules, rule_ids, rows = [], {}, []
+    rules, rule_ids, rows = [], {}, FactRows()
     for fact in order:
         group, atom, holds, rule, provenance, children = nodes[fact]
         row = {"group": group, "atom": name[atom], "holds": holds}
@@ -179,8 +186,9 @@ def dumps(value) -> str:
     """Exactly `json.dumps(value, indent=2)` for the report's own types
     (exact dict with exact str keys, list, tuple, exact str and int, bool and
     None), which CPython would write with its pure-Python encoder whenever
-    an indent is given.  Any other type anywhere in `value` is a TypeError
-    naming it, as in `json`."""
+    an indent is given; a `FactRows`, which only `certificate_dag` builds, by
+    one template per row shape.  Any other type anywhere in `value` is a
+    TypeError naming it, as in `json`."""
     return _dumps(value, "\n")
 
 
@@ -213,7 +221,35 @@ def _dumps(value, newline):
             return "[]"
         items = [_dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if cls is FactRows:
+        return _fact_rows(value, newline) if value else "[]"
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _fact_rows(rows, newline):
+    """Nonempty `rows` as JSON text, as `_dumps` would write them; a group's
+    or atom's encoded name is made once."""
+    inner = newline + "  "
+    start, key, end = "{" + inner + '  "', "," + inner + '  "', inner + "}"
+    premise = inner + "    "
+    between = "," + premise
+    names = {}
+    items = []
+    for row in rows:
+        group, atom = row["group"], row["atom"]
+        g = names.get(group) or names.setdefault(group, encode_basestring_ascii(group))
+        a = names.get(atom) or names.setdefault(atom, encode_basestring_ascii(atom))
+        head = f'{start}group": {g}{key}atom": {a}{key}holds": {"true" if row["holds"] else "false"}{key}'
+        if (rule := row.get("rule")) is None:
+            items.append(f'{head}provenance": {_dumps(row["provenance"], inner)}{end}')
+            continue
+        head = f'{head}rule": {rule}{key}'
+        if (note := row.get("note")) is not None:
+            head = f'{head}note": {encode_basestring_ascii(note)}{key}'
+        premises = row["premises"]
+        body = f"[{premise}{between.join(map(str, premises))}{inner}  ]" if premises else "[]"
+        items.append(f'{head}premises": {body}{end}')
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 # --- DOT export ---------------------------------------------------------------

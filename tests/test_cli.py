@@ -37,6 +37,15 @@ PINNED_REPORTS = {
     "inference.ggt": "d4d3bcb108cc0009f3de0969aa146329a165f662de800aa066176d81c00e97f2",
 }
 
+# SHA-256 of the schema-2 `endscope analyze` stdout itself, the bytes the
+# report writer writes, recorded while every value took the generic JSON walk.
+PINNED_RAW_REPORTS = {
+    "contradiction.ggt": "39e142343cc4111d8fe39691234156f686f02de303fb8fc041432776bbb7c0d9",
+    "coxeter_suite.ggt": "495f0d21523b50932c623961261bf1cffb2789753c087cbe8bd0fa4d89ad40c2",
+    "graph_products.ggt": "42dd1914e75cfc716a406d79eb5ef2ea435bcdfadf0ed5efa2c686efe8ce416f",
+    "inference.ggt": "c73bc5cf87e41b144a0e01ba113ec9308058b959ce3ad2aa5d31f2ce294d5266",
+}
+
 # SHA-256 of `endscope cayley --window 2 R-2 --dot FILE` stdout followed by
 # the DOT file, recorded before balls were indexed by integer ids.
 PINNED_BALLS = {
@@ -627,7 +636,9 @@ def test_dot_refuses_a_vertex_it_cannot_quote(tmp_path, capsys, vertex, shown):
 @pytest.mark.parametrize("fixture", sorted(PINNED_REPORTS))
 def test_analyze_report_matches_pinned_digest(capsys, fixture):
     run(["analyze", str(FIXTURES / fixture)])
-    v1 = json.dumps(as_v1(json.loads(capsys.readouterr().out)), indent=2) + "\n"
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_RAW_REPORTS[fixture]
+    v1 = json.dumps(as_v1(json.loads(out)), indent=2) + "\n"
     assert hashlib.sha256(v1.encode("utf-8")).hexdigest() == PINNED_REPORTS[fixture]
 
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from endscope.cli import _emit
+from endscope.cli import _emit, run
 from endscope.coxeter import is_finite_type
 from endscope.errors import ContradictionError
 from endscope.inference import infer
 from endscope.model import Coxeter, parse_document
-from endscope.report import analysis_report, contradiction_report, facts_section
+from endscope.report import analysis_report, contradiction_report, dumps, facts_section
 from test_inference import registries
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -146,6 +146,53 @@ def test_dag_expands_to_the_certificate_trees(registry):
     got = as_v1({"sections": [section]})["sections"][0]["facts"]
     assert json.dumps(got) == json.dumps(want)
     assert_rows_are_the_dag(section["rules"], section["facts"], facts.certificate_map().values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(registries())
+def test_fact_rows_are_written_as_json_dumps_writes_them(registry):
+    try:
+        value = facts_section(infer(registry))
+    except ContradictionError as exc:
+        value = contradiction_report(exc)
+    assert dumps(value) == json.dumps(value, indent=2)
+    assert json.loads(json.dumps(value)) == value
+
+
+# Documents whose fact rows reach each corner of the row templates, each with
+# a piece of the text json writes for that corner.
+ROW_EDGE_CASES = {
+    "no_facts": ("group G = graph_product { }\n", '"rules": [],\n      "facts": []\n'),
+    "no_premises": (
+        "group A = free(1)\ngroup B = free(1)\ngroup C = finite(1)\n"
+        "group G = amalgam(A, B, C) edge_finite\n",
+        '"note": "constructor: non-trivial amalgam with finite edge group",\n'
+        '          "premises": []\n        }'),
+    "note_and_premises": (
+        "group A = free(2)\ngroup B = free(2)\ngroup C = free(2)\n"
+        "group G = amalgam(A, B, C) c_index_finite_in_both\n",
+        '"note": "constructor: edge group of finite index in both factors",\n'
+        '          "premises": [\n            '),
+    "non_ascii_name": ("group \u0416 = free(2)\n", '"group": "\\u0416",\n          "atom": '),
+    "contradiction": ((FIXTURES / "contradiction.ggt").read_text(encoding="utf-8"),
+                      '"provenance": "user assertion"\n      }'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_EDGE_CASES))
+def test_analyze_writes_fact_row_edge_cases_as_json_dumps(tmp_path, capsys, case):
+    text, shown = ROW_EDGE_CASES[case]
+    path = tmp_path / "doc.ggt"
+    path.write_text(text, encoding="utf-8")
+    code = run(["analyze", str(path)])
+    try:
+        want, want_code = analysis_report(parse_document(text), text), 0
+    except ContradictionError as exc:
+        want, want_code = contradiction_report(exc), 3
+    out = capsys.readouterr().out
+    assert code == want_code
+    assert out == json.dumps(want, indent=2) + "\n"
+    assert shown in out
 
 
 def distinct(roots, children):
