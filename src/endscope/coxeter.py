@@ -14,7 +14,6 @@ from functools import cache
 from typing import NamedTuple
 
 from .atoms import EndCount
-from .errors import EndscopeError
 from .graphs import LabeledGraph, enumerate_clique_separators, induced_subgraph
 
 
@@ -46,26 +45,16 @@ def _classify_path(labels):
     big = [m for m in labels if m >= 4]
     if not big:
         return f"A{n}"
-    if len(big) > 1:
-        return "affine/indefinite"
-    m = big[0]
-    at_end = labels[0] >= 4 or labels[-1] >= 4
-    if m == 4:
-        if at_end:
+    if len(big) == 1:
+        m, at_end = big[0], labels[0] >= 4 or labels[-1] >= 4
+        if at_end and m == 4:
             return f"B{n}"
-        if n == 4 and labels[1] == 4:
+        if at_end and n == 2:
+            return f"I2({m})"
+        if at_end and m == 5 and n <= 4:
+            return f"H{n}"
+        if labels == [3, 4, 3]:
             return "F4"
-        return "affine/indefinite"
-    if m == 5 and at_end:
-        if n == 2:
-            return "I2(5)"
-        if n == 3:
-            return "H3"
-        if n == 4:
-            return "H4"
-        return "affine/indefinite"
-    if n == 2:
-        return f"I2({m})"
     return "affine/indefinite"
 
 
@@ -236,11 +225,12 @@ class ArtinEndsReport(NamedTuple):
 def artin_one_ended(diagram: LabeledGraph) -> ArtinEndsReport:
     """Connected Artin diagram with >= 2 vertices gives a 1-ended group.
 
-    One vertex is Z (2-ended); a disconnected diagram is a free product of
-    infinite groups (infinitely many ends).
+    No vertex is the trivial group (0 ends); one vertex is Z (2-ended); a
+    disconnected diagram is a free product of infinite groups (infinitely
+    many ends).
     """
     if not diagram.vertices:
-        raise EndscopeError("Artin diagram must be nonempty")
+        return ArtinEndsReport(False, EndCount.ZERO)
     if len(diagram.vertices) == 1:
         return ArtinEndsReport(False, EndCount.TWO)
     if not diagram.is_connected():

@@ -186,7 +186,8 @@ class SCInfReport(NamedTuple):
 
 def raag_simply_connected_at_infinity(L: SimplicialComplex2) -> SCInfReport:
     """Simple connectivity at infinity of the right-angled Artin group on the
-    flag complex L: yes iff L is simply connected and has no cut vertex.
+    flag complex L: yes iff L is simply connected and has no cut vertex.  The
+    criterion excludes the empty complex, the 0-simplex and the 1-simplex.
 
     Both tests of pi_1(L) read one spanning-tree presentation: H1(L) is its
     abelianization, and Tietze moves that eliminate every generator show it
@@ -196,6 +197,8 @@ def raag_simply_connected_at_infinity(L: SimplicialComplex2) -> SCInfReport:
         raise EndscopeError("complex is not flag")
     skeleton = L.one_skeleton()
     nverts = len(L.vertices)
+    if not nverts:
+        raise EndscopeError("criterion excludes the empty complex")
     if nverts == 1 or (nverts == 2 and len(L.edges) == 1):
         raise EndscopeError("criterion excludes the 0- and 1-simplex")
     if not skeleton.is_connected():

@@ -398,16 +398,14 @@ def _one_clause(premises, conclusions):
 
 
 def _coxeter_ends_bridge(rule, registry, facts, gname, expr):
-    if expr.diagram.vertices:
-        report = facts.decided[gname] = coxeter_ends(CoxeterSystem(expr.diagram))
-        note = f"decider witness: {report.witness}"
-        yield Certificate(gname, ENDS_ATOMS[report.ends], True, rule, note)
+    report = facts.decided[gname] = coxeter_ends(CoxeterSystem(expr.diagram))
+    note = f"decider witness: {report.witness}"
+    yield Certificate(gname, ENDS_ATOMS[report.ends], True, rule, note)
 
 
 def _artin_ends_bridge(rule, registry, facts, gname, expr):
-    if expr.diagram.vertices:
-        report = facts.decided[gname] = artin_one_ended(expr.diagram)
-        yield Certificate(gname, ENDS_ATOMS[report.ends], True, rule)
+    report = facts.decided[gname] = artin_one_ended(expr.diagram)
+    yield Certificate(gname, ENDS_ATOMS[report.ends], True, rule)
 
 
 # R-GP's reads of a vertex group's facts, which are also its premises: for
@@ -439,8 +437,8 @@ def _vertex_profile(registry, facts, ref):
 def _graph_product_bridge(rule, registry, facts, gname, expr):
     """Runs the graph-product deciders on the vertex profiles read off the
     facts and records (ends report, semistability report) as the group's
-    decision.  A graph product on no vertices records its decision and
-    concludes nothing."""
+    decision.  A graph product on no vertices is the trivial group, decided
+    like any other: 0 ends and semistable."""
     profiles, children = {}, []
     for vertex, ref in expr.vertex_groups:
         profiles[vertex], used = _vertex_profile(registry, facts, ref)
@@ -448,8 +446,6 @@ def _graph_product_bridge(rule, registry, facts, gname, expr):
     children = tuple(children)
     spec = GraphProductSpec(expr.graph, profiles)
     ends, ss = facts.decided[gname] = graph_product_ends(spec), graph_product_semistable(spec)
-    if not expr.graph.vertices:
-        return
     if ends.ends is not None:
         note = f"decider witness: {ends.witness}"
         yield Certificate(gname, ENDS_ATOMS[ends.ends], True, rule, note, children)

@@ -168,11 +168,11 @@ def analysis_report(registry: GroupRegistry, text: str):
     facts = infer(registry)
     warnings = []
     for name, expr in registry.groups.items():
-        if isinstance(expr, Coxeter) and expr.diagram.vertices:
+        if isinstance(expr, Coxeter):
             sections.append(coxeter_section(name, facts.decided[name]))
-        elif isinstance(expr, Artin) and expr.diagram.vertices:
+        elif isinstance(expr, Artin):
             sections.append(artin_section(name, facts.decided[name]))
-        elif isinstance(expr, GraphProduct) and expr.graph.vertices:
+        elif isinstance(expr, GraphProduct):
             section, raised = graph_product_section(name, facts.decided[name])
             sections.append(section)
             warnings += raised

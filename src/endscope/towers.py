@@ -184,24 +184,6 @@ class AbelianTower(NamedTuple):
             raise EndscopeError(f"matrix must be {rank} x {rank}")
         return AbelianTower((rank,), (matrix,), constant=True)
 
-    def rank_at(self, i):
-        """Rank of G_i (1-based)."""
-        if self.constant:
-            return self.ranks[0]
-        if not 1 <= i <= len(self.ranks):
-            raise EndscopeError(f"tower has {len(self.ranks)} stages, asked for {i}")
-        return self.ranks[i - 1]
-
-    def bonding(self, i):
-        """Matrix of p_i : G_{i+1} -> G_i (1-based)."""
-        if self.constant:
-            return self.bondings[0]
-        if not 1 <= i <= len(self.bondings):
-            raise EndscopeError(
-                f"tower defines bondings p_1..p_{len(self.bondings)}, asked for p_{i}"
-            )
-        return self.bondings[i - 1]
-
 
 class MLVerdict(NamedTuple):
     kind: str  # "semistable" | "strictly_descending" | "inconclusive"
@@ -233,17 +215,20 @@ def ml_check_window(tower: AbelianTower, m: int, N: int):
 
     Semistable needs the chain eventually constant with at least
     MIN_CONFIRMING_STEPS confirming steps; strictly descending means every
-    consecutive inclusion is proper.
+    consecutive inclusion is proper.  The window must fit an explicit tower:
+    m + N at most its number of stages.
     """
     if m < 1 or N < 1:
         raise EndscopeError("need m >= 1 and N >= 1")
     if tower.constant:
         lattices = list(islice(_image_chain(tower.bondings[0]), N + 1))
+    elif m + N > len(tower.ranks):
+        raise EndscopeError(f"tower has {len(tower.ranks)} stages, asked for {m + N}")
     else:
-        composite = mat_identity(tower.rank_at(m))  # L_m = G_m: the identity columns
+        composite = mat_identity(tower.ranks[m - 1])  # L_m = G_m: the identity columns
         lattices = [composite]
-        for k in range(m, m + N):
-            composite = mat_product(composite, tower.bonding(k))
+        for bonding in tower.bondings[m - 1:m + N - 1]:
+            composite = mat_product(composite, bonding)
             lattices.append(hermite_normal_form(composite))
     lattices = tuple(lattices)
     equal_next = [a == b for a, b in zip(lattices, lattices[1:])]

@@ -215,6 +215,11 @@ def test_element_cap_below_one_is_input_error(capsys, cap):
     assert err == "error: element cap must be >= 1\n"
 
 
+def test_negative_radius_is_input_error(capsys):
+    code, out, err = run_capture(capsys, ["cayley", "--oracle", "z:1", "--radius", "-1"])
+    assert (code, out, err) == (2, "", "error: radius must be >= 0\n")
+
+
 @pytest.mark.parametrize("spec", ["z:-2", "free:-1"])
 def test_negative_rank_is_input_error(capsys, spec):
     code, _, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "3"])
@@ -228,6 +233,7 @@ def test_negative_rank_is_input_error(capsys, spec):
     ("z: 2", "bad oracle spec 'z: 2': ' 2' is not an integer"),
     ("zmod:+3", "bad oracle spec 'zmod:+3': '+3' is not an integer"),
     ("free:\u0663", "bad oracle spec 'free:\u0663': '\u0663' is not an integer"),
+    ("zmod:0", "bad oracle spec 'zmod:0': order must be >= 1"),
     ("z:-2", "bad oracle spec 'z:-2': rank must be >= 0"),
     ("free:-1", "bad oracle spec 'free:-1': rank must be >= 0"),
     ("i2:1", "bad oracle spec 'i2:1': edge label must be an integer >= 2, got 1"),
@@ -714,27 +720,34 @@ def test_empty_diagrams_are_decided_as_the_trivial_group(tmp_path, capsys):
         return {"schemaVersion": 1, "inputDigest": digest, "sections": list(sections),
                 "warnings": []}
 
-    code, out, err = run_capture(capsys, ["graph-product", str(path), "--group", "P"])
-    assert (code, err) == (0, "")
-    assert json.loads(out) == report({
+    graph_product = {
         "type": "graph_product", "group": "P",
         "ends": "0", "ends_witness": {"kind": "complete_all_finite", "vertices": []},
         "semistability": "semistable",
-        "semistability_witness": {"kind": "no_qualifying_vertex"}})
-    code, out, err = run_capture(capsys, ["coxeter", str(path), "--group", "W"])
-    assert (code, err) == (0, "")
-    assert json.loads(out) == report({
+        "semistability_witness": {"kind": "no_qualifying_vertex"}}
+    coxeter = {
         "type": "coxeter", "group": "W",
         "finite_type": {"is_finite": True, "components": []},
-        "ends": "0", "witness": {"kind": "finite_type", "components": []}})
-    # no decider section and no fact about the empty graph product
+        "ends": "0", "witness": {"kind": "finite_type", "components": []}}
+    code, out, err = run_capture(capsys, ["graph-product", str(path), "--group", "P"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == report(graph_product)
+    code, out, err = run_capture(capsys, ["coxeter", str(path), "--group", "W"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == report(coxeter)
+    # analyze decides each empty diagram as the subcommands do, and derives
+    # from its 0 ends that the group is finite
     code, out, err = run_capture(capsys, ["analyze", str(path)])
     assert (code, err) == (0, "")
     sections = json.loads(out)["sections"]
-    assert [s["type"] for s in sections] == ["registry", "facts"]
-    atoms = ["fg", "fp", "h1_eps_semistable", "h2_free_abelian", "semistable"]
-    assert [(f["group"], f["atom"], f["holds"]) for f in sections[1]["facts"]] == [
-        (group, atom, True) for group in "AW" for atom in atoms]
+    assert sections[1:4] == [graph_product, coxeter, {
+        "type": "artin", "group": "A", "one_ended": False, "ends": "0"}]
+    assert [s["type"] for s in sections] == [
+        "registry", "graph_product", "coxeter", "artin", "facts"]
+    facts = {(f["group"], f["atom"], f["holds"]) for f in sections[4]["facts"]}
+    for group in "PWA":
+        assert {(group, "ends_zero", True), (group, "finite", True),
+                (group, "infinite", False), (group, "semistable", True)} <= facts
 
 
 def test_an_in_order_chain_of_1201_groups_analyzes(tmp_path, capsys):

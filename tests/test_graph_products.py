@@ -220,6 +220,13 @@ def test_scinf_input_validation():
         )
 
 
+def test_scinf_excludes_the_empty_complex():
+    # an empty skeleton counts as connected and has no cut vertex, so only
+    # the exclusion keeps the criterion from reading a first vertex
+    with pytest.raises(EndscopeError, match="^criterion excludes the empty complex$"):
+        raag_simply_connected_at_infinity(SimplicialComplex2.build([]))
+
+
 def test_scinf_octahedron_boundary_yes():
     # boundary of the octahedron minus one face is still simply connected;
     # use the full octahedron's 2-skeleton (flag, no cut vertex, H1 = 0)

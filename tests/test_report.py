@@ -162,7 +162,7 @@ def test_fact_rows_are_written_as_json_dumps_writes_them(registry):
 # Documents whose fact rows reach each corner of the row templates, each with
 # a piece of the text json writes for that corner.
 ROW_EDGE_CASES = {
-    "no_facts": ("group G = graph_product { }\n", '"rules": [],\n      "facts": []\n'),
+    "no_facts": ("", '"rules": [],\n      "facts": []\n'),
     "no_premises": (
         "group A = free(1)\ngroup B = free(1)\ngroup C = finite(1)\n"
         "group G = amalgam(A, B, C) edge_finite\n",

@@ -473,12 +473,12 @@ def test_tower_constructors_reject_non_integers_and_negative_ranks(build, args, 
 
 def test_tower_index_validation():
     tower = AbelianTower.explicit((1, 1), (((1,),),))
-    with pytest.raises(EndscopeError, match="tower defines bondings p_1..p_1, asked for p_2"):
-        tower.bonding(2)
+    with pytest.raises(EndscopeError, match="^tower has 2 stages, asked for 3$"):
+        ml_check_window(tower, 1, 2)
     with pytest.raises(EndscopeError, match="need m >= 1 and N >= 1"):
         ml_check_window(tower, 0, 1)
-    with pytest.raises(EndscopeError, match="^tower has 2 stages, asked for 3$"):
-        tower.rank_at(3)
+    with pytest.raises(EndscopeError, match="^tower has 2 stages, asked for 4$"):
+        ml_check_window(tower, 3, 1)
     with pytest.raises(EndscopeError, match="^need one bonding per consecutive rank pair$"):
         AbelianTower.explicit((1, 1, 1), (((1,),),))
 
@@ -492,4 +492,4 @@ def test_parse_tower_formats():
     )
     assert not explicit.constant
     assert explicit.ranks == (2, 1)
-    assert explicit.bonding(1) == ((1,), (0,))
+    assert explicit.bondings[0] == ((1,), (0,))
