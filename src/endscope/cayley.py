@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .atoms import EndCount
 from .coxeter import CoxeterSystem, tits_cone_action
-from .errors import EndscopeError, MemoryCapExceededError
+from .errors import EndscopeError, KeyWidthExceededError, MemoryCapExceededError
 from .graphs import LabeledGraph
 from .model import read_int
 
@@ -27,7 +27,8 @@ class GroupOracle:
 
     multiply(key, i) multiplies by generator i, an index into `generators`,
     whose names serve only as edge labels.  A key is any hashable value (an
-    int for ZnOracle, FreeOracle and CyclicOracle, a tuple for the others),
+    int for ZnOracle, FreeOracle, CyclicOracle and CoxeterOracle, a tuple
+    for the product oracles),
     and keys are equal exactly when the elements are, so multiply is well
     defined on elements.  The generators are distinct as elements and
     inverse-closed, so the Cayley graph can be explored undirected and each
@@ -136,11 +137,32 @@ class CyclicOracle(GroupOracle):
 class CoxeterOracle(GroupOracle):
     """Coxeter group oracle; generators are the diagram vertices.
 
-    An element w is keyed by w(rho), exact over Z[2cos(pi/M)] in the dual
-    coordinates of the Tits cone (see tits_cone_action), and generators act
-    on the left; the left and right Cayley graphs are isomorphic through
-    w -> w^-1, which breadth-first search from the identity respects.
-    Every relator s^2 and (st)^m has even length, so the graph is bipartite.
+    An element w is determined by w(rho), exact over Z[2cos(pi/M)] in the
+    dual coordinates of the Tits cone (see tits_cone_action): n*d integers
+    x_j.  Generators act on the left; the left and right Cayley graphs are
+    isomorphic through w -> w^-1, which breadth-first search from the
+    identity respects.  Every relator s^2 and (st)^m has even length, so
+    the graph is bipartite.
+
+    The key of w is one int: x_j sits in the `width` bits from bit
+    width*j, as x_j + 2^(v-1) in the low v = `value_bits` bits, v = 64 +
+    the bit length of the action's largest |coefficient| (at least 2); the
+    g bits above are guard bits, zero in every key.  s_i adds
+    (x_(i,a) - 2^(v-1)) times a packed step for each of the d coordinates
+    x_(i,a) of block i, each read by one shift and mask (one term when
+    every label is 2, 3 or inf).
+    As 2^(g+1) >= S + 2, S the largest total |coefficient| one generator
+    adds into one coordinate (its own -2 included), one multiply leaves
+    each field in (-2^w, 2^w), so a field that leaves [0, 2^v) sets a
+    guard bit (a borrow shows as field + 2^w) before it can spill into a
+    neighbour; multiply then raises KeyWidthExceededError (exit 4) and
+    never returns a wrong key.
+
+    Python hashes an int modulo M = 2^61 - 1 (64-bit builds), and 2^61 is
+    1 modulo M, so field j has hash weight 2^(width*j mod 61).  The width
+    is rounded up to 15 modulo 61: the weights 2^(15j mod 61) spread the
+    fields over the 61 bits, where a multiple of 61 would give them all
+    weight 1 and pile a ball onto few hash values.
     """
 
     bipartite = True
@@ -148,16 +170,47 @@ class CoxeterOracle(GroupOracle):
     def __init__(self, sys: CoxeterSystem):
         self.name = "coxeter"
         self.generators = tuple(str(v) for v in sys.generators)
-        self.identity, self._action = tits_cone_action(sys)
+        rho, action = tits_cone_action(sys)
+        # S (`most`): the largest total |coefficient| one generator adds into
+        # one coordinate; `largest`: the largest |coefficient|
+        most = largest = 2
+        for columns in action:
+            into = {src: 2 for src, _ in columns}
+            for _, column in columns:
+                for dst, c in column:
+                    into[dst] = into.get(dst, 0) + abs(c)
+                    largest = max(largest, abs(c))
+            most = max(most, *into.values())
+        self.value_bits = v = 64 + largest.bit_length()
+        guard = (most + 1).bit_length() - 1  # the least g with 2^(g+1) >= S + 2
+        self.width = w = v + guard + (15 - v - guard) % 61
+        self._offset = 1 << (v - 1)
+        self._mask = (1 << v) - 1
+        self._guard = _pack([(j, ((1 << w) - 1) ^ self._mask) for j in range(len(rho))], w)
+        self.identity = _pack([(j, x + self._offset) for j, x in enumerate(rho)], w)
+        self._terms = tuple(
+            tuple((w * src, _pack(sorted([(src, -2), *column]), w)) for src, column in columns)
+            for columns in action)
 
     def multiply(self, key, gen):
-        out = [*key]
-        for src, column in self._action[gen]:
-            f = key[src]
-            out[src] = -f
-            for dst, c in column:
-                out[dst] += c * f
-        return tuple(out)
+        out = key
+        for shift, step in self._terms[gen]:
+            out += (((key >> shift) & self._mask) - self._offset) * step
+        if out & self._guard:
+            raise KeyWidthExceededError(self.width)
+        return out
+
+
+def _pack(terms, width):
+    """The sum of c << (width * p) over the (p, c) in `terms`, sorted by p.
+    It adds the halves of `terms` recursively, so building a key-wide step
+    of many terms costs a few key-wide additions, not one per term."""
+    if len(terms) <= 16:
+        return sum(c << (width * p) for p, c in terms)
+    half = len(terms) // 2
+    p0 = terms[half][0]
+    high = _pack([(p - p0, c) for p, c in terms[half:]], width)
+    return _pack(terms[:half], width) + (high << (width * p0))
 
 
 class _ProductOracle(GroupOracle):
@@ -219,27 +272,23 @@ class BallGraph(NamedTuple):
     in BFS order, so ids are sorted by distance.  Adjacency is one table of
     n slots per id, n the number of generators: neighbors[u * n + g] is the
     id of u*g, or -1 when u*g lies outside the ball or g is the identity.
-    Slot g of u holds v exactly when slot inverse[g] of v holds u."""
+    Slot g of u holds v exactly when slot inverse[g] of v holds u.
+    `outer_edges` is True when an edge joins two elements of the outer
+    sphere, which never holds on a bipartite oracle; the end search and DOT
+    export skip the outer sphere's rows when it is False."""
 
     radius: int
     order: list  # element keys; the key of id u is order[u]
     neighbors: list  # u * n + g -> id of u*g, or -1
     layer: list  # d -> first id at distance d, for d in 0..radius + 1
     exhausted: bool  # whole group fits inside the ball
+    outer_edges: bool  # an edge joins two elements of the outer sphere
     generator_names: tuple
     inverse: list  # generator index -> index of its inverse
 
     def sphere(self, d):
         """Ids at distance d, a contiguous range."""
         return range(self.layer[d], self.layer[d + 1])
-
-    def has_outer_edges(self):
-        """True when an edge joins two elements of the outer sphere, which
-        never holds on a bipartite oracle.  The outer sphere holds the
-        largest ids, so its rows reach one of their own ids iff their
-        largest slot does."""
-        lo = self.layer[self.radius]
-        return max(self.neighbors[lo * len(self.generator_names):], default=-1) >= lo
 
 
 def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP) -> BallGraph:
@@ -252,10 +301,11 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
     filled and costs no multiply.  On a bipartite oracle no edge joins two
     elements of the outer sphere, so its empty slots all lead outside the
     ball and the outer sphere is not multiplied at all.  On any other oracle
-    it is multiplied outward to find the edges inside it, and a product
-    outside the ball leaves its slot at -1.  `exhausted` is set when no
-    element of the outer sphere has a neighbor outside the ball, that is,
-    when its only empty slots are those of identity generators.
+    it is multiplied outward to find the edges inside it, which set
+    `outer_edges`, and a product outside the ball leaves its slot at -1.
+    `exhausted` is set when no element of the outer sphere has a neighbor
+    outside the ball, that is, when its only empty slots are those of
+    identity generators.
 
     A negative radius, a cap below 1 and generators that are not distinct
     and inverse-closed raise EndscopeError; a ball that would hold more than
@@ -305,9 +355,11 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
                     neighbors[v * n + h] = u
     lo = layer[radius]
     layer.append(size)
+    outer_edges = False
     if not oracle.bipartite:
         # the outer sphere, multiplied outward: a product outside the ball
-        # must not enter `ids`
+        # must not enter `ids`.  Its slots back to sphere radius - 1 are
+        # filled, so a slot filled here is an edge inside the outer sphere.
         get = ids.get
         for u, key in enumerate(order[lo:], lo):
             base = u * n
@@ -315,6 +367,7 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
                 if neighbors[base + g] < 0:
                     v = get(multiply(key, g))
                     if v is not None:
+                        outer_edges = True
                         neighbors[base + g] = v
                         neighbors[v * n + h] = u
     escaped = neighbors[lo * n:].count(-1) > (size - lo) * (n - len(steps))
@@ -324,6 +377,7 @@ def build_ball(oracle: GroupOracle, radius: int, element_cap=DEFAULT_ELEMENT_CAP
         neighbors=neighbors,
         layer=layer,
         exhausted=not escaped,
+        outer_edges=outer_edges,
         generator_names=tuple(oracle.generators),
         inverse=inverse,
     )
@@ -367,7 +421,7 @@ def _peel(ball: BallGraph, r_min):
     count = len(ball.order) - outer
     counts = [0] * (ball.radius + 1)
     counts[ball.radius] = count
-    top = ball.radius if ball.has_outer_edges() else ball.radius - 1
+    top = ball.radius if ball.outer_edges else ball.radius - 1
     for d in range(top, r_min - 1, -1):
         lo = layer[d]
         for u in range(lo, layer[d + 1]):

@@ -3,7 +3,8 @@
 Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
 Exit codes: 0 success, otherwise the `exit_code` of the EndscopeError raised:
 2 input error, 3 contradiction detected (ContradictionError), 4 element cap
-exceeded (MemoryCapExceededError).  Any other exception is a fault in
+exceeded (MemoryCapExceededError) or Coxeter key width exceeded
+(KeyWidthExceededError).  Any other exception is a fault in
 endscope: it propagates, and the interpreter exits 1 with its traceback.  A
 reader that closes standard output before the output is written (`endscope
 ... | head -c 0`) makes `main` exit 1 with nothing on stderr.

@@ -1,10 +1,11 @@
-"""The four exceptions endscope raises on purpose.  Each carries the exit
+"""The five exceptions endscope raises on purpose.  Each carries the exit
 code of the command line as `exit_code`: bad input (2, with a position when it
-comes from a parser), a contradiction (3) and an exceeded element cap (4)."""
+comes from a parser), a contradiction (3), and an exceeded element cap or
+Coxeter key width (4)."""
 
 
 class EndscopeError(Exception):
-    """Bad input, named by the message; the base of the other three."""
+    """Bad input, named by the message; the base of the other four."""
 
     exit_code = 2
 
@@ -37,3 +38,12 @@ class MemoryCapExceededError(EndscopeError):
 
     def __init__(self, cap):
         super().__init__(f"ball construction exceeded element cap {cap}")
+
+
+class KeyWidthExceededError(EndscopeError):
+    """A Coxeter key's coordinate outgrew its field (see cayley.CoxeterOracle)."""
+
+    exit_code = 4
+
+    def __init__(self, width):
+        super().__init__(f"a Coxeter key coordinate outgrew its {width}-bit field")

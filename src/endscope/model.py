@@ -401,7 +401,7 @@ def parse_document(text: str) -> GroupRegistry:
 
 def _diagram_text(graph: LabeledGraph, vertex_groups=None, labeled=True):
     parts = []
-    if vertex_groups is not None:
+    if vertex_groups:  # a graph product with vertices
         vg = dict(vertex_groups)
         parts += ["verts", *(f"{v}:{vg[v]}" for v in graph.vertices), ";"]
     elif graph.vertices:

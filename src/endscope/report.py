@@ -299,7 +299,7 @@ def render_dot(graph) -> str:
             lines += [f"  {i}{suffix}" for i in ids[layer[d]:layer[d + 1]]]
         # one sort per sphere, not per ball, bounds the triples held at once;
         # the outer sphere's edges join two of its own elements, if any
-        for d in range(graph.radius + graph.has_outer_edges()):
+        for d in range(graph.radius + graph.outer_edges):
             edges = []
             for u in range(layer[d], layer[d + 1]):
                 base = u * n

@@ -22,8 +22,8 @@ from endscope.cayley import (
     estimate_ends,
     oracle_from_spec,
 )
-from endscope.coxeter import CoxeterSystem
-from endscope.errors import EndscopeError, MemoryCapExceededError
+from endscope.coxeter import CoxeterSystem, tits_cone_action
+from endscope.errors import EndscopeError, KeyWidthExceededError, MemoryCapExceededError
 from endscope.graphs import LabeledGraph
 from endscope.report import render_dot
 from test_acceptance import distinct_small_diagrams
@@ -112,12 +112,15 @@ def reference_build_ball(oracle, radius, element_cap=2_000_000):
                     order.append(w)
                     distance.append(du + 1)
             neighbors.append(v)
+    n = len(gens)
     return BallGraph(
         radius=radius,
         order=order,
         neighbors=neighbors,
         layer=[bisect_left(distance, d) for d in range(radius + 2)],
         exhausted=not escaped,
+        outer_edges=any(distance[i // n] == distance[v] == radius
+                        for i, v in enumerate(neighbors) if v >= 0),
         generator_names=tuple(oracle.generators),
         inverse=None,
     )
@@ -456,7 +459,7 @@ def test_has_outer_edges_matches_the_rows():
         rows = ball_rows(ball)
         outer = ball.sphere(ball.radius)
         expected = any(v in outer for u in outer for v in rows[u])
-        assert ball.has_outer_edges() == expected, spec
+        assert ball.outer_edges == expected, spec
         assert not expected or not oracle_from_spec(spec).bipartite, spec
         seen.add(expected)
     assert seen == {False, True}
@@ -472,7 +475,7 @@ def test_peel_matches_the_peel_of_every_layer():
     for ball in balls:
         for r_min in range(ball.radius + 1):
             assert _peel(ball, r_min) == reference_peel(ball, r_min), (ball.generator_names, r_min)
-    assert any(ball.has_outer_edges() for ball in balls)
+    assert any(ball.outer_edges for ball in balls)
 
 
 def test_sweep_ball_dot_matches_pinned_digest():
@@ -544,12 +547,131 @@ def test_coxeter_keys_agree_with_the_braid_normal_form(case):
     oracle = CoxeterOracle(sys_)
     gens = sys_.generators
     key_u, key_v = normalize(oracle, u), normalize(oracle, v)
-    assert all(type(x) is int for x in key_u)  # exact: no floating point
+    assert type(key_u) is int  # exact: no floating point
     nf_u = tits_normal_form([gens[g] for g in u], sys_)
     nf_v = tits_normal_form([gens[g] for g in v], sys_)
     assert (key_u == key_v) == (nf_u == nf_v)
     # a word and its normal form name one element
     assert normalize(oracle, (gens.index(g) for g in nf_u)) == key_u
+
+
+class TupleCoxeterOracle(GroupOracle):
+    """The tuple reference: w(rho) as the tuple of its n*d coordinates,
+    multiplied straight from tits_cone_action's table."""
+
+    bipartite = True
+
+    def __init__(self, sys_):
+        self.name = "coxeter"
+        self.generators = tuple(str(v) for v in sys_.generators)
+        self.identity, self.action = tits_cone_action(sys_)
+
+    def multiply(self, key, gen):
+        out = [*key]
+        for src, column in self.action[gen]:
+            f = key[src]
+            out[src] = -f
+            for dst, c in column:
+                out[dst] += c * f
+        return tuple(out)
+
+
+def coxeter_coordinates(oracle, key, k):
+    """The k coordinates of a packed Coxeter key, read by the documented
+    layout: field j is the `width` bits from bit width * j up, holding
+    x_j + 2^(v-1) in its low v = `value_bits` bits, its guard bits clear."""
+    w, v = oracle.width, oracle.value_bits
+    fields = [(key >> (w * j)) & ((1 << w) - 1) for j in range(k)]
+    assert key >> (w * k) == 0, "more than k fields"
+    assert all(field >> v == 0 for field in fields), "a guard bit is set"
+    return tuple(field - (1 << (v - 1)) for field in fields)
+
+
+def coxeter_key(oracle, coords):
+    """The packed key of the coordinates `coords`, by the documented layout."""
+    w, v = oracle.width, oracle.value_bits
+    return sum((x + (1 << (v - 1))) << (w * j) for j, x in enumerate(coords))
+
+
+def random_coxeter_diagrams(count, seed):
+    """(n, edges) of diagrams on 1-3 vertices, labels 2-12 or absent."""
+    rng = random.Random(seed)
+    labels = [*range(2, 13), None]
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        yield n, [(u, v, m) for u, v in itertools.combinations(range(n), 2)
+                  if (m := rng.choice(labels)) is not None]
+
+
+def test_coxeter_keys_decode_to_the_tuple_reference():
+    cases = [(n, edges, 7) for _, (n, edges) in distinct_small_diagrams()]
+    cases += [(n, edges, 4) for n, edges in random_coxeter_diagrams(30, 47)]
+    for n, edges, radius in cases:
+        sys_ = CoxeterSystem(LabeledGraph.build(range(n), edges))
+        oracle, reference = CoxeterOracle(sys_), TupleCoxeterOracle(sys_)
+        ball, expected = build_ball(oracle, radius), build_ball(reference, radius)
+        k = len(reference.identity)
+        # element for element, in the same BFS order, with the same table
+        assert [coxeter_coordinates(oracle, key, k) for key in ball.order] == expected.order, edges
+        assert ball._replace(order=None) == expected._replace(order=None), edges
+
+
+# I2(inf), B3, H3 and the 4/5/3 path: labels inf and 2-5, d = 1 and 2
+FIELD_EDGE_DIAGRAMS = [
+    ("st", []),
+    ("abc", [("a", "b", 4), ("b", "c", 3), ("a", "c", 2)]),
+    ("abc", [("a", "b", 5), ("b", "c", 3), ("a", "c", 2)]),
+    ("abcd", [("a", "b", 4), ("b", "c", 5), ("c", "d", 3)]),
+]
+
+
+def test_coxeter_keys_raise_past_the_edge_of_a_field():
+    sys_ = CoxeterSystem(LabeledGraph.build("st", []))
+    oracle = CoxeterOracle(sys_)
+    top = 1 << (oracle.value_bits - 1)  # a coordinate x is in range iff -top <= x < top
+    # s adds 2 x_s to x_t: x_t = top - 3 stays in range, top - 1 leaves it
+    key = coxeter_key(oracle, (1, top - 3))
+    assert coxeter_coordinates(oracle, oracle.multiply(key, 0), 2) == (-1, top - 1)
+    for coords in [(1, top - 1), (-1, -top), (-top, 0)]:
+        with pytest.raises(KeyWidthExceededError) as info:
+            oracle.multiply(coxeter_key(oracle, coords), 0)
+        assert isinstance(info.value, EndscopeError) and info.value.exit_code == 4
+        assert str(info.value) == f"a Coxeter key coordinate outgrew its {oracle.width}-bit field"
+    # every in-range key, coordinates at or near the edges: a multiply gives
+    # the reference's coordinates when they are in range, else raises
+    rng = random.Random(53)
+    outcomes = set()
+    for verts, edges in FIELD_EDGE_DIAGRAMS:
+        sys_ = CoxeterSystem(LabeledGraph.build(verts, edges))
+        oracle, reference = CoxeterOracle(sys_), TupleCoxeterOracle(sys_)
+        k = len(reference.identity)
+        top = 1 << (oracle.value_bits - 1)
+        for _ in range(300):
+            coords = tuple(rng.choice([-top, -top + 1, top - 2, top - 1, rng.randrange(-top, top),
+                                       rng.randint(-3, 3)]) for _ in range(k))
+            key = coxeter_key(oracle, coords)
+            assert coxeter_coordinates(oracle, key, k) == coords
+            for g in range(len(verts)):
+                out = reference.multiply(coords, g)
+                fits = all(-top <= x < top for x in out)
+                outcomes.add(fits)
+                if fits:
+                    assert coxeter_coordinates(oracle, oracle.multiply(key, g), k) == out, (verts, g)
+                else:
+                    with pytest.raises(KeyWidthExceededError):
+                        oracle.multiply(key, g)
+    assert outcomes == {False, True}
+
+
+def test_coxeter_ball_keys_hash_apart():
+    # as test_zn_ball_keys_hash_apart: tuple keys holding -1 and -2, which
+    # hash alike, put 162 of the 1,456 keys of freeprod:i2:6xz:1 at radius 6
+    # on a hash shared with another key
+    balls = [build_ball(oracle, 7) for _, oracle in sweep_oracles()]
+    balls += [build_ball(oracle_from_spec(spec), radius)
+              for spec, radius in [("freeprod:i2:6xz:1", 6), ("i2:6", 8)]]
+    for ball in balls:
+        assert len(set(map(hash, ball.order))) == len(ball.order), ball.generator_names
 
 
 def test_ball_serialization_deterministic():

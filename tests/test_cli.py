@@ -744,6 +744,9 @@ def test_empty_diagrams_are_decided_as_the_trivial_group(tmp_path, capsys):
         "type": "artin", "group": "A", "one_ended": False, "ends": "0"}]
     assert [s["type"] for s in sections] == [
         "registry", "graph_product", "coxeter", "artin", "facts"]
+    # the registry writes each empty diagram as "{ }"
+    assert [g["expr"] for g in sections[0]["groups"]] == [
+        "graph_product { }", "coxeter { }", "artin { }"]
     facts = {(f["group"], f["atom"], f["holds"]) for f in sections[4]["facts"]}
     for group in "PWA":
         assert {(group, "ends_zero", True), (group, "finite", True),

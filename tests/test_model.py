@@ -165,7 +165,7 @@ def test_serialize_round_trip():
 def test_empty_diagrams_serialize_with_single_spaces():
     reg = parse_document("group P = graph_product { }\ngroup W = coxeter { }\ngroup A = artin { }\n")
     out = serialize_document(reg)
-    assert out == "group P = graph_product { verts ; }\ngroup W = coxeter { }\ngroup A = artin { }\n"
+    assert out == "group P = graph_product { }\ngroup W = coxeter { }\ngroup A = artin { }\n"
     assert parse_document(out) == reg
 
 
