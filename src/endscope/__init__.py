@@ -36,17 +36,15 @@ from .inference import (
     FactSet,
     Rule,
     builtin_rules,
-    explain,
     infer,
     known_groups_db,
     replay,
 )
 from .model import GroupRegistry, parse_document, serialize_document
-from .report import analysis_report, render_dot
+from .report import analysis_report, explain, lim1_report, render_dot
 from .towers import (
     AbelianTower,
     MLVerdict,
-    lim1_report,
     ml_check_window,
     ml_decide_constant,
     parse_tower,

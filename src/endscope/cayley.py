@@ -391,14 +391,6 @@ class EndEstimate(NamedTuple):
     ends: EndCount | None  # set when verdict == "stabilized"
     radius: int
 
-    def as_dict(self):
-        return {
-            "per_radius": [{"r": r, "components": c} for r, c in self.per_radius],
-            "verdict": self.verdict,
-            "ends": str(self.ends) if self.ends is not None else None,
-            "radius": self.radius,
-        }
-
 
 def _peel(ball: BallGraph, r_min):
     """Reverse union-find that adds the layers from the outer sphere down to

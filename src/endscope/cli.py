@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: each command reads its input, calls the engine
+and hands the values it returns to `report`, which writes every output.
 
 Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
 Exit codes: 0 success, otherwise the `exit_code` of the EndscopeError raised:
@@ -22,18 +23,19 @@ from .atoms import PropertyAtom
 from .cayley import DEFAULT_ELEMENT_CAP, build_ball, estimate_ends, oracle_from_spec
 from .coxeter import CoxeterSystem, coxeter_ends
 from .errors import ContradictionError, EndscopeError
-from .inference import explain, infer
+from .inference import infer
 from .model import Artin, Coxeter, GraphProduct, parse_document
 from .report import (
     analysis_report,
+    cayley_report,
     contradiction_report,
-    coxeter_section,
     dumps,
-    envelope,
-    graph_product_section,
+    explain,
+    group_report,
     render_dot,
+    tower_report,
 )
-from .towers import lim1_report, ml_check_window, ml_decide_constant, parse_tower
+from .towers import ml_check_window, ml_decide_constant, parse_tower
 
 def _emit(payload):
     sys.stdout.write(dumps(payload) + "\n")
@@ -80,68 +82,40 @@ def _load(args, kind=None):
 def cmd_analyze(args):
     text = _read(args.file)
     registry = parse_document(text)
-    _emit(analysis_report(registry, text))
+    facts = infer(registry)
+    _emit(analysis_report(registry, facts, text))
 
 
 def cmd_coxeter(args):
     text, _, expr = _load(args, Coxeter)
     ends = coxeter_ends(CoxeterSystem(expr.diagram))
-    _emit(envelope(text, [coxeter_section(args.group, ends)]))
+    _emit(group_report(text, args.group, expr, ends))
 
 
 def cmd_graph_product(args):
-    text, registry, _ = _load(args, GraphProduct)
-    section, warnings = graph_product_section(args.group, infer(registry).decided[args.group])
-    _emit(envelope(text, [section], warnings))
+    text, registry, expr = _load(args, GraphProduct)
+    _emit(group_report(text, args.group, expr, infer(registry).decided[args.group]))
 
 
 def cmd_cayley(args):
     oracle = oracle_from_spec(args.oracle)
     ball = build_ball(oracle, args.radius, element_cap=args.element_cap)
-    sections = [{
-        "type": "ball",
-        "oracle": args.oracle,
-        "radius": ball.radius,
-        "elements": len(ball.order),
-        "exhausted": ball.exhausted,
-        "sphere_sizes": [len(ball.sphere(d)) for d in range(ball.radius + 1)],
-    }]
-    warnings = []
-    if args.window:
-        a, b = args.window
-        estimate = estimate_ends(ball, a, b)
-        sections.append({"type": "end_estimate", **estimate.as_dict()})
-        warnings.append({
-            "kind": "heuristic_verdict",
-            "detail": "finite-radius estimate; unbounded components are"
-                      " approximated by outer-sphere contact",
-        })
+    # a bad window is an input error before any DOT file is written
+    estimate = estimate_ends(ball, *args.window) if args.window else None
     if args.dot:
         _write(args.dot, render_dot(ball))
-    _emit(envelope(args.oracle, sections, warnings))
+    _emit(cayley_report(args.oracle, ball, estimate))
 
 
 def cmd_tower(args):
     text = _read(args.file)
     tower = parse_tower(text)
     if tower.constant:
-        verdict = ml_decide_constant(tower.ranks[0], tower.bondings[0])
-        window = None
+        window, verdict = None, ml_decide_constant(tower.ranks[0], tower.bondings[0])
     else:
-        n = len(tower.bondings)
-        _, verdict = ml_check_window(tower, 1, n)
-        window = n
-    section = {
-        "type": "tower",
-        "constant": tower.constant,
-        "window": window,
-        "verdict": verdict._asdict(),
-        "lim1": lim1_report(verdict),
-    }
-    _emit(envelope(text, [section], [] if tower.constant else [{
-        "kind": "finite_window",
-        "detail": "explicit towers are judged on a finite window only",
-    }]))
+        window = len(tower.bondings)
+        _, verdict = ml_check_window(tower, 1, window)
+    _emit(tower_report(text, window, verdict))
 
 
 def cmd_explain(args):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .atoms import ENDS_ATOMS, PropertyAtom
 from .coxeter import CoxeterSystem, artin_one_ended, coxeter_ends
-from .errors import ContradictionError, EndscopeError
+from .errors import ContradictionError
 from .graph_products import (
     GraphProductSpec,
     VertexProfile,
@@ -740,33 +740,6 @@ def infer(registry: GroupRegistry) -> FactSet:
             facts.add(Certificate(a.target, a.atom, a.holds, provenance="user assertion"))
     _saturate(registry, facts)
     return facts
-
-
-def explain(facts: FactSet, group, atom, holds=True) -> str:
-    """Textual derivation tree for one derived fact, each fact in full where
-    it first appears and by its head line and `[see above]` after that."""
-    cert = facts.get(group, atom, holds)
-    if cert is None:
-        raise EndscopeError(f"fact ({group}, {atom}) was not derived")
-    lines, seen = [], set()
-    stack = [(cert, "")]
-    while stack:
-        c, indent = stack.pop()
-        pol = "" if c.holds else "not "
-        head = f"{indent}{c.group} : {pol}{c.atom.value}"
-        fact, rule = c[:3], c.rule
-        if fact in seen:
-            lines.append(f"{head}  [see above]")
-        elif rule is None:
-            lines.append(f"{head}  [{c.provenance}]")
-        else:
-            lines.append(f"{head}  [rule {rule.name}, theorem {rule.tag}]")
-            lines.append(f"{indent}  quote: {rule.quote}")
-            if c.provenance:
-                lines.append(f"{indent}  note: {c.provenance}")
-            stack.extend((child, indent + "  ") for child in reversed(c.children))
-        seen.add(fact)
-    return "\n".join(lines)
 
 
 def replay(registry: GroupRegistry, facts: FactSet) -> bool:

@@ -1,9 +1,11 @@
-"""Structured report assembly, the report writer and DOT export.
+"""Every output endscope writes: report assembly, the `explain` tree, the
+report writer and DOT export.
 
 Reports are plain JSON-shaped dictionaries with a schema version and a
 content digest of the input, built deterministically so identical inputs
-serialize byte for byte.  `dumps` writes the fact rows of a certificate DAG,
-a `FactRows` that only `certificate_dag` builds, by one template per row shape.
+serialize byte for byte, from the values the engine returns; this module
+calls no engine code.  `dumps` writes the fact rows of a certificate DAG, a
+`FactRows` that only `certificate_dag` builds, by one template per row shape.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from json.encoder import encode_basestring_ascii
 from .cayley import BallGraph
 from .errors import EndscopeError
 from .graphs import LabeledGraph
-from .inference import infer
 from .model import Artin, Coxeter, GraphProduct, GroupRegistry, serialize_expr
 
 SCHEMA_VERSION = 1
@@ -34,39 +35,29 @@ def envelope(text, sections, warnings=(), schema=SCHEMA_VERSION):
     }
 
 
-def coxeter_section(name, report):
-    """Finite type and end count of a Coxeter group, from its `coxeter_ends`
-    `report`."""
-    ft = report.finite_type
-    return {
-        "type": "coxeter",
-        "group": name,
-        "finite_type": {
-            "is_finite": ft.is_finite,
-            "components": [
-                {"vertices": comp, "family": fam} for comp, fam in ft.component_types
-            ],
-        },
-        "ends": str(report.ends),
-        "witness": report.witness,
-    }
-
-
-def artin_section(name, report):
-    return {
-        "type": "artin",
-        "group": name,
-        "one_ended": report.one_ended,
-        "ends": str(report.ends),
-    }
-
-
-def graph_product_section(name, decided):
-    """Ends and semistability of a graph product, from the (ends report,
-    semistability report) pair its inference bridge recorded, and the
-    warnings they raise."""
+def group_section(name, expr, decided):
+    """The section of the group `name`, declared by the Coxeter, Artin or
+    graph-product description `expr`, from what its decider returned:
+    `decided`, a Coxeter or Artin report, or a graph product's (ends report,
+    semistability report) pair."""
+    if isinstance(expr, Coxeter):
+        ft = decided.finite_type
+        return {
+            "type": "coxeter",
+            "group": name,
+            "finite_type": {
+                "is_finite": ft.is_finite,
+                "components": [{"vertices": comp, "family": fam}
+                               for comp, fam in ft.component_types],
+            },
+            "ends": str(decided.ends),
+            "witness": decided.witness,
+        }
+    if isinstance(expr, Artin):
+        return {"type": "artin", "group": name, "one_ended": decided.one_ended,
+                "ends": str(decided.ends)}
     ends, ss = decided
-    section = {
+    return {
         "type": "graph_product",
         "group": name,
         "ends": None if ends.ends is None else str(ends.ends),
@@ -74,14 +65,22 @@ def graph_product_section(name, decided):
         "semistability": ss.verdict,
         "semistability_witness": ss.witness,
     }
-    warnings = []
-    if ss.verdict == "unknown":
-        warnings.append({
-            "kind": "undetermined_semistability",
-            "group": name,
-            "detail": "vertex profiles leave the criterion undecided",
-        })
-    return section, warnings
+
+
+def _semistability_warnings(sections):
+    """One warning per graph-product section whose semistability is unknown."""
+    return [{
+        "kind": "undetermined_semistability",
+        "group": section["group"],
+        "detail": "vertex profiles leave the criterion undecided",
+    } for section in sections if section.get("semistability") == "unknown"]
+
+
+def group_report(text, name, expr, decided):
+    """The `coxeter` or `graph-product` report on the input `text`: the
+    `group_section` of one group."""
+    sections = [group_section(name, expr, decided)]
+    return envelope(text, sections, _semistability_warnings(sections))
 
 
 def certificate_closure(roots):
@@ -155,29 +154,110 @@ def contradiction_report(exc):
     }
 
 
-def analysis_report(registry: GroupRegistry, text: str):
-    """Full `analyze` report: structural deciders plus inference."""
-    sections = []
-    sections.append({
-        "type": "registry",
-        "groups": [
-            {"name": name, "expr": serialize_expr(expr)}
-            for name, expr in registry.groups.items()
-        ],
-    })
-    facts = infer(registry)
-    warnings = []
-    for name, expr in registry.groups.items():
-        if isinstance(expr, Coxeter):
-            sections.append(coxeter_section(name, facts.decided[name]))
-        elif isinstance(expr, Artin):
-            sections.append(artin_section(name, facts.decided[name]))
-        elif isinstance(expr, GraphProduct):
-            section, raised = graph_product_section(name, facts.decided[name])
-            sections.append(section)
-            warnings += raised
+def analysis_report(registry: GroupRegistry, facts, text: str):
+    """Full `analyze` report on the input `text`: decider sections and the
+    facts of the FactSet `facts` inferred on `registry`."""
+    groups = registry.groups.items()
+    sections = [{"type": "registry",
+                 "groups": [{"name": name, "expr": serialize_expr(expr)} for name, expr in groups]}]
+    sections += [group_section(name, expr, facts.decided[name]) for name, expr in groups
+                 if isinstance(expr, (Coxeter, Artin, GraphProduct))]
+    warnings = _semistability_warnings(sections)
     sections.append(facts_section(facts))
     return envelope(text, sections, warnings, schema=CERTIFICATE_SCHEMA_VERSION)
+
+
+def explain(facts, group, atom, holds=True) -> str:
+    """Textual derivation tree for one fact of the FactSet `facts`: each fact
+    in full where it first appears, then by its head line and `[see above]`."""
+    cert = facts.get(group, atom, holds)
+    if cert is None:
+        pol = "" if holds else "not "
+        raise EndscopeError(f"fact ({group}, {pol}{atom}) was not derived")
+    lines, seen = [], set()
+    stack = [(cert, "")]
+    while stack:
+        c, indent = stack.pop()
+        pol = "" if c.holds else "not "
+        head = f"{indent}{c.group} : {pol}{c.atom.value}"
+        fact, rule = c[:3], c.rule
+        if fact in seen:
+            lines.append(f"{head}  [see above]")
+        elif rule is None:
+            lines.append(f"{head}  [{c.provenance}]")
+        else:
+            lines.append(f"{head}  [rule {rule.name}, theorem {rule.tag}]")
+            lines.append(f"{indent}  quote: {rule.quote}")
+            if c.provenance:
+                lines.append(f"{indent}  note: {c.provenance}")
+            stack.extend((child, indent + "  ") for child in reversed(c.children))
+        seen.add(fact)
+    return "\n".join(lines)
+
+
+def cayley_report(spec, ball, estimate):
+    """The `cayley` report on the oracle `spec`: the sizes of its BallGraph
+    `ball` and the EndEstimate `estimate` read off it, if not None, which a
+    warning flags as a heuristic."""
+    sections = [{
+        "type": "ball",
+        "oracle": spec,
+        "radius": ball.radius,
+        "elements": len(ball.order),
+        "exhausted": ball.exhausted,
+        "sphere_sizes": [len(ball.sphere(d)) for d in range(ball.radius + 1)],
+    }]
+    warnings = []
+    if estimate is not None:
+        sections.append({
+            "type": "end_estimate",
+            "per_radius": [{"r": r, "components": c} for r, c in estimate.per_radius],
+            "verdict": estimate.verdict,
+            "ends": str(estimate.ends) if estimate.ends is not None else None,
+            "radius": estimate.radius,
+        })
+        warnings.append({
+            "kind": "heuristic_verdict",
+            "detail": "finite-radius estimate; unbounded components are"
+                      " approximated by outer-sphere contact",
+        })
+    return envelope(spec, sections, warnings)
+
+
+def lim1_report(verdict):
+    """Triviality of the derived limit lim^1 under the MLVerdict `verdict`,
+    with the citation attached.  Every group of a tower of free abelian
+    groups of finite rank is countable, so a strictly descending chain makes
+    lim^1 nontrivial."""
+    citation = (
+        "Theorem 11.3.2: if the inverse sequence is semistable then lim^1 is "
+        "trivial; if lim^1 is trivial and each group is countable, the "
+        "sequence is semistable"
+    )
+    if verdict.kind == "semistable":
+        status = "trivial"
+    elif verdict.kind == "strictly_descending":
+        status = "nontrivial"
+    else:
+        status = "undetermined"
+    return {"lim1": status, "citation": citation, "verdict": verdict._asdict()}
+
+
+def tower_report(text, window, verdict):
+    """The `tower` report on the input `text`: the MLVerdict `verdict` and
+    lim^1 of a constant tower when `window` is None, and otherwise of an
+    explicit tower judged on `window` steps, which a warning flags."""
+    section = {
+        "type": "tower",
+        "constant": window is None,
+        "window": window,
+        "verdict": verdict._asdict(),
+        "lim1": lim1_report(verdict),
+    }
+    return envelope(text, [section], [] if window is None else [{
+        "kind": "finite_window",
+        "detail": "explicit towers are judged on a finite window only",
+    }])
 
 
 # --- JSON text ----------------------------------------------------------------

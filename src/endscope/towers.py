@@ -268,24 +268,6 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
     return MLVerdict("strictly_descending", first_witness=k_star + 1)
 
 
-def lim1_report(verdict: MLVerdict):
-    """Triviality of the derived limit lim^1, with the citation attached.
-    Every group of a tower of free abelian groups of finite rank is
-    countable, so a strictly descending chain makes lim^1 nontrivial."""
-    citation = (
-        "Theorem 11.3.2: if the inverse sequence is semistable then lim^1 is "
-        "trivial; if lim^1 is trivial and each group is countable, the "
-        "sequence is semistable"
-    )
-    if verdict.kind == "semistable":
-        status = "trivial"
-    elif verdict.kind == "strictly_descending":
-        status = "nontrivial"
-    else:
-        status = "undetermined"
-    return {"lim1": status, "citation": citation, "verdict": verdict._asdict()}
-
-
 # --- Tower text format ----------------------------------------------------------
 
 def _rows(tokens, what, sep=","):

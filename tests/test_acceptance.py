@@ -27,9 +27,9 @@ from endscope.graph_products import (
 from endscope.graphs import LabeledGraph, SimplicialComplex2
 from endscope.inference import infer, replay
 from endscope.model import parse_document
+from endscope.report import lim1_report
 from endscope.towers import (
     AbelianTower,
-    lim1_report,
     ml_check_window,
     ml_decide_constant,
 )

@@ -19,7 +19,7 @@ from endscope.errors import (
     ParseError,
 )
 from endscope.inference import infer
-from endscope.model import parse_document
+from endscope.model import Coxeter, GraphProduct, parse_document
 from endscope.report import render_dot
 from test_cayley import CAYLEY_GRID_SPECS
 from test_report import as_v1
@@ -90,6 +90,37 @@ PINNED_GRID_BALLS = {
     "prod:i2:4xz:1": "c2f48787b640854fe04c3d5f528adbf31ca3f46ae0b30812415c68f8307aadbd",
     "prod:free:2xfree:2": "1bc485fd012720279df523dc36adfbfa69615af7dfdf43a9f15245013efeddea",
 }
+
+# SHA-256 of `endscope cayley --oracle S --radius R` stdout, the ball-only
+# report, on the PINNED_BALLS specs; recorded while cli.py built its sections.
+PINNED_BALL_REPORTS = {
+    ("i2:3", 8): "f0a3428dfc95b070990b9b8659ffd1dc9cd0eaa26f51118bd8535c22ade6fc50",
+    ("z:3", 8): "26965fadd005b13abf949202b49956f990cf5e46d2d3f2e788a531cfba149249",
+    ("free:2", 6): "89a77600aba892910281bd78fdbf7eb86ec6e7a505943057b516af98a0974147",
+    ("prod:free:2xzmod:2", 5): "6b7bd2478ee52e2376015af434cee8701ed261bcc070b97ce7fc9754dbcb7c00",
+    ("freeprod:i2:4xzmod:2", 8): "9815cf288705938c7f6ef7c9a5ef955be28f782967b4e7d9524170fd95b17c88",
+}
+
+# SHA-256 of `endscope coxeter --group G` (`graph-product --group G`) stdout
+# for each Coxeter group (graph product) of its fixture.
+PINNED_COXETER = {
+    "W1": "aa11fcf6df1630ca11cc13c1434b439e7b5496d5d58792b64e201a7d8c725153",
+    "W2": "6a4b63d51bcc89ac40e729a327f62991edda20e4e30f106bddfa6dd1c2867ff9",
+    "W3": "7c403abbfd049e2df761094fc4bb093aca8f3f9d950f4b1d88e6c1c2debbb001",
+    "W4": "8a483f9a5f05ac6ed602b1c97745c086a3f9eb641779f123e0255cf5602ebc90",
+    "W5": "98ea4ba425f92e453f2eba52dad9f09dbe24c5229537a7e58e09d6bba628f7d4",
+    "W6": "16f5a523fc43cf2b731a0854ea837cc814a52446ebbc95d69ef7525f34d40463",
+    "W7": "7f2fc8298bf366e9f903da6af2d14f1537f0dbea99ee52e99c9aad2b607ca95c",
+}
+PINNED_GRAPH_PRODUCTS = {
+    "Hex": "42ab0ce9e90bc3b62dabfd4e81fdab46ed6b784ce251e5ab6f26d982319c2fe7",
+    "OVi": "e4cde89b989bb481cf9dcbb5524e05fab5ac92e7805763bafad8071dbcba9779",
+    "OV2": "cc7db846037ad5a34bc462ec7c55b01e2ac719a26b88e07a5bf8a9cdbde8a59f",
+}
+
+# One SHA-256 over the `explain` stdout of every fact of inference.ggt, in
+# (group, atom, polarity) order, `--negated` for the facts that fail.
+PINNED_EXPLAIN = "eb4570b153ced56442f8356e24d0bef8afdae31b69ecdd562857a64fe582ebb1"
 
 
 def run_capture(capsys, argv):
@@ -376,6 +407,43 @@ def test_cayley_grid_ball_matches_pinned_digest(tmp_path, capsys, spec):
     assert cayley_digest(tmp_path, capsys, spec, 5) == PINNED_GRID_BALLS[spec]
 
 
+@pytest.mark.parametrize("spec,radius", sorted(PINNED_BALL_REPORTS))
+def test_cayley_ball_only_report_matches_pinned_digest(capsys, spec, radius):
+    code, out, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", str(radius)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_BALL_REPORTS[(spec, radius)]
+
+
+def groups_of_kind(fixture, kind):
+    registry = parse_document((FIXTURES / fixture).read_text(encoding="utf-8"))
+    return [name for name, expr in registry.groups.items() if isinstance(expr, kind)]
+
+
+@pytest.mark.parametrize("command,fixture,kind,pinned", [
+    ("coxeter", "coxeter_suite.ggt", Coxeter, PINNED_COXETER),
+    ("graph-product", "graph_products.ggt", GraphProduct, PINNED_GRAPH_PRODUCTS),
+])
+def test_decider_subcommands_match_pinned_digests(capsys, command, fixture, kind, pinned):
+    assert groups_of_kind(fixture, kind) == list(pinned)
+    for group, digest in pinned.items():
+        code, out, err = run_capture(capsys, [command, str(FIXTURES / fixture), "--group", group])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, group
+
+
+def test_explain_of_every_fact_matches_pinned_digest(capsys):
+    path = FIXTURES / "inference.ggt"
+    facts = infer(parse_document(path.read_text(encoding="utf-8")))
+    digest = hashlib.sha256()
+    for group, atom, holds in sorted(facts, key=lambda f: (f[0], f[1].value, f[2])):
+        argv = ["explain", str(path), "--group", group, "--atom", atom.value]
+        code, out, err = run_capture(capsys, argv if holds else argv + ["--negated"])
+        assert (code, err) == (0, "")
+        digest.update(out.encode("utf-8"))
+    assert len(facts) == 71
+    assert digest.hexdigest() == PINNED_EXPLAIN
+
+
 def test_coxeter_subcommand(capsys):
     code, out, _ = run_capture(
         capsys,
@@ -463,6 +531,14 @@ def write_dot(capsys, spec, radius, path):
 
 def ball_dot(spec, radius):
     return render_dot(build_ball(oracle_from_spec(spec), radius)).encode("ascii")
+
+
+@pytest.mark.parametrize("window", [("3", "2"), ("2", "6")])
+def test_cayley_bad_window_writes_no_dot_file(tmp_path, capsys, window):
+    dot_path = tmp_path / "ball.dot"
+    argv = ["cayley", "--oracle", "i2:3", "--radius", "6", "--window", *window, "--dot", str(dot_path)]
+    code, out, _ = run_capture(capsys, argv)
+    assert (code, out, dot_path.exists()) == (2, "", False)
 
 
 @pytest.mark.parametrize("radii", [(12, 4), (4, 12)])
@@ -592,6 +668,17 @@ def test_a_reused_parser_carries_no_options_over(capsys):
     assert run(argv + ["--negated"]) == 2  # not derived
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("F : h2_free_abelian  [rule R-GM2")
+
+
+def test_explain_negated_names_the_fact_with_its_polarity(tmp_path, capsys):
+    """`F : fg` holds on free(2); the fact --negated asks for, `F : not fg`,
+    is the one that was not derived."""
+    path = tmp_path / "f.ggt"
+    path.write_text("group F = free(2)\n", encoding="utf-8")
+    argv = ["explain", str(path), "--group", "F", "--atom", "fg"]
+    assert run_capture(capsys, argv + ["--negated"]) == (
+        2, "", "error: fact (F, not fg) was not derived\n")
+    assert run_capture(capsys, argv)[:2] == (0, "F : fg  [structural: free of rank 2]\n")
 
 
 def test_explain_unknown_atom_is_input_error(capsys):

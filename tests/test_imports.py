@@ -79,6 +79,33 @@ def test_no_package_module_imports_dataclasses():
             if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))] == []
 
 
+def package_modules_imported(source):
+    """Names of the package modules a source imports relatively."""
+    return {node.module for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+def dict_display_lines(source):
+    """Lines of the dict displays and dict comprehensions in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Dict, ast.DictComp))]
+
+
+def test_output_readers():
+    source = "from . import a\nfrom .model import x\nfrom os import path\nd = {1: x}\ne = {k: 1 for k in d}\n"
+    assert package_modules_imported(source) == {"model"}
+    assert dict_display_lines(source) == [4, 5]
+
+
+# `report` writes every output and `cli` only wires commands together: the
+# CLI builds no report dict, and the report reads values the engine returns
+# without calling the engine.
+def test_only_the_report_module_builds_output():
+    assert dict_display_lines((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+    assert "inference" not in package_modules_imported(
+        (PACKAGE / "report.py").read_text(encoding="utf-8"))
+
+
 def assert_lines(source):
     """Lines of the `assert` statements in `source`."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
@@ -169,10 +196,14 @@ def test_no_dead_definitions_in_package():
     assert found == {}
 
 
+def library_code(readme):
+    """The README's Library code block."""
+    return readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
 def library_block(readme):
     """Identifiers in the README's Library code block, comments left out."""
-    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    return set(re.findall(r"\w+", re.sub(r"#.*", "", block)))
+    return set(re.findall(r"\w+", re.sub(r"#.*", "", library_code(readme))))
 
 
 def exported_names(source):
@@ -184,6 +215,12 @@ def test_library_block_reader():
     readme = "# x\n## Library\n\n```python\nfrom endscope import (\n    a, b_c,  # d\n)\n```\ne\n"
     assert library_block(readme) == {"from", "endscope", "import", "a", "b_c"}
     assert exported_names("from .m import (A, b as c)\n") == ["A", "c"]
+
+
+def test_every_library_block_name_imports_from_endscope():
+    # the block is one `from endscope import (...)`: a name it lists that
+    # endscope does not export is an ImportError naming it
+    exec(library_code(README.read_text(encoding="utf-8")), {})
 
 
 def test_every_export_is_reached_or_documented():

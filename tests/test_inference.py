@@ -20,7 +20,6 @@ from endscope.inference import (
     FactSet,
     _member,
     builtin_rules,
-    explain,
     infer,
     known_groups_db,
     replay,
@@ -43,7 +42,7 @@ from endscope.model import (
     Known,
     parse_document,
 )
-from endscope.report import certificate_closure, certificate_dag
+from endscope.report import certificate_closure, certificate_dag, explain
 from test_model import bench_documents
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"

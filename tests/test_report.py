@@ -186,7 +186,8 @@ def test_analyze_writes_fact_row_edge_cases_as_json_dumps(tmp_path, capsys, case
     path.write_text(text, encoding="utf-8")
     code = run(["analyze", str(path)])
     try:
-        want, want_code = analysis_report(parse_document(text), text), 0
+        registry = parse_document(text)
+        want, want_code = analysis_report(registry, infer(registry), text), 0
     except ContradictionError as exc:
         want, want_code = contradiction_report(exc), 3
     out = capsys.readouterr().out
@@ -232,7 +233,7 @@ def test_analyze_classifies_each_coxeter_diagram_once():
 
     sys.setprofile(profile)
     try:
-        analysis_report(registry, text)
+        analysis_report(registry, infer(registry), text)
     finally:
         sys.setprofile(None)
     assert len(diagrams) == 7

@@ -9,13 +9,13 @@ import pytest
 from endscope import towers
 from endscope.errors import EndscopeError
 from endscope.graph_products import _smith_diagonal
+from endscope.report import lim1_report
 from endscope.towers import (
     AbelianTower,
     MLVerdict,
     hermite_normal_form,
     lattice_contains,
     lattice_includes,
-    lim1_report,
     mat_identity,
     mat_product,
     ml_check_window,
