@@ -14,12 +14,18 @@ import sys
 from typing import NamedTuple
 
 from .atoms import EndCount
-from .coxeter import CoxeterSystem, tits_cone_action
-from .errors import EndscopeError, KeyWidthExceededError, MemoryCapExceededError
+from .coxeter import CoxeterSystem, label_lcm, tits_cone_action
+from .errors import (
+    EndscopeError,
+    KeyWidthExceededError,
+    LabelLcmExceededError,
+    MemoryCapExceededError,
+)
 from .graphs import LabeledGraph
 from .model import read_int
 
 DEFAULT_ELEMENT_CAP = 2_000_000
+MAX_LABEL_LCM = 1024  # the largest lcm of Coxeter labels an oracle takes (see CoxeterOracle)
 
 
 class GroupOracle:
@@ -163,11 +169,20 @@ class CoxeterOracle(GroupOracle):
     is rounded up to 15 modulo 61: the weights 2^(15j mod 61) spread the
     fields over the 61 bits, where a multiple of 61 would give them all
     weight 1 and pile a ball onto few hash values.
+
+    An lcm M of the labels above MAX_LABEL_LCM = 1024 raises
+    LabelLcmExceededError (exit 4) before any of Z[2cos(pi/M)] is built.
+    The degree d = phi(2M)/2 and the field width both grow with M, and each
+    generator keeps d key-wide steps, so memory grows about as M^3: on a
+    2 vCPU Xeon, i2:1019 takes 0.6 s and 220 MB at radius 2, and i2:4000
+    took 12 s and 2.7 GB.
     """
 
     bipartite = True
 
     def __init__(self, sys: CoxeterSystem):
+        if (lcm := label_lcm(sys)) > MAX_LABEL_LCM:
+            raise LabelLcmExceededError(lcm, MAX_LABEL_LCM)
         self.name = "coxeter"
         self.generators = tuple(str(v) for v in sys.generators)
         rho, action = tits_cone_action(sys)
@@ -507,4 +522,6 @@ def oracle_from_spec(spec: str) -> GroupOracle:
     try:
         return _SPEC_OF[head](n)
     except EndscopeError as exc:
+        if exc.exit_code != EndscopeError.exit_code:  # a bound exceeded, not bad input
+            raise
         raise EndscopeError(f"bad oracle spec {spec!r}: {exc}") from None

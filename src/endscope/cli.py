@@ -4,11 +4,14 @@ and hands the values it returns to `report`, which writes every output.
 Subcommands: analyze, coxeter, graph-product, cayley, tower, explain.
 Exit codes: 0 success, otherwise the `exit_code` of the EndscopeError raised:
 2 input error, 3 contradiction detected (ContradictionError), 4 element cap
-exceeded (MemoryCapExceededError) or Coxeter key width exceeded
-(KeyWidthExceededError).  Any other exception is a fault in
+exceeded (MemoryCapExceededError), Coxeter key width exceeded
+(KeyWidthExceededError) or Coxeter labels past the oracle's bound
+(LabelLcmExceededError).  Any other exception is a fault in
 endscope: it propagates, and the interpreter exits 1 with its traceback.  A
 reader that closes standard output before the output is written (`endscope
-... | head -c 0`) makes `main` exit 1 with nothing on stderr.
+... | head -c 0`) makes `main` exit 1 with nothing on stderr; any other
+failed write to standard output (`> /dev/full`) exits 2 with
+`error: cannot write standard output: <reason>`.
 """
 
 from __future__ import annotations
@@ -206,11 +209,18 @@ def run(argv=None) -> int:
 def main():
     try:
         code = run()
-        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        sys.stdout.flush()  # so a failed write raises here, not at exit
     except BrokenPipeError:
-        # Python flushes stdout again at exit; send that flush to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        code = 1
+    # run() turns a failed read or --dot write into an EndscopeError, so an
+    # OSError that reaches here is a failed write to standard output
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write standard output: {exc.strerror}\n")
+        code = EndscopeError.exit_code
+    else:
+        sys.exit(code)
+    # Python flushes stdout again at exit; send that flush to devnull
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -278,6 +278,11 @@ def _real_minimal_polynomial(m):
     return poly
 
 
+def label_lcm(sys: CoxeterSystem):
+    """M, the lcm of the labels >= 4, or 2 when there are none."""
+    return max(math.lcm(*(m for m in sys.diagram.edges.values() if m >= 4)), 2)
+
+
 def tits_cone_action(sys: CoxeterSystem):
     """(rho, action): the exact left action of the generators on the dual
     coordinates of the Tits cone.
@@ -295,7 +300,7 @@ def tits_cone_action(sys: CoxeterSystem):
     Brenti, GTM 231, ch. 4), so w(rho) decides the word problem.
     """
     gens = sys.generators
-    lcm = max(math.lcm(*(m for m in sys.diagram.edges.values() if m >= 4)), 2)
+    lcm = label_lcm(sys)
     poly = _real_minimal_polynomial(lcm)
     d = len(poly) - 1
 

@@ -1,11 +1,11 @@
-"""The five exceptions endscope raises on purpose.  Each carries the exit
+"""The six exceptions endscope raises on purpose.  Each carries the exit
 code of the command line as `exit_code`: bad input (2, with a position when it
-comes from a parser), a contradiction (3), and an exceeded element cap or
-Coxeter key width (4)."""
+comes from a parser), a contradiction (3), and an exceeded element cap,
+Coxeter key width or Coxeter label bound (4)."""
 
 
 class EndscopeError(Exception):
-    """Bad input, named by the message; the base of the other four."""
+    """Bad input, named by the message; the base of the other five."""
 
     exit_code = 2
 
@@ -47,3 +47,12 @@ class KeyWidthExceededError(EndscopeError):
 
     def __init__(self, width):
         super().__init__(f"a Coxeter key coordinate outgrew its {width}-bit field")
+
+
+class LabelLcmExceededError(EndscopeError):
+    """A Coxeter oracle's labels have an lcm above its bound (see cayley.CoxeterOracle)."""
+
+    exit_code = 4
+
+    def __init__(self, lcm, bound):
+        super().__init__(f"the Coxeter labels have lcm {lcm}, above the oracle's bound {bound}")

@@ -21,8 +21,7 @@ The text format is line-oriented with ``#`` comments:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from itertools import islice
+from itertools import chain
 from typing import NamedTuple
 
 from .atoms import PropertyAtom
@@ -54,10 +53,7 @@ class FreeAbelian(_Value):
 
 class Free(_Value):
     rank: int
-
-    def _validate(self):
-        if self.rank < 0:
-            raise EndscopeError(f"rank must be >= 0, got {self.rank}")
+    _validate = FreeAbelian._validate
 
 
 class Coxeter(_Value):
@@ -183,59 +179,43 @@ class GroupRegistry:
 
 _PUNCTUATION = frozenset("(){};:,=")  # the one-character tokens of _TOKEN_RE
 _TOKEN_RE = re.compile(r"[(){};:,=]|[^\s(){};:,=]+")
+# a comment runs from '#' up to the next line boundary of str.splitlines()
+_COMMENT_RE = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_BAD_VERTEX = _PUNCTUATION | {"edge", "verts"}
+_ATOMS = {atom.value: atom for atom in PropertyAtom}
 
 
 class _Tokens:
-    """The tokens of a text, read one at a time.  Each token keeps only its
-    row: its line and column are worked out again when an error names it."""
+    """The tokens of the text with its comments cut out, found by one `findall`
+    and read by index (`parse_document`) or one at a time (`parse_tower`).  A
+    token's line and column are worked out only when an error names it."""
 
     def __init__(self, text):
-        self.lines = text.splitlines()
-        self.tokens = []
-        self.rows = []  # the index in `lines` of each token's line
-        for row, line in enumerate(self.lines):
-            found = _TOKEN_RE.findall(line.split("#", 1)[0])
-            if found:
-                self.tokens += found
-                self.rows += [row] * len(found)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(_COMMENT_RE.sub("", text))
+        self.rows = None  # (line, col) of each token, made by the first where()
         self.pos = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expected=None):
-        if self.pos >= len(self.tokens):
-            wanted = "more input" if expected is None else repr(expected)
-            self.error(f"unexpected end of input (expected {wanted})", self.pos)
-        tok = self.tokens[self.pos]
+    def next(self, expected=""):
+        """The next token, which must be `expected` if one is given."""
+        _fail(self, self.pos, expected)
         self.pos += 1
-        if expected is not None and tok != expected:
-            self.error(f"expected {expected!r}, got {tok!r}")
-        return tok
+        return self.tokens[self.pos - 1]
 
     def where(self, i):
-        """(line, col) of token i; past the end, of the last token; (1, 1)
-        when there is none."""
-        i = min(i, len(self.tokens) - 1)
-        if i < 0:
-            return 1, 1
-        row = self.rows[i]
-        line = self.lines[row].split("#", 1)[0]
-        k = i - bisect_left(self.rows, row)  # token i is match k of its line
-        match = next(islice(_TOKEN_RE.finditer(line), k, None))
-        return row + 1, match.start() + 1
+        """(line, col) of token i, or of the last one past the end; (1, 1) if none."""
+        if self.rows is None:
+            self.rows = [(row, match.start() + 1)
+                         for row, line in enumerate(self.text.splitlines(), 1)
+                         for match in _TOKEN_RE.finditer(line.split("#", 1)[0])]
+        return self.rows[min(i, len(self.rows) - 1)] if self.rows else (1, 1)
 
     def error(self, message, i=None):
         """Raise a ParseError at token i, by default the one read last."""
         raise ParseError(message, *self.where(self.pos - 1 if i is None else i))
-
-
-def _parse_name(tokens):
-    """A group name, a reference or a catalog name: any token but punctuation."""
-    tok = tokens.next()
-    if tok in _PUNCTUATION:
-        tokens.error(f"expected a name, got {tok!r}")
-    return tok
 
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -244,156 +224,176 @@ _INT_RE = re.compile(r"-?[0-9]+")
 def read_int(text):
     """The integer `text` spells in ASCII digits after an optional '-', else
     None: `int()` would also take '+3', '1_0', ' 2' and other scripts' digits."""
-    if _INT_RE.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    return None
+    try:
+        return int(text) if _INT_RE.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
-def _parse_int(tokens, what):
-    tok = tokens.next()
-    value = read_int(tok)
-    if value is None:
-        tokens.error(f"expected {what}, got {tok!r}")
-    return value
+def _fail(tokens, i, *wanted):
+    """Raise the error, as a reader of one token at a time words it, at the
+    first of tokens i, i + 1, ... not as `wanted`: that token, a name (None) or any ('')."""
+    toks = tokens.tokens
+    for k, want in enumerate(wanted, i):
+        if k == len(toks):
+            what = repr(want) if want else "more input"
+            tokens.error(f"unexpected end of input (expected {what})", k)
+        if want is None and toks[k] in _PUNCTUATION:
+            tokens.error(f"expected a name, got {toks[k]!r}", k)
+        if want and toks[k] != want:
+            tokens.error(f"expected {want!r}, got {toks[k]!r}", k)
 
 
-def _parse_diagram(tokens, labeled):
-    tokens.next("{")
-    verts, declared = [], set()
-    vertex_groups = []
-    edges = {}  # (u, v) with u <= v -> label, as LabeledGraph keeps them
-    endpoints = []  # the token index of each edge end
-    while True:
-        tok = tokens.peek()
-        if tok == "}":
-            tokens.next("}")
-            break
+def _find(toks, tok, i):
+    """The index of the first `tok` from i on, else len(toks)."""
+    try:
+        return toks.index(tok, i)
+    except ValueError:
+        return len(toks)
+
+
+def _parse_diagram(tokens, i, cls):
+    """The `cls` value of the diagram whose '{' is token i, and the index after
+    its '}'.  A `verts` run ends at the next ';', an edge is the 5 tokens `edge u
+    v m ;` (4 in a graph product: no m), and one that does not match is read again."""
+    toks = tokens.tokens
+    n = len(toks)
+    _fail(tokens, i, "{")
+    product = cls is GraphProduct
+    size = 4 if product else 5
+    verts, vertex_groups, declared, edges, at = [], [], set(), {}, {}
+    i += 1
+    while (tok := toks[i] if i < n else None) != "}":
         if tok == "verts":
-            tokens.next("verts")
-            while tokens.peek() not in (";", None):
-                name = tokens.next()
-                if name in ("edge", "verts") or name in _PUNCTUATION:
-                    tokens.error(f"bad vertex name {name!r}")
-                if name in declared:
-                    tokens.error(f"duplicate vertex {name!r}")
-                if labeled == "graph_product":
-                    tokens.next(":")
-                    vertex_groups.append((name, _parse_name(tokens)))
-                verts.append(name)
-                declared.add(name)
-            tokens.next(";")
+            j = _find(toks, ";", i)
+            names = toks[i + 1:j:3] if product else toks[i + 1:j]
+            new = set(names)
+            if (j == n or len(new) < len(names) or not declared.isdisjoint(new)
+                    or not _BAD_VERTEX.isdisjoint(new) or product and (
+                        (j - i - 1) % 3 or toks[i + 2:j:3] != [":"] * len(names)
+                        or not _PUNCTUATION.isdisjoint(toks[i + 3:j:3]))):
+                for k in range(i + 1, j, 3 if product else 1):
+                    if toks[k] in _BAD_VERTEX:
+                        tokens.error(f"bad vertex name {toks[k]!r}", k)
+                    if toks[k] in declared:
+                        tokens.error(f"duplicate vertex {toks[k]!r}", k)
+                    declared.add(toks[k])
+                    if product:
+                        _fail(tokens, k + 1, ":", None)
+                _fail(tokens, j, ";")
+            verts += names
+            declared |= new
+            if product:
+                vertex_groups += zip(names, toks[i + 3:j:3])
+            i = j + 1
         elif tok == "edge":
-            tokens.next("edge")
-            u, v = _parse_name(tokens), _parse_name(tokens)
-            first = tokens.pos - 2
-            if u == v:
-                tokens.error(f"self-loop at {u!r}")
-            key = _edge_key(u, v)
-            if key in edges:
-                tokens.error(f"duplicate edge {key}", first)
-            endpoints += (first, first + 1)
-            if labeled == "graph_product":
-                label = 2
-            else:
-                label = _parse_int(tokens, "edge label")
+            if i + size <= n and toks[i + size - 1] == ";":
+                u, v = toks[i + 1], toks[i + 2]
+                key = (u, v) if u <= v else (v, u)
+                label = 2 if product else read_int(toks[i + 3])
+                if (u != v and label is not None and label >= 2 and key not in edges
+                        and u not in _PUNCTUATION and v not in _PUNCTUATION):
+                    edges[key], at[key] = label, i + 1
+                    i += size
+                    continue
+            _fail(tokens, i + 1, None, None)
+            if toks[i + 1] == toks[i + 2]:
+                tokens.error(f"self-loop at {toks[i + 1]!r}", i + 2)
+            if (key := _edge_key(toks[i + 1], toks[i + 2])) in edges:
+                tokens.error(f"duplicate edge {key}", i + 1)
+            if not product:
+                _fail(tokens, i + 3, "")
+                if (label := read_int(toks[i + 3])) is None:
+                    tokens.error(f"expected edge label, got {toks[i + 3]!r}", i + 3)
                 if label < 2:
-                    tokens.error(f"edge label must be an integer >= 2, got {label}")
-            tokens.next(";")
-            edges[key] = label
+                    tokens.error(f"edge label must be an integer >= 2, got {label}", i + 3)
+            _fail(tokens, i + size - 1, ";")
         else:
-            tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}", tokens.pos)
+            tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}", i)
     # an edge may come before the verts that declare its ends
-    for i in endpoints:
-        if tokens.tokens[i] not in declared:
-            tokens.error(f"unknown vertex {tokens.tokens[i]!r}", i)
+    if not declared.issuperset(chain.from_iterable(edges)):
+        for k in chain.from_iterable((k, k + 1) for k in at.values()):
+            if toks[k] not in declared:
+                tokens.error(f"unknown vertex {toks[k]!r}", k)
     graph = LabeledGraph(tuple(verts), edges)
-    if labeled == "graph_product":
-        return graph, tuple(vertex_groups)
-    return graph
+    return (cls(graph, tuple(vertex_groups)) if product else cls(graph)), i + 1
 
 
-def _parse_refs(tokens, count=None):
-    tokens.next("(")
-    refs = []
-    while True:
-        refs.append(_parse_name(tokens))
-        nxt = tokens.next()
-        if nxt == ")":
-            break
-        if nxt != ",":
-            tokens.error(f"expected ',' or ')', got {nxt!r}")
-    if count is not None and len(refs) != count:
-        tokens.error(f"expected {count} references, got {len(refs)}")
-    return refs
-
-
-def _parse_flags(tokens, allowed):
-    flags = set()
-    while tokens.peek() in allowed:
-        flags.add(tokens.next())
-    return flags
+def _parse_refs(tokens, i, count):
+    """The names in the argument list whose '(' is token i, up to the next
+    ')', and the index after that ')': `count` names, any number if 0."""
+    toks = tokens.tokens
+    j = _find(toks, ")", i)
+    refs = toks[i + 1:j:2]
+    if (j == len(toks) or (j - i) % 2 or toks[i] != "(" or not _PUNCTUATION.isdisjoint(refs)
+            or toks[i + 2:j:2] != [","] * (len(refs) - 1)):
+        _fail(tokens, i, "(")
+        for k in range(i + 1, j + 1, 2):
+            _fail(tokens, k, None, "")
+            if toks[k + 1] not in (",", ")"):
+                tokens.error(f"expected ',' or ')', got {toks[k + 1]!r}", k + 1)
+    if count and len(refs) != count:
+        tokens.error(f"expected {count} references, got {len(refs)}", j)
+    return refs, j + 1
 
 
 def parse_document(text: str) -> GroupRegistry:
     """Parse a group-description document into a registry.  A reference must
-    name a group declared above it, so the reference graph has no cycle."""
+    name a group declared above it, so the reference graph has no cycle.  The
+    parser walks the token list by index: a statement's head is a record of
+    fixed length, and so are an integer argument and an edge."""
     tokens = _Tokens(text)
+    toks, error = tokens.tokens, tokens.error
+    n, i = len(toks), 0
     reg = GroupRegistry()
-    while tokens.peek() is not None:
-        kw = tokens.next()
+    while i < n:
+        kw, at = toks[i], i + 1  # at: the group's name or the assertion's target
         if kw == "group":
-            name_at = tokens.pos
-            name = _parse_name(tokens)
-            tokens.next("=")
-            ctor = tokens.next()
-            cls = _CONSTRUCTORS.get(ctor)
-            if cls is None:
-                tokens.error(f"unknown constructor {ctor!r}")
-            if cls is Coxeter or cls is Artin:
-                expr = cls(_parse_diagram(tokens, ctor))
-            elif cls is GraphProduct:
-                expr = cls(*_parse_diagram(tokens, ctor))
-            elif cls is DirectProduct:
-                expr = cls(tuple(_parse_refs(tokens)))
+            if (n - i < 4 or toks[i + 2] != "=" or toks[at] in _PUNCTUATION
+                    or (cls := _CONSTRUCTORS.get(toks[i + 3])) is None):
+                _fail(tokens, at, None, "=", "")
+                error(f"unknown constructor {toks[i + 3]!r}", i + 3)
+            i += 4
+            if cls is Coxeter or cls is Artin or cls is GraphProduct:
+                expr, i = _parse_diagram(tokens, i, cls)
             elif cls in _INTEGER:
-                tokens.next("(")
-                value = _parse_int(tokens, _INTEGER[cls])
-                at = tokens.pos - 1
-                tokens.next(")")
+                value = read_int(toks[i + 1]) if n - i > 2 and toks[i] == "(" else None
+                if value is None or toks[i + 2] != ")":
+                    _fail(tokens, i, "(", "")
+                    if read_int(toks[i + 1]) is None:
+                        error(f"expected {_INTEGER[cls]}, got {toks[i + 1]!r}", i + 1)
+                    _fail(tokens, i + 2, ")")
                 try:
                     expr = cls(value)  # the bound lives in the class
                 except EndscopeError as exc:
-                    raise ParseError(str(exc), *tokens.where(at)) from None
+                    raise ParseError(str(exc), *tokens.where(i + 1)) from None
+                i += 3
             else:
-                args = _parse_refs(tokens, len(_ARGS[cls]))
-                flags = _parse_flags(tokens, _FLAG_FIELDS[cls])
-                expr = cls(*args, **dict.fromkeys(flags, True))
+                refs, i = _parse_refs(tokens, i, cls is not DirectProduct and len(_ARGS[cls]))
+                flags, given = _FLAG_FIELDS[cls], i
+                while i < n and toks[i] in flags:
+                    i += 1
+                given = toks[given:i]
+                expr = (cls(tuple(refs)) if cls is DirectProduct
+                        else cls(*refs, *[flag in given for flag in flags]))
             try:
-                reg.add(name, expr)
+                reg.add(toks[at], expr)
             except EndscopeError as exc:
-                raise ParseError(str(exc), *tokens.where(name_at)) from None
+                raise ParseError(str(exc), *tokens.where(at)) from None
         elif kw == "assert":
-            target_at = tokens.pos
-            target = _parse_name(tokens)
-            tokens.next(":")
-            tok = tokens.next()
-            holds = True
-            if tok == "not":
-                holds = False
-                tok = tokens.next()
+            if n - i < 4 or toks[i + 2] != ":" or toks[at] in _PUNCTUATION:
+                _fail(tokens, at, None, ":", "")
+            i += 3 + (toks[i + 3] == "not")
+            if i == n or (atom := _ATOMS.get(toks[i])) is None:
+                _fail(tokens, i, "")
+                error(f"unknown property atom {toks[i]!r}", i)
             try:
-                atom = PropertyAtom(tok)
-            except ValueError:
-                tokens.error(f"unknown property atom {tok!r}")
-            try:
-                reg.assert_attr(AttributeAssertion(target, atom, holds))
+                reg.assert_attr(AttributeAssertion(toks[at], atom, toks[i - 1] != "not"))
             except EndscopeError as exc:
-                raise ParseError(str(exc), *tokens.where(target_at)) from None
+                raise ParseError(str(exc), *tokens.where(at)) from None
+            i += 1
         else:
-            tokens.error(f"expected 'group' or 'assert', got {kw!r}")
+            error(f"expected 'group' or 'assert', got {kw!r}", i)
     return reg
 
 

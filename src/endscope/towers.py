@@ -24,7 +24,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import EndscopeError, ParseError
-from .model import _parse_int, _Tokens
+from .model import _Tokens, read_int
 
 
 # --- Integer lattice machinery ------------------------------------------------
@@ -269,6 +269,14 @@ def ml_decide_constant(rank: int, matrix) -> MLVerdict:
 
 
 # --- Tower text format ----------------------------------------------------------
+
+def _parse_int(tokens, what):
+    tok = tokens.next()
+    value = read_int(tok)
+    if value is None:
+        tokens.error(f"expected {what}, got {tok!r}")
+    return value
+
 
 def _rows(tokens, what, sep=","):
     """Integers up to the statement's end, as rows split at `sep`; none empty."""

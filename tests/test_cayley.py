@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endscope.atoms import EndCount
+from endscope import coxeter
 from endscope.cayley import (
+    MAX_LABEL_LCM,
     BallGraph,
     CoxeterOracle,
     GroupOracle,
@@ -23,7 +25,12 @@ from endscope.cayley import (
     oracle_from_spec,
 )
 from endscope.coxeter import CoxeterSystem, tits_cone_action
-from endscope.errors import EndscopeError, KeyWidthExceededError, MemoryCapExceededError
+from endscope.errors import (
+    EndscopeError,
+    KeyWidthExceededError,
+    LabelLcmExceededError,
+    MemoryCapExceededError,
+)
 from endscope.graphs import LabeledGraph
 from endscope.report import render_dot
 from test_acceptance import distinct_small_diagrams
@@ -614,6 +621,24 @@ def test_coxeter_keys_decode_to_the_tuple_reference():
         # element for element, in the same BFS order, with the same table
         assert [coxeter_coordinates(oracle, key, k) for key in ball.order] == expected.order, edges
         assert ball._replace(order=None) == expected._replace(order=None), edges
+
+
+def test_a_coxeter_oracle_refuses_labels_whose_lcm_passes_its_bound(monkeypatch):
+    # random_coxeter_diagrams reach lcm(9, 10, 11) = 990, and the bench builds i2:420
+    assert MAX_LABEL_LCM >= 990
+
+    def cyclotomic(n):
+        raise AssertionError("the bound is checked before Phi_2M is built")
+
+    monkeypatch.setattr(coxeter, "_cyclotomic", cyclotomic)
+    for edges, lcm in [([("a", "b", MAX_LABEL_LCM + 1)], MAX_LABEL_LCM + 1),
+                       ([("a", "b", 31), ("b", "c", 37), ("a", "c", 3)], 1147),
+                       ([("a", "b", 99999999999)], 99999999999)]:
+        with pytest.raises(LabelLcmExceededError) as info:
+            CoxeterOracle(CoxeterSystem(LabeledGraph.build("abc", edges)))
+        assert isinstance(info.value, EndscopeError) and info.value.exit_code == 4
+        assert str(info.value) == (f"the Coxeter labels have lcm {lcm}, above the"
+                                   f" oracle's bound {MAX_LABEL_LCM}")
 
 
 # I2(inf), B3, H3 and the 4/5/3 path: labels inf and 2-5, d = 1 and 2

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from endscope import cli, coxeter, graph_products
-from endscope.cayley import build_ball, oracle_from_spec
+from endscope.cayley import MAX_LABEL_LCM, build_ball, oracle_from_spec
 from endscope.cli import run
 from endscope.errors import (
     ContradictionError,
@@ -311,6 +311,29 @@ def test_closed_stdout_exits_1_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(FIXTURES / "inference.ggt")],  # 15 kB: a write inside run() fails
+    ["explain", str(FIXTURES / "inference.ggt"), "--group", "F", "--atom", "fg"],  # the flush fails
+])
+def test_a_failed_write_to_stdout_exits_2_with_a_message(argv):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "endscope", *argv],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write standard output: No space left on device\n")
+
+
+def test_coxeter_oracle_specs_past_the_label_bound_exit_4(capsys):
+    for spec, lcm in [("i2:99999999999", 99999999999), (f"i2:{MAX_LABEL_LCM + 1}", MAX_LABEL_LCM + 1),
+                      ("freeprod:z:1xi2:4000", 4000)]:
+        code, out, err = run_capture(capsys, ["cayley", "--oracle", spec, "--radius", "2"])
+        assert (code, out) == (4, "")
+        assert err == (f"error: the Coxeter labels have lcm {lcm}, above the"
+                       f" oracle's bound {MAX_LABEL_LCM}\n")
 
 
 def chain_document(length, in_order):

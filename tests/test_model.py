@@ -9,11 +9,13 @@ import pytest
 
 from endscope.atoms import PropertyAtom
 from endscope.errors import EndscopeError, ParseError
-from endscope.graphs import LabeledGraph
+from endscope.graphs import LabeledGraph, _edge_key
 from endscope.model import (
     _ARGS,
+    _CONSTRUCTORS,
     _FLAG_FIELDS,
     _INTEGER,
+    _PUNCTUATION,
     _REFERENCES,
     _TOKEN_RE,
     HNN,
@@ -28,6 +30,7 @@ from endscope.model import (
     FreeAbelian,
     GraphProduct,
     GroupExpr,
+    AttributeAssertion,
     GroupRegistry,
     Known,
     _Tokens,
@@ -324,3 +327,197 @@ def test_token_positions_match_the_eager_tokenizer():
         items, at_end = eager_positions(text)
         assert [(tok, *tokens.where(i)) for i, tok in enumerate(tokens.tokens)] == items
         assert tokens.where(len(tokens.tokens)) == at_end
+
+
+# --- The reference parser: recursive descent, one token at a time ------------
+
+class ReferenceTokens(_Tokens):
+    """The tokens of `_Tokens`, read with the reader's own `next`."""
+
+    def next(self, expected=None):
+        if self.pos >= len(self.tokens):
+            wanted = "more input" if expected is None else repr(expected)
+            self.error(f"unexpected end of input (expected {wanted})", self.pos)
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if expected is not None and tok != expected:
+            self.error(f"expected {expected!r}, got {tok!r}")
+        return tok
+
+
+def _reference_name(tokens):
+    tok = tokens.next()
+    if tok in _PUNCTUATION:
+        tokens.error(f"expected a name, got {tok!r}")
+    return tok
+
+
+def _reference_int(tokens, what):
+    tok = tokens.next()
+    value = read_int(tok)
+    if value is None:
+        tokens.error(f"expected {what}, got {tok!r}")
+    return value
+
+
+def _reference_diagram(tokens, labeled):
+    tokens.next("{")
+    verts, declared = [], set()
+    vertex_groups = []
+    edges = {}  # (u, v) with u <= v -> label, as LabeledGraph keeps them
+    endpoints = []  # the token index of each edge end
+    while True:
+        tok = tokens.peek()
+        if tok == "}":
+            tokens.next("}")
+            break
+        if tok == "verts":
+            tokens.next("verts")
+            while tokens.peek() not in (";", None):
+                name = tokens.next()
+                if name in ("edge", "verts") or name in _PUNCTUATION:
+                    tokens.error(f"bad vertex name {name!r}")
+                if name in declared:
+                    tokens.error(f"duplicate vertex {name!r}")
+                if labeled == "graph_product":
+                    tokens.next(":")
+                    vertex_groups.append((name, _reference_name(tokens)))
+                verts.append(name)
+                declared.add(name)
+            tokens.next(";")
+        elif tok == "edge":
+            tokens.next("edge")
+            u, v = _reference_name(tokens), _reference_name(tokens)
+            first = tokens.pos - 2
+            if u == v:
+                tokens.error(f"self-loop at {u!r}")
+            key = _edge_key(u, v)
+            if key in edges:
+                tokens.error(f"duplicate edge {key}", first)
+            endpoints += (first, first + 1)
+            if labeled == "graph_product":
+                label = 2
+            else:
+                label = _reference_int(tokens, "edge label")
+                if label < 2:
+                    tokens.error(f"edge label must be an integer >= 2, got {label}")
+            tokens.next(";")
+            edges[key] = label
+        else:
+            tokens.error(f"expected 'verts', 'edge' or '}}', got {tok!r}", tokens.pos)
+    for i in endpoints:
+        if tokens.tokens[i] not in declared:
+            tokens.error(f"unknown vertex {tokens.tokens[i]!r}", i)
+    graph = LabeledGraph(tuple(verts), edges)
+    if labeled == "graph_product":
+        return graph, tuple(vertex_groups)
+    return graph
+
+
+def _reference_refs(tokens, count=None):
+    tokens.next("(")
+    refs = []
+    while True:
+        refs.append(_reference_name(tokens))
+        nxt = tokens.next()
+        if nxt == ")":
+            break
+        if nxt != ",":
+            tokens.error(f"expected ',' or ')', got {nxt!r}")
+    if count is not None and len(refs) != count:
+        tokens.error(f"expected {count} references, got {len(refs)}")
+    return refs
+
+
+def reference_parse_document(text):
+    """The parser `parse_document` replaced, which read one token at a time
+    with `peek` and `next`: the reference for its registries, messages and
+    positions."""
+    tokens = ReferenceTokens(text)
+    reg = GroupRegistry()
+    while tokens.peek() is not None:
+        kw = tokens.next()
+        if kw == "group":
+            name_at = tokens.pos
+            name = _reference_name(tokens)
+            tokens.next("=")
+            ctor = tokens.next()
+            cls = _CONSTRUCTORS.get(ctor)
+            if cls is None:
+                tokens.error(f"unknown constructor {ctor!r}")
+            if cls is Coxeter or cls is Artin:
+                expr = cls(_reference_diagram(tokens, ctor))
+            elif cls is GraphProduct:
+                expr = cls(*_reference_diagram(tokens, ctor))
+            elif cls is DirectProduct:
+                expr = cls(tuple(_reference_refs(tokens)))
+            elif cls in _INTEGER:
+                tokens.next("(")
+                value = _reference_int(tokens, _INTEGER[cls])
+                at = tokens.pos - 1
+                tokens.next(")")
+                try:
+                    expr = cls(value)
+                except EndscopeError as exc:
+                    raise ParseError(str(exc), *tokens.where(at)) from None
+            else:
+                args = _reference_refs(tokens, len(_ARGS[cls]))
+                flags = set()
+                while tokens.peek() in _FLAG_FIELDS[cls]:
+                    flags.add(tokens.next())
+                expr = cls(*args, **dict.fromkeys(flags, True))
+            try:
+                reg.add(name, expr)
+            except EndscopeError as exc:
+                raise ParseError(str(exc), *tokens.where(name_at)) from None
+        elif kw == "assert":
+            target_at = tokens.pos
+            target = _reference_name(tokens)
+            tokens.next(":")
+            tok = tokens.next()
+            holds = True
+            if tok == "not":
+                holds = False
+                tok = tokens.next()
+            try:
+                atom = PropertyAtom(tok)
+            except ValueError:
+                tokens.error(f"unknown property atom {tok!r}")
+            try:
+                reg.assert_attr(AttributeAssertion(target, atom, holds))
+            except EndscopeError as exc:
+                raise ParseError(str(exc), *tokens.where(target_at)) from None
+        else:
+            tokens.error(f"expected 'group' or 'assert', got {kw!r}")
+    return reg
+
+
+def outcome(parse, text):
+    """A registry, or the type, message and position of the error raised."""
+    try:
+        return parse(text)
+    except EndscopeError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def test_parse_document_matches_the_reference_parser():
+    fixtures = [path.read_text(encoding="utf-8")
+                for path in sorted((ROOT / "tests" / "fixtures").glob("*.ggt"))]
+    documents = [text for seed in (1, 2, 3) for text in bench_documents(seed=seed)]
+    texts = fixtures + documents
+    rng = random.Random(29)
+    for text, copies in [(text, 40) for text in fixtures] + [(text, 3) for text in documents]:
+        for _ in range(copies):
+            mutated = text
+            for _ in range(rng.randint(1, 6)):
+                i = rng.randrange(len(mutated) + 1)
+                mutated = mutated[:i] + rng.choice(MUTATIONS) + mutated[i:]
+            texts.append(mutated)
+    assert outcome(parse_document, "group D = direct_product()") == (
+        ParseError, "line 1, col 26: expected a name, got ')'", 1, 26)
+    errors = 0
+    for text in texts:
+        expected = outcome(reference_parse_document, text)
+        assert outcome(parse_document, text) == expected, text
+        errors += type(expected) is tuple
+    assert 0 < errors < len(texts)  # both outcomes are exercised
